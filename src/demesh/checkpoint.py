@@ -14,6 +14,7 @@ in parameters by name. Optimizer state is deliberately not stored.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -47,38 +48,50 @@ def save_checkpoint(path: str | Path, arch_text: str, params: list[Param]) -> No
 
 
 def load_checkpoint(path: str | Path) -> tuple[str, list[tuple[str, bool, np.ndarray]]]:
-    """Read a checkpoint; returns (arch_text, [(name, frozen, value), ...])."""
+    """Read a checkpoint; returns (arch_text, [(name, frozen, value), ...]).
+
+    Every length and count is checked against the bytes that remain, so a
+    truncated or corrupted file raises ``CheckpointError``."""
     blob = Path(path).read_bytes()
     view = memoryview(blob)
-    if bytes(view[:4]) != MAGIC:
+    if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint)")
     off = 4
 
-    def take(fmt: str):
+    def take_bytes(size: int, what: str) -> memoryview:
         nonlocal off
-        size = struct.calcsize(fmt)
-        vals = struct.unpack_from(fmt, view, off)
+        if size > len(blob) - off:
+            raise CheckpointError(
+                f"{path}: truncated {what} at byte {off}: needs {size} "
+                f"bytes, {len(blob) - off} left")
         off += size
-        return vals
+        return view[off - size:off]
 
-    (version,) = take("<I")
+    def take(fmt: str, what: str):
+        return struct.unpack(fmt, take_bytes(struct.calcsize(fmt), what))
+
+    def take_text(size: int, what: str) -> str:
+        raw = take_bytes(size, what)
+        try:
+            return bytes(raw).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: {what} is not utf-8 ({exc.reason})") from None
+
+    (version,) = take("<I", "version")
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    (arch_len,) = take("<I")
-    arch_text = bytes(view[off:off + arch_len]).decode("utf-8")
-    off += arch_len
-    (count,) = take("<I")
+    (arch_len,) = take("<I", "arch length")
+    arch_text = take_text(arch_len, "arch text")
+    (count,) = take("<I", "record count")
     records = []
     for _ in range(count):
-        (name_len,) = take("<I")
-        name = bytes(view[off:off + name_len]).decode("utf-8")
-        off += name_len
-        (frozen,) = take("<B")
-        (ndim,) = take("<I")
-        shape = take(f"<{ndim}I")
-        n_elems = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(view, dtype="<f8", count=n_elems, offset=off)
-        off += 8 * n_elems
+        (name_len,) = take("<I", "name length")
+        name = take_text(name_len, "parameter name")
+        (frozen,) = take("<B", f"'{name}' frozen flag")
+        (ndim,) = take("<I", f"'{name}' ndim")
+        shape = take(f"<{ndim}I", f"'{name}' shape")
+        n_elems = math.prod(shape)
+        data = np.frombuffer(take_bytes(8 * n_elems, f"'{name}' data"), dtype="<f8")
         records.append((name, bool(frozen), data.astype(np.float64).reshape(shape)))
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")

@@ -133,11 +133,6 @@ def build_psi(spec: InpaintSpec = InpaintSpec(), seed: int = 0) -> InpaintNet:
     return InpaintNet(spec, seed)
 
 
-def forward_psi(net: InpaintNet, x: Array) -> Array:
-    """Run the inpainter on a batch; output shape equals input shape."""
-    return net.forward(x)
-
-
 def save_psi(net: InpaintNet, path) -> None:
     arch = configio.format_kv(net.spec.to_kv())
     checkpoint.save_checkpoint(path, arch, net.params())

@@ -1,11 +1,15 @@
 """Verification protocol and image metrics.
 
 One gallery image (the recovered ID photo) and one daily probe per identity
-give N genuine and N^2 - N impostor cosine scores; the ROC is swept over
-every distinct score with step semantics (no interpolation), and operating
-points are read off conservatively: the point with the largest false-positive
-rate not exceeding the target. PSNR and feature RMSE report pixel- and
-feature-space distance to the clear ground truth over all test triplets.
+give N genuine and N^2 - N impostor cosine scores, all read off one
+normalized gallery-by-probe matrix product. The ROC is swept over every
+distinct score with step semantics (no interpolation): each class is sorted
+once, and the number of its scores at or above each threshold is its size
+minus a binary-search rank, so the sweep costs O(S log S) for S scores.
+Operating points are read off conservatively: the point with the largest
+false-positive rate not exceeding the target. PSNR and feature RMSE report
+pixel- and feature-space distance to the clear ground truth over all test
+triplets.
 """
 
 from __future__ import annotations
@@ -58,16 +62,6 @@ class EvalReport:
 # scalar metrics
 # ---------------------------------------------------------------------------
 
-def cosine_similarity(f1: Array, f2: Array) -> float:
-    if f1.shape != f2.shape:
-        raise ShapeError(f"feature widths differ: {f1.shape} vs {f2.shape}")
-    n1 = float(np.linalg.norm(f1))
-    n2 = float(np.linalg.norm(f2))
-    if n1 == 0.0 or n2 == 0.0:
-        raise ValueError("cosine similarity undefined for a zero-norm feature")
-    return float(np.dot(f1, f2) / (n1 * n2))
-
-
 def psnr(pred: Array, target: Array, max_val: float = 1.0) -> float:
     """10 log10(max^2 / MSE); identical images report +inf."""
     if pred.shape != target.shape:
@@ -94,21 +88,26 @@ def feature_rmse(preds: list[Array], targets: list[Array]) -> float:
 # ROC
 # ---------------------------------------------------------------------------
 
+def _count_at_or_above(scores: Array, thresholds: Array) -> Array:
+    return scores.size - np.searchsorted(np.sort(scores), thresholds, side="left")
+
+
 def roc(scores: ScoreSet) -> list[RocPoint]:
     """Threshold sweep over every distinct score; a pair accepts when its
-    score is >= the threshold. Points come out sorted by FPR (then TPR)."""
+    score is >= the threshold. Points come out sorted by FPR (then TPR).
+    Scores must be finite."""
     if not scores.genuine or not scores.impostor:
         raise ValueError("both genuine and impostor scores are required")
     genuine = np.asarray(scores.genuine, dtype=np.float64)
     impostor = np.asarray(scores.impostor, dtype=np.float64)
-    points = []
-    for t in np.unique(np.concatenate([genuine, impostor])):
-        points.append(RocPoint(
-            fpr=float(np.mean(impostor >= t)),
-            tpr=float(np.mean(genuine >= t)),
-            threshold=float(t)))
-    points.sort(key=lambda p: (p.fpr, p.tpr))
-    return points
+    if not (np.isfinite(genuine).all() and np.isfinite(impostor).all()):
+        raise ValueError("scores must be finite (no NaN or inf)")
+    thr = np.unique(np.concatenate([genuine, impostor]))
+    fpr = _count_at_or_above(impostor, thr) / impostor.size
+    tpr = _count_at_or_above(genuine, thr) / genuine.size
+    order = np.lexsort((thr, tpr, fpr))
+    return [RocPoint(f, t, h) for f, t, h in zip(
+        fpr[order].tolist(), tpr[order].tolist(), thr[order].tolist())]
 
 
 def tpr_at_fpr(points: list[RocPoint], target: float) -> float:
@@ -125,16 +124,16 @@ def tpr_at_fpr(points: list[RocPoint], target: float) -> float:
 
 def verification_scores(gallery: Array, probes: Array) -> ScoreSet:
     """All-pairs cosine scores between N gallery and N probe features; the
-    diagonal pairs are genuine, everything else impostor."""
+    diagonal pairs are genuine, everything else (row-major) impostor."""
     if gallery.shape != probes.shape:
         raise ShapeError(f"gallery {gallery.shape} vs probes {probes.shape}")
-    n = gallery.shape[0]
-    genuine, impostor = [], []
-    for i in range(n):
-        for j in range(n):
-            s = cosine_similarity(gallery[i], probes[j])
-            (genuine if i == j else impostor).append(s)
-    return ScoreSet(genuine, impostor)
+    g_norm = np.linalg.norm(gallery, axis=1)
+    p_norm = np.linalg.norm(probes, axis=1)
+    if not (g_norm.all() and p_norm.all()):
+        raise ValueError("cosine similarity undefined for a zero-norm feature")
+    s = (gallery @ probes.T) / np.outer(g_norm, p_norm)
+    off_diagonal = ~np.eye(len(s), dtype=bool)
+    return ScoreSet(np.diagonal(s).tolist(), s[off_diagonal].tolist())
 
 
 # ---------------------------------------------------------------------------

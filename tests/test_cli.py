@@ -174,6 +174,19 @@ def test_inpaint_rejects_wrong_extent(trained_checkpoint, tmp_path, capsys):
                    "--in", str(bad), "--out", str(tmp_path / "o.pgm")) == 1
     assert "does not match" in capsys.readouterr().err
 
+@pytest.mark.parametrize("keep", [10, 0.5])
+def test_inpaint_reports_a_truncated_checkpoint_on_one_line(
+        trained_checkpoint, dataset, tmp_path, capsys, keep):
+    blob = trained_checkpoint.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(blob[:keep if isinstance(keep, int) else len(blob) // 2])
+    sample_dir = next((Path(dataset) / "test").glob("id*"))
+    assert run_cli("inpaint", "--checkpoint", str(cut),
+                   "--in", str(sample_dir / "s000.x.pgm"),
+                   "--out", str(tmp_path / "o.pgm")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: CheckpointError: ")
+
 def test_inpaint_rejects_malformed_landmarks(trained_checkpoint, dataset,
                                              tmp_path, capsys):
     sample_dir = next((Path(dataset) / "test").glob("id*"))

@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demesh.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from demesh.inpaint import (InpaintNet, InpaintSpec, build_psi, forward_psi,
-                            load_psi, save_psi)
+from demesh.inpaint import (InpaintNet, InpaintSpec, build_psi, load_psi,
+                            save_psi)
 from demesh.layers import Param, ShapeError, grad_check
 
 SMALL = InpaintSpec(height=8, width=8, widths=(4, 6), kernel=3)
@@ -24,7 +27,7 @@ def test_different_seed_builds_different_parameters():
 def test_output_shape_equals_input_shape_for_default_spec():
     net = build_psi(InpaintSpec(), seed=0)
     x = np.random.default_rng(0).uniform(size=(2, 1, 64, 48))
-    assert forward_psi(net, x).shape == x.shape
+    assert net.forward(x).shape == x.shape
 
 def test_parameter_count_matches_hand_computed_sum():
     # conv params = out*(in*k*k) + out, summed over enc 1->16->32 and
@@ -42,18 +45,18 @@ def test_indivisible_extents_rejected():
 def test_forward_output_is_in_unit_interval():
     net = build_psi(SMALL, seed=1)
     x = np.random.default_rng(1).uniform(size=(3, 1, 8, 8))
-    out = forward_psi(net, x)
+    out = net.forward(x)
     assert out.min() >= 0.0 and out.max() <= 1.0
 
 def test_untrained_net_on_zero_input_is_finite():
     net = build_psi(SMALL, seed=2)
-    out = forward_psi(net, np.zeros((1, 1, 8, 8)))
+    out = net.forward(np.zeros((1, 1, 8, 8)))
     assert np.all(np.isfinite(out))
 
 def test_shape_mismatch_raises():
     net = build_psi(SMALL, seed=0)
     with pytest.raises(ShapeError):
-        forward_psi(net, np.zeros((1, 1, 8, 10)))
+        net.forward(np.zeros((1, 1, 8, 10)))
 
 def test_end_to_end_gradient_matches_finite_differences():
     tiny = InpaintSpec(height=4, width=4, widths=(3,), kernel=3)
@@ -130,6 +133,53 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(path)
+
+@pytest.fixture(scope="module")
+def blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "two.ckpt"
+    save_checkpoint(path, "kind = test\n", [
+        Param("w", np.arange(6.0).reshape(2, 3)),
+        Param("b", np.ones(2), frozen=True)])
+    return path.read_bytes()
+
+def test_checkpoint_truncated_anywhere_raises_checkpoint_error(blob, tmp_path):
+    path = tmp_path / "cut.ckpt"
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+@pytest.mark.parametrize("offset, value, match", [
+    (8, struct.pack("<I", 2**32 - 1), "arch text"),       # arch length
+    (12, b"\xff", "not utf-8"),                           # arch text
+    (32, b"\xfe", "not utf-8"),                           # first name
+    (34, struct.pack("<I", 2**31), "shape"),              # first ndim
+    (38, struct.pack("<I", 2**30), "data"),               # first extent
+])
+def test_checkpoint_corrupt_fields_raise_checkpoint_error(blob, tmp_path,
+                                                          offset, value, match):
+    assert blob[12:23] == b"kind = test" and blob[32:33] == b"w"
+    bad = bytearray(blob)
+    bad[offset:offset + len(value)] = value
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(bytes(bad))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_checkpoint_byte_flips_load_or_raise_checkpoint_error(blob, tmp_path_factory,
+                                                              data):
+    flipped = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 3))):
+        flipped[data.draw(st.integers(0, len(blob) - 1))] ^= \
+            data.draw(st.integers(1, 255))
+    path = tmp_path_factory.getbasetemp() / "flipped.ckpt"
+    path.write_bytes(bytes(flipped))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
 
 def test_save_is_deterministic(tmp_path):
     net = build_psi(SMALL, seed=9)

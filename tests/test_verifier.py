@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demesh.facegen import load_split, make_dataset
 from demesh.featnet import FeatureSpec, build_phi
 from demesh.layers import ShapeError
 from demesh.verifier import (EvalReport, FPR_TARGETS, RocPoint, ScoreSet,
-                             cosine_similarity, feature_rmse, psnr,
+                             feature_rmse, psnr,
                              read_roc_tsv, roc, run_protocol, tpr_at_fpr,
                              verification_scores, write_report_tsv,
                              write_roc_tsv)
@@ -35,24 +36,77 @@ def brute_tpr_at(genuine, impostor, target):
 
 
 # ---------------------------------------------------------------------------
-# cosine similarity
+# the per-threshold sweep and per-pair scoring loops that roc and
+# verification_scores replaced, kept as oracles
 # ---------------------------------------------------------------------------
+
+def loop_roc(genuine, impostor):
+    genuine = np.asarray(genuine, dtype=np.float64)
+    impostor = np.asarray(impostor, dtype=np.float64)
+    points = []
+    for t in np.unique(np.concatenate([genuine, impostor])):
+        points.append((float(np.mean(impostor >= t)),
+                       float(np.mean(genuine >= t)), float(t)))
+    points.sort(key=lambda p: (p[0], p[1]))
+    return points
+
+def loop_scores(gallery, probes):
+    genuine, impostor = [], []
+    for i, g in enumerate(gallery):
+        for j, p in enumerate(probes):
+            s = float(np.dot(g, p) / (float(np.linalg.norm(g))
+                                      * float(np.linalg.norm(p))))
+            (genuine if i == j else impostor).append(s)
+    return genuine, impostor
+
+
+# ---------------------------------------------------------------------------
+# cosine scores
+# ---------------------------------------------------------------------------
+
+def cosine(f1, f2):
+    scores = verification_scores(f1[None], f2[None])
+    assert scores.impostor == []
+    return scores.genuine[0]
 
 def test_cosine_of_identical_vectors_is_one():
     f = np.array([0.3, -1.2, 4.0])
-    assert cosine_similarity(f, f) == pytest.approx(1.0, abs=1e-15)
+    assert cosine(f, f) == pytest.approx(1.0, abs=1e-15)
 
 def test_cosine_of_orthogonal_unit_vectors_is_zero():
-    assert cosine_similarity(np.array([1.0, 0.0]),
-                             np.array([0.0, 1.0])) == 0.0
+    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
 def test_cosine_is_scale_invariant():
     f = np.array([2.0, -1.0, 0.5])
-    assert cosine_similarity(f, 3.0 * f) == pytest.approx(1.0, abs=1e-15)
+    assert cosine(f, 3.0 * f) == pytest.approx(1.0, abs=1e-15)
 
 def test_cosine_rejects_zero_norm():
     with pytest.raises(ValueError, match="zero-norm"):
-        cosine_similarity(np.zeros(3), np.ones(3))
+        cosine(np.zeros(3), np.ones(3))
+
+def test_scores_reject_mismatched_shapes():
+    with pytest.raises(ShapeError):
+        verification_scores(np.ones((2, 3)), np.ones((2, 4)))
+
+@st.composite
+def feature_pairs(draw):
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    row = st.lists(st.floats(-10.0, 10.0, allow_subnormal=False),
+                   min_size=d, max_size=d).filter(
+                       lambda r: np.linalg.norm(r) > 1e-3)
+    return [np.array(draw(st.lists(row, min_size=n, max_size=n)))
+            for _ in range(2)]
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(feature_pairs())
+def test_scores_match_the_per_pair_loop(pair):
+    gallery, probes = pair
+    scores = verification_scores(gallery, probes)
+    genuine, impostor = loop_scores(gallery, probes)
+    assert len(scores.genuine) == len(genuine)
+    assert len(scores.impostor) == len(impostor)
+    np.testing.assert_allclose(scores.genuine, genuine, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(scores.impostor, impostor, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +141,33 @@ def test_roc_is_monotone_after_sorting_by_fpr():
 def test_roc_requires_both_classes():
     with pytest.raises(ValueError):
         roc(ScoreSet([], [0.1]))
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_roc_rejects_non_finite_scores(bad):
+    with pytest.raises(ValueError, match="finite"):
+        roc(ScoreSet([0.5, bad], [0.1]))
+    with pytest.raises(ValueError, match="finite"):
+        roc(ScoreSet([0.5], [bad, 0.1]))
+
+# a coarse grid makes ties within and across the classes common
+grid_scores = st.lists(st.integers(-4, 4).map(lambda k: k / 4), min_size=1,
+                       max_size=12)
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(grid_scores, grid_scores)
+def test_roc_equals_the_per_threshold_loop_in_order(genuine, impostor):
+    points = roc(ScoreSet(genuine, impostor))
+    assert [(p.fpr, p.tpr, p.threshold) for p in points] == \
+        loop_roc(genuine, impostor)
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
+       st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40))
+def test_roc_equals_the_per_threshold_loop_on_arbitrary_floats(genuine,
+                                                               impostor):
+    points = roc(ScoreSet(genuine, impostor))
+    assert [(p.fpr, p.tpr, p.threshold) for p in points] == \
+        loop_roc(genuine, impostor)
 
 def test_tpr_at_fpr_hand_walked_step_function():
     # thresholds 0.9..0.2; at target 0.34 the largest reachable fpr is 1/3,
