@@ -21,7 +21,6 @@ from .facegen import load_split, make_dataset, read_pgm, validate_dataset, \
     write_pgm
 from .featnet import load_phi
 from .inpaint import load_psi, save_psi
-from .stn import Landmarks
 from .verifier import psnr
 
 
@@ -120,17 +119,6 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _parse_landmarks(raw: str, shape) -> Landmarks:
-    parts = [float(v) for v in raw.split(",")]
-    if len(parts) != 4:
-        raise ValueError(f"--landmarks needs x1,y1,x2,y2, got {raw!r}")
-    _, h, w = shape
-    for x, y in ((parts[0], parts[1]), (parts[2], parts[3])):
-        if not (0 <= x <= w - 1 and 0 <= y <= h - 1):
-            raise ValueError(f"landmark ({x}, {y}) outside a {h}x{w} image")
-    return Landmarks((parts[0], parts[1]), (parts[2], parts[3]))
-
-
 def cmd_inpaint(args) -> int:
     net = load_psi(args.checkpoint)
     img = read_pgm(args.infile)
@@ -138,8 +126,6 @@ def cmd_inpaint(args) -> int:
         raise ValueError(
             f"image extent {img.shape[1]}x{img.shape[2]} does not match "
             f"checkpoint {net.spec.height}x{net.spec.width}")
-    if args.landmarks:
-        _parse_landmarks(args.landmarks, img.shape)  # validated metadata
     pred = net.forward(img[None])[0]
     write_pgm(args.out, pred)
     print(f"out = {args.out}")
@@ -274,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--in", required=True, dest="infile")
     p.add_argument("--out", required=True)
-    p.add_argument("--landmarks", help="eye centers x1,y1,x2,y2 (metadata)")
     p.add_argument("--truth", help="clear image; prints PSNR against it")
     p.set_defaults(func=cmd_inpaint)
 

@@ -14,6 +14,7 @@ pure function of the root seed.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -331,14 +332,6 @@ def _label_components(mask2d: Array) -> tuple[Array, int]:
     return labels, current
 
 
-def _composite(clear: Array, mask: Array, grays: list[float],
-               labels: Array) -> Array:
-    out = clear.copy()
-    for k, gray in enumerate(grays, start=1):
-        out[0][labels == k] = gray
-    return out
-
-
 def apply_mesh(clear: Array, mask: Array, stroke_seed: int) -> Array:
     """Composite the mesh onto the clear image: off-mask pixels are copied
     bit for bit, on-mask pixels take a per-stroke constant gray drawn from
@@ -350,13 +343,12 @@ def apply_mesh(clear: Array, mask: Array, stroke_seed: int) -> Array:
         raise ValueError("mask must be binary")
     rng = np.random.default_rng(stroke_seed)
     labels, count = _label_components(mask[0] > 0.5)
-    grays = []
-    for _ in range(count):
-        if rng.random() < 0.5:
-            grays.append(float(rng.uniform(0.0, 0.3)))
-        else:
-            grays.append(float(rng.uniform(0.7, 1.0)))
-    return _composite(clear, mask, grays, labels)
+    out = clear.copy()
+    for k in range(1, count + 1):
+        dark = rng.random() < 0.5
+        out[0][labels == k] = float(rng.uniform(0.0, 0.3) if dark
+                                    else rng.uniform(0.7, 1.0))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -371,26 +363,27 @@ def write_pgm(path: str | Path, img: Array) -> None:
     Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode() + data.tobytes())
 
 
+# magic, then width, height and maxval, each after whitespace or comment
+# lines, then the single whitespace byte that ends the header
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+
+
 def read_pgm(path: str | Path) -> Array:
+    """Read a binary graymap as a (1, H, W) image in [0, 1]; a malformed
+    or truncated file raises DatasetError."""
     blob = Path(path).read_bytes()
     if not blob.startswith(b"P5"):
         raise DatasetError(f"{path}: not a binary graymap")
-    fields: list[bytes] = []
-    off = 2
-    while len(fields) < 3:
-        while off < len(blob) and blob[off:off + 1].isspace():
-            off += 1
-        if blob[off:off + 1] == b"#":
-            off = blob.index(b"\n", off) + 1
-            continue
-        start = off
-        while off < len(blob) and not blob[off:off + 1].isspace():
-            off += 1
-        fields.append(blob[start:off])
-    off += 1  # single whitespace after maxval
-    w, h, maxval = (int(f) for f in fields)
+    header = _PGM_HEADER.match(blob)
+    if header is None:
+        raise DatasetError(f"{path}: malformed graymap header")
+    w, h, maxval = (int(f) for f in header.groups())
     if maxval != 255:
         raise DatasetError(f"{path}: unsupported maxval {maxval}")
+    off = header.end()
+    if h < 1 or w < 1 or len(blob) - off < h * w:
+        raise DatasetError(f"{path}: {len(blob) - off} pixel bytes for a "
+                           f"{w}x{h} graymap")
     data = np.frombuffer(blob, dtype=np.uint8, count=h * w, offset=off)
     return (data.reshape(h, w).astype(np.float64) / 255.0)[None, :, :]
 
@@ -434,18 +427,23 @@ def _read_meta(path: Path) -> tuple[Landmarks, str, dict[str, int]]:
     eyes = None
     identity = ""
     seeds: dict[str, int] = {}
-    for line in path.read_text().splitlines():
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "eyes":
-            lx, ly, rx, ry = (float(v) for v in value.split())
-            eyes = Landmarks((lx, ly), (rx, ry))
-        elif key == "identity":
-            identity = value
-        elif key:
-            seeds[key] = int(value)
+    try:
+        for line in path.read_text().splitlines():
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if key == "eyes":
+                lx, ly, rx, ry = (float(v) for v in value.split())
+                eyes = Landmarks((lx, ly), (rx, ry))
+            elif key == "identity":
+                identity = value
+            elif key:
+                seeds[key] = int(value)
+    except ValueError as exc:  # bad numbers, field counts or UTF-8
+        raise DatasetError(f"{path}: malformed meta file: {exc}") from None
     if eyes is None:
         raise DatasetError(f"{path}: missing eye coordinates")
+    if not np.isfinite(eyes.as_array()).all():
+        raise DatasetError(f"{path}: non-finite eye coordinates")
     return eyes, identity, seeds
 
 
@@ -512,11 +510,18 @@ def read_manifest(root: str | Path) -> list[tuple[str, str, str, str]]:
     path = Path(root) / "manifest.tsv"
     if not path.exists():
         raise DatasetError(f"{root}: missing manifest.tsv")
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc}") from None
     rows = []
-    for line in lines[1:]:
-        split, ident, sample, kind = line.split("\t")
-        rows.append((split, ident, sample, kind))
+    for number, line in enumerate(lines[1:], start=2):
+        row = tuple(line.split("\t"))
+        if len(row) != 4 or row[0] not in SPLITS or \
+                row[3] not in ("triplet", "daily"):
+            raise DatasetError(f"{path}:{number}: expected split, identity, "
+                               f"sample and kind, got {line!r}")
+        rows.append(row)
     return rows
 
 

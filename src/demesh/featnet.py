@@ -151,20 +151,6 @@ class FeatureNet:
         return self.forward_taps(x, taps=(FINAL_FEATURE,))[FINAL_FEATURE]
 
 
-def extract_feature(net: FeatureNet, crop: Array) -> Array:
-    """Feature vector of a single aligned crop (1, H, W)."""
-    if crop.ndim != 3:
-        raise ShapeError(f"expected a single (1, H, W) crop, got {crop.shape}")
-    return net.features(crop[None])[0]
-
-
-def tap_activation(net: FeatureNet, crop: Array, tap: str) -> Array:
-    """Activation of a single crop at a named tap."""
-    if crop.ndim != 3:
-        raise ShapeError(f"expected a single (1, H, W) crop, got {crop.shape}")
-    return net.forward_taps(crop[None], taps=(tap,))[tap][0]
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -172,21 +158,21 @@ def tap_activation(net: FeatureNet, crop: Array, tap: str) -> Array:
 def _aligned_identity_crops(spec: FeatureSpec, rng: np.random.Generator,
                             n_identities: int, per_identity: int,
                             render_hw: tuple[int, int]):
-    """Render jittered faces per synthetic identity and align them to the
-    crop extent using their exact landmarks."""
+    """Render jittered faces per synthetic identity and align each
+    identity's renders to the crop extent using their exact landmarks."""
     h, w = render_hw
-    crops = np.empty((n_identities * per_identity, 1, spec.in_h, spec.in_w))
-    labels = np.empty(n_identities * per_identity, dtype=np.int64)
-    k = 0
+    crops = np.empty((n_identities, per_identity, 1, spec.in_h, spec.in_w))
     for i in range(n_identities):
         ident = facegen.sample_identity(
             f"phi{i:03d}", int(rng.integers(0, 2 ** 63)), h, w)
-        for _ in range(per_identity):
-            img, eyes = facegen.render_face(ident, int(rng.integers(0, 2 ** 63)))
-            crops[k] = stn.align_face(img, eyes, spec.in_h, spec.in_w)
-            labels[k] = i
-            k += 1
-    return crops, labels
+        renders = [facegen.render_face(ident, int(rng.integers(0, 2 ** 63)))
+                   for _ in range(per_identity)]
+        grid = stn.alignment_grid([eyes for _, eyes in renders], h, w,
+                                  spec.in_h, spec.in_w)
+        crops[i] = stn.bilinear_sample(np.stack([img for img, _ in renders]),
+                                       grid)
+    labels = np.repeat(np.arange(n_identities, dtype=np.int64), per_identity)
+    return crops.reshape(-1, 1, spec.in_h, spec.in_w), labels
 
 
 def build_phi(mode: str = "pretrain", seed: int = 0,

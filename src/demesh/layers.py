@@ -155,45 +155,45 @@ def mfm_backward(grad: Array, x: Array) -> Array:
 # layers
 # ---------------------------------------------------------------------------
 
-def _im2col(x: Array, k: int, stride: int, pad: int) -> Array:
+def _im2col(x: Array, k: int, pad: int) -> Array:
     """Channel-major patch matrix: (N, C*k*k, OH*OW)."""
     n, c, h, w = x.shape
-    oh = (h + 2 * pad - k) // stride + 1
-    ow = (w + 2 * pad - k) // stride + 1
+    oh = h + 2 * pad - k + 1
+    ow = w + 2 * pad - k + 1
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
     cols = np.empty((n, c, k, k, oh, ow))
     for ki in range(k):
         for kj in range(k):
-            cols[:, :, ki, kj] = xp[:, :, ki:ki + stride * oh:stride,
-                                    kj:kj + stride * ow:stride]
+            cols[:, :, ki, kj] = xp[:, :, ki:ki + oh, kj:kj + ow]
     return cols.reshape(n, c * k * k, oh * ow)
 
 
-def _corr2d(x: Array, weight: Array, stride: int, pad: int) -> Array:
+def _corr2d(x: Array, weight: Array, pad: int) -> Array:
     """Plain cross-correlation of NCHW input with OIHW weights."""
     n, _, h, w = x.shape
     oc, _, k, _ = weight.shape
-    oh = (h + 2 * pad - k) // stride + 1
-    ow = (w + 2 * pad - k) // stride + 1
-    cols = _im2col(x, k, stride, pad)
+    oh = h + 2 * pad - k + 1
+    ow = w + 2 * pad - k + 1
+    cols = _im2col(x, k, pad)
     out = np.matmul(weight.reshape(oc, -1), cols)
     return out.reshape(n, oc, oh, ow)
 
 
 class Conv2d:
-    """2D convolution (cross-correlation) over NCHW batches via im2col."""
+    """2D stride-1 convolution (cross-correlation) over NCHW batches via
+    im2col.
 
-    def __init__(self, in_ch: int, out_ch: int, ksize: int, stride: int = 1,
-                 pad: int = 0, *, name: str = "conv",
-                 rng: np.random.Generator | None = None):
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
-        if pad < 0:
-            raise ValueError(f"pad must be >= 0, got {pad}")
+    The padding is at most ``ksize - 1``: the input gradient is a
+    correlation with the flipped kernel at padding ``ksize - 1 - pad``.
+    """
+
+    def __init__(self, in_ch: int, out_ch: int, ksize: int, pad: int = 0, *,
+                 name: str = "conv", rng: np.random.Generator | None = None):
+        if not 0 <= pad <= ksize - 1:
+            raise ValueError(f"pad must be in [0, {ksize - 1}], got {pad}")
         self.in_ch = in_ch
         self.out_ch = out_ch
         self.ksize = ksize
-        self.stride = stride
         self.pad = pad
         self.name = name
         if rng is None:
@@ -205,14 +205,13 @@ class Conv2d:
         self.weight = Param(f"{name}.weight", w)
         self.bias = Param(f"{name}.bias", np.zeros(out_ch))
         self._cols: Array | None = None
-        self._in_shape: tuple[int, ...] | None = None
 
     def params(self) -> list[Param]:
         return [self.weight, self.bias]
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
-        k, s, p = self.ksize, self.stride, self.pad
-        return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+        k, p = self.ksize, self.pad
+        return h + 2 * p - k + 1, w + 2 * p - k + 1
 
     def forward(self, x: Array) -> Array:
         n, c, h, w = x.shape
@@ -220,43 +219,30 @@ class Conv2d:
             raise ShapeError(
                 f"conv '{self.name}': input has {c} channels, kernel expects "
                 f"{self.in_ch} (input shape {x.shape})")
-        k, s, p = self.ksize, self.stride, self.pad
+        k, p = self.ksize, self.pad
         oh, ow = self.out_hw(h, w)
         if oh < 1 or ow < 1:
             raise ShapeError(
                 f"conv '{self.name}': {h}x{w} input too small for kernel {k} "
-                f"with stride {s}, pad {p}")
-        cols = _im2col(x, k, s, p)
+                f"with pad {p}")
+        cols = _im2col(x, k, p)
         out = np.matmul(self.weight.value.reshape(self.out_ch, -1), cols)
         out += self.bias.value[:, None]
         self._cols = cols
-        self._in_shape = x.shape
         return out.reshape(n, self.out_ch, oh, ow)
 
     def backward(self, grad: Array) -> Array:
         assert self._cols is not None, "forward must run before backward"
-        n, c, h, w = self._in_shape
-        k, s, p = self.ksize, self.stride, self.pad
-        oh, ow = self.out_hw(h, w)
+        n, _, oh, ow = grad.shape
         g_mat = grad.reshape(n, self.out_ch, oh * ow)
         dw = np.matmul(g_mat, self._cols.transpose(0, 2, 1)).sum(axis=0)
         self.weight.grad += dw.reshape(self.weight.shape)
         self.bias.grad += grad.sum(axis=(0, 2, 3))
-        if s == 1 and k - 1 - p >= 0:
-            # input gradient as a correlation with the spatially flipped,
-            # channel-swapped kernel
-            w_flip = self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-            dx = _corr2d(grad, np.ascontiguousarray(w_flip), 1, k - 1 - p)
-            # exact-fit stride-1 windows always cover the input
-            return dx
-        dcols = np.matmul(self.weight.value.reshape(self.out_ch, -1).T, g_mat)
-        dcols = dcols.reshape(n, c, k, k, oh, ow)
-        dxp = np.zeros((n, c, h + 2 * p, w + 2 * p))
-        for ki in range(k):
-            for kj in range(k):
-                dxp[:, :, ki:ki + s * oh:s, kj:kj + s * ow:s] += \
-                    dcols[:, :, ki, kj]
-        return dxp[:, :, p:p + h, p:p + w] if p else dxp
+        # input gradient as a correlation with the spatially flipped,
+        # channel-swapped kernel
+        w_flip = self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return _corr2d(grad, np.ascontiguousarray(w_flip),
+                       self.ksize - 1 - self.pad)
 
 
 class MaxPool2x2:

@@ -144,30 +144,25 @@ def reverse_huber(residual: Array, c: float) -> LossValue:
 # feature level
 # ---------------------------------------------------------------------------
 
-def _feature_grids(pred: Array, eyes, phi: FeatureNet, align: bool):
+def _feature_grid(pred: Array, eyes, phi: FeatureNet, align: bool):
     n, _, h, w = pred.shape
     if align:
         if eyes is None or len(eyes) != n:
             raise ValueError(f"need one landmark pair per sample ({n})")
-        return [stn.alignment_grid(e, h, w, phi.in_h, phi.in_w) for e in eyes]
-    grid = stn.resize_grid(phi.in_h, phi.in_w)
-    return [grid] * n
+        return stn.alignment_grid(eyes, h, w, phi.in_h, phi.in_w)
+    return stn.resize_grid(n, phi.in_h, phi.in_w)
 
 
 def _tap_residuals(pred: Array, target: Array, eyes, phi: FeatureNet,
                    cfg: LossConfig):
     """Aligned crops of both branches, their per-tap residuals, and the
-    grids. Runs the target branch first so that a later backward pass
+    batch grid. Runs the target branch first so that a later backward pass
     differentiates the prediction branch."""
-    grids = _feature_grids(pred, eyes, phi, cfg.align)
-    crops_t = np.stack([stn.bilinear_sample(target[i], g)
-                        for i, g in enumerate(grids)])
-    crops_p = np.stack([stn.bilinear_sample(pred[i], g)
-                        for i, g in enumerate(grids)])
-    acts_t = phi.forward_taps(crops_t, taps=cfg.taps)
-    acts_p = phi.forward_taps(crops_p, taps=cfg.taps)
+    grid = _feature_grid(pred, eyes, phi, cfg.align)
+    acts_t = phi.forward_taps(stn.bilinear_sample(target, grid), taps=cfg.taps)
+    acts_p = phi.forward_taps(stn.bilinear_sample(pred, grid), taps=cfg.taps)
     residuals = {tap: acts_p[tap] - acts_t[tap] for tap in cfg.taps}
-    return residuals, grids
+    return residuals, grid
 
 
 def feature_thresholds(pred: Array, target: Array, eyes, phi: FeatureNet,
@@ -189,7 +184,7 @@ def feature_loss(pred: Array, target: Array, eyes, phi: FeatureNet,
     """
     cfg.validate()
     n = pred.shape[0]
-    residuals, grids = _tap_residuals(pred, target, eyes, phi, cfg)
+    residuals, grid = _tap_residuals(pred, target, eyes, phi, cfg)
     total = 0.0
     tap_grads: dict[str, Array] = {}
     for tap, r in residuals.items():
@@ -202,9 +197,7 @@ def feature_loss(pred: Array, target: Array, eyes, phi: FeatureNet,
         total += lv.value
         tap_grads[tap] = lv.grad
     grad_crops = phi.backward_taps(tap_grads)
-    h, w = pred.shape[2], pred.shape[3]
-    grad_pred = np.stack([stn.bilinear_backward(grad_crops[i], g, (h, w))
-                          for i, g in enumerate(grids)])
+    grad_pred = stn.bilinear_backward(grad_crops, grid, pred.shape[2:])
     return LossValue(total / n, grad_pred / n)
 
 

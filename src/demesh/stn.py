@@ -3,7 +3,10 @@
 Alignment is a similarity transform fixed analytically by the two eye
 centers, so there is no learned localization: we solve the four transform
 parameters from the eye correspondences, generate a sampling grid over the
-target crop, and bilinearly sample the source image. The sampler is
+target crop, and bilinearly sample the source image. Every step works on a
+whole batch: N landmark pairs give N grids, and the sampler maps N images
+through them in one pass (the batched grid generator and sampler of
+Jaderberg et al. 2015, arXiv 1506.02025). The sampler is
 differentiable with respect to the image (not the grid; the transform is
 never learned), and out-of-range samples read as zero.
 
@@ -48,12 +51,13 @@ class Landmarks:
 
 @dataclass(frozen=True)
 class SimilarityParams:
-    """Scalars (a, b, tx, ty) of the transform [[a, b, tx], [-b, a, ty]]."""
+    """Scalars (a, b, tx, ty) of the transform [[a, b, tx], [-b, a, ty]];
+    each is a float or an (N,) array with one entry per sample."""
 
-    a: float
-    b: float
-    tx: float
-    ty: float
+    a: float | Array
+    b: float | Array
+    tx: float | Array
+    ty: float | Array
 
     def apply(self, x: Array, y: Array) -> tuple[Array, Array]:
         """Map target-space coords to source-space coords, pointwise."""
@@ -63,13 +67,14 @@ class SimilarityParams:
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Continuous normalized source coordinates, one pair per output pixel."""
+    """Continuous normalized source coordinates, one pair per output pixel
+    of each sample."""
 
-    xs: Array  # (out_h, out_w)
+    xs: Array  # (N, out_h, out_w)
     ys: Array
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, int, int]:
         return self.xs.shape
 
 
@@ -87,121 +92,129 @@ def denormalize_coords(xn, yn, height: int, width: int):
         (np.asarray(yn) + 1.0) * (height - 1) / 2.0
 
 
-def solve_similarity(left: tuple[float, float],
-                     right: tuple[float, float]) -> SimilarityParams:
+def solve_similarity(left, right) -> SimilarityParams:
     """Solve (a, b, tx, ty) so the canonical target eyes map onto the
     given source eyes (both in normalized coordinates).
 
-    Each correspondence contributes two linear equations
+    ``left`` and ``right`` are (x, y) pairs or (N, 2) arrays of them. Each
+    correspondence contributes two linear equations
     (x_s = a*x_t + b*y_t + tx and y_s = -b*x_t + a*y_t + ty), giving an
-    exactly determined 4x4 system.
+    exactly determined 4x4 system per sample.
     """
-    if np.hypot(right[0] - left[0], right[1] - left[1]) < 1e-12:
-        raise DegenerateLandmarksError(
-            f"eye centers coincide at {tuple(left)}")
+    left = np.asarray(left, dtype=np.float64)
+    right = np.asarray(right, dtype=np.float64)
+    span = np.hypot(right[..., 0] - left[..., 0], right[..., 1] - left[..., 1])
+    bad = np.flatnonzero(np.ravel(span) < 1e-12)
+    if bad.size:
+        where = np.reshape(left, (-1, 2))[bad[0]].tolist()
+        raise DegenerateLandmarksError(f"eye centers coincide at {tuple(where)}")
     rows = []
-    rhs = []
-    for (xt, yt), (xs, ys) in zip(TARGET_EYES, (left, right)):
-        rows.append([xt, yt, 1.0, 0.0])
-        rows.append([yt, -xt, 0.0, 1.0])
-        rhs.extend([xs, ys])
-    a, b, tx, ty = np.linalg.solve(np.array(rows), np.array(rhs))
-    if a * a + b * b <= 0.0:
+    for xt, yt in TARGET_EYES:
+        rows += [[xt, yt, 1.0, 0.0], [yt, -xt, 0.0, 1.0]]
+    rhs = np.stack([left[..., 0], left[..., 1], right[..., 0], right[..., 1]],
+                   axis=-1)
+    system = np.broadcast_to(np.array(rows), rhs.shape + (4,))
+    a, b, tx, ty = np.moveaxis(np.linalg.solve(system, rhs[..., None])[..., 0],
+                               -1, 0)
+    if np.any(a * a + b * b <= 0.0):
         raise DegenerateLandmarksError("solved transform has zero scale")
-    return SimilarityParams(float(a), float(b), float(tx), float(ty))
+    return SimilarityParams(a, b, tx, ty)
 
 
 def generate_grid(params: SimilarityParams, out_h: int, out_w: int) -> SampleGrid:
-    """Source coordinates for every pixel of a regular out_h x out_w grid."""
+    """Source coordinates for every pixel of a regular out_h x out_w grid,
+    one grid per sample of ``params``."""
     if out_h < 2 or out_w < 2:
         raise ValueError("grid extents must be >= 2")
     xt = np.linspace(-1.0, 1.0, out_w)
     yt = np.linspace(-1.0, 1.0, out_h)
     xg, yg = np.meshgrid(xt, yt)
-    xs, ys = params.apply(xg, yg)
+    per_sample = SimilarityParams(*(np.reshape(v, (-1, 1, 1)) for v in (
+        params.a, params.b, params.tx, params.ty)))
+    xs, ys = per_sample.apply(xg, yg)
     return SampleGrid(xs, ys)
 
 
-IDENTITY_PARAMS = SimilarityParams(1.0, 0.0, 0.0, 0.0)
+def resize_grid(n: int, out_h: int, out_w: int) -> SampleGrid:
+    """Identity-orientation grids for n samples: a plain bilinear resize of
+    each full image."""
+    one, zero = np.ones(n), np.zeros(n)
+    return generate_grid(SimilarityParams(one, zero, zero, zero), out_h, out_w)
 
 
-def resize_grid(out_h: int, out_w: int) -> SampleGrid:
-    """Identity-orientation grid: a plain bilinear resize of the full image."""
-    return generate_grid(IDENTITY_PARAMS, out_h, out_w)
+def alignment_grid(eyes, src_h: int, src_w: int,
+                   crop_h: int, crop_w: int) -> SampleGrid:
+    """Grids that cut an aligned crop_h x crop_w face region from each
+    src_h x src_w source; ``eyes`` holds one Landmarks per sample."""
+    pts = np.array([(e.left, e.right) for e in eyes], dtype=np.float64)
+    xn, yn = normalize_coords(pts[..., 0], pts[..., 1], src_h, src_w)
+    params = solve_similarity(np.stack([xn[:, 0], yn[:, 0]], axis=-1),
+                              np.stack([xn[:, 1], yn[:, 1]], axis=-1))
+    return generate_grid(params, crop_h, crop_w)
 
 
 def _corner_weights(grid: SampleGrid, height: int, width: int):
     """Shared corner/weight computation for the sampler and its adjoint.
 
-    Returns four (rows, cols, weight, valid) tuples, flattened over the grid.
-    Coordinates within 1e-9 of an integer pixel are snapped so identity grids
-    sample pixel-exactly despite normalization round-trip rounding.
+    Yields, one bilinear corner at a time, the flat source index and the
+    weight of every grid point, each (N, out_h * out_w); out-of-range
+    corners get index 0 and weight 0. Coordinates within 1e-9 of an integer
+    pixel are snapped so identity grids sample pixel-exactly despite
+    normalization round-trip rounding.
     """
-    px, py = denormalize_coords(grid.xs.ravel(), grid.ys.ravel(), height, width)
+    n = grid.shape[0]
+    px, py = denormalize_coords(grid.xs.reshape(n, -1), grid.ys.reshape(n, -1),
+                                height, width)
     px = np.where(np.abs(px - np.round(px)) < 1e-9, np.round(px), px)
     py = np.where(np.abs(py - np.round(py)) < 1e-9, np.round(py), py)
     x0 = np.floor(px).astype(np.int64)
     y0 = np.floor(py).astype(np.int64)
     wx1 = px - x0
     wy1 = py - y0
-    corners = []
     for yi, wy in ((y0, 1.0 - wy1), (y0 + 1, wy1)):
         for xi, wx in ((x0, 1.0 - wx1), (x0 + 1, wx1)):
             valid = (xi >= 0) & (xi < width) & (yi >= 0) & (yi < height)
-            corners.append((yi, xi, wx * wy, valid))
-    return corners
+            yield np.where(valid, yi * width + xi, 0), wx * wy * valid
 
 
-def bilinear_sample(image: Array, grid: SampleGrid) -> Array:
-    """Sample an image at the grid's source positions with a bilinear kernel.
+def bilinear_sample(images: Array, grid: SampleGrid) -> Array:
+    """Sample each image at its grid's source positions with a bilinear
+    kernel.
 
-    ``image`` is (channels, H, W). Positions outside the image contribute
-    zero (zero-padding semantics), so the kernel is a partition of unity only
-    strictly inside the border.
+    ``images`` is (N, channels, H, W) and ``grid`` holds N grids. Positions
+    outside the image contribute zero (zero-padding semantics), so the
+    kernel is a partition of unity only strictly inside the border.
     """
-    if image.ndim != 3:
-        raise ShapeError(f"expected a (channels, H, W) image, got {image.shape}")
-    c, h, w = image.shape
-    flat = image.reshape(c, h * w)
-    out = np.zeros((c, grid.xs.size))
-    for yi, xi, wgt, valid in _corner_weights(grid, h, w):
-        idx = np.where(valid, yi * w + xi, 0)
-        out += flat[:, idx] * (wgt * valid)
-    return out.reshape(c, *grid.shape)
+    if images.ndim != 4 or images.shape[0] != grid.shape[0]:
+        raise ShapeError(f"expected {grid.shape[0]} (channels, H, W) images, "
+                         f"got {images.shape}")
+    n, c, h, w = images.shape
+    flat = images.reshape(n, c, h * w)
+    out = np.zeros((n, c, grid.xs[0].size))
+    for idx, wgt in _corner_weights(grid, h, w):
+        out += np.take_along_axis(flat, idx[:, None, :], axis=2) * wgt[:, None, :]
+    return out.reshape(n, c, *grid.shape[1:])
 
 
 def bilinear_backward(grad_out: Array, grid: SampleGrid,
                       input_hw: tuple[int, int]) -> Array:
-    """Adjoint of bilinear_sample: scatter output gradients to the source.
+    """Adjoint of bilinear_sample: scatter (N, C, out_h, out_w) output
+    gradients back to (N, C, H, W) sources.
 
     No gradient with respect to grid coordinates is produced; the transform
     parameters are solved, not learned.
     """
-    if grad_out.shape[1:] != grid.shape:
+    if grad_out.ndim != 4 or \
+            (grad_out.shape[0],) + grad_out.shape[2:] != grid.shape:
         raise ShapeError(
-            f"gradient spatial shape {grad_out.shape[1:]} does not match "
-            f"grid {grid.shape}")
-    c = grad_out.shape[0]
+            f"gradient shape {grad_out.shape} does not match grid {grid.shape}")
+    n, c = grad_out.shape[:2]
     h, w = input_hw
-    grad_in = np.zeros((c, h * w))
-    g = grad_out.reshape(c, -1)
-    rows = np.arange(c)[:, None]
-    for yi, xi, wgt, valid in _corner_weights(grid, h, w):
-        idx = np.where(valid, yi * w + xi, 0)
-        np.add.at(grad_in, (rows, idx[None, :]), g * (wgt * valid))
-    return grad_in.reshape(c, h, w)
-
-
-def alignment_grid(eyes: Landmarks, src_h: int, src_w: int,
-                   crop_h: int, crop_w: int) -> SampleGrid:
-    """Grid that cuts an aligned crop_h x crop_w face region from the source."""
-    lx, ly = normalize_coords(*eyes.left, src_h, src_w)
-    rx, ry = normalize_coords(*eyes.right, src_h, src_w)
-    params = solve_similarity((float(lx), float(ly)), (float(rx), float(ry)))
-    return generate_grid(params, crop_h, crop_w)
-
-
-def align_face(image: Array, eyes: Landmarks, crop_h: int, crop_w: int) -> Array:
-    """Cut an aligned face crop: normalize -> solve -> grid -> sample."""
-    _, h, w = image.shape
-    return bilinear_sample(image, alignment_grid(eyes, h, w, crop_h, crop_w))
+    grad_in = np.zeros((n, c, h * w))
+    g = grad_out.reshape(n, c, -1)
+    samples = np.arange(n)[:, None, None]
+    channels = np.arange(c)[None, :, None]
+    for idx, wgt in _corner_weights(grid, h, w):
+        np.add.at(grad_in, (samples, channels, idx[:, None, :]),
+                  g * wgt[:, None, :])
+    return grad_in.reshape(n, c, h, w)

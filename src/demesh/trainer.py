@@ -16,13 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import configio, losses, stn
+from . import configio, losses
 from .facegen import SplitData, load_split
 from .featnet import FeatureNet, FeatureSpec, build_phi, load_phi, save_phi
 from .inpaint import InpaintNet, InpaintSpec, build_psi, save_psi
 from .losses import LossConfig, VARIANTS
 from .layers import adam_step
-from .verifier import (EvalReport, feature_rmse, psnr, run_protocol,
+from .verifier import (EvalReport, recovery_metrics, run_protocol,
                        write_report_tsv, write_roc_tsv)
 
 Array = np.ndarray
@@ -166,17 +166,9 @@ def _stack_split(data: SplitData):
 
 
 def _validation_metrics(net: InpaintNet, data: SplitData,
-                        phi: FeatureNet | None, crop: int):
+                        phi: FeatureNet | None):
     xs, ys, _, eyes = _stack_split(data)
-    preds = batched_forward(net, xs)
-    mean_psnr = float(np.mean([psnr(preds[i], ys[i]) for i in range(len(preds))]))
-    if phi is None:
-        return mean_psnr, float("nan")
-    crops_p = np.stack([stn.align_face(preds[i], eyes[i], phi.in_h, phi.in_w)
-                        for i in range(len(preds))])
-    crops_t = np.stack([stn.align_face(ys[i], eyes[i], phi.in_h, phi.in_w)
-                        for i in range(len(preds))])
-    rmse = feature_rmse(list(phi.features(crops_p)), list(phi.features(crops_t)))
+    mean_psnr, rmse, _ = recovery_metrics(batched_forward(net, xs), ys, eyes, phi)
     return mean_psnr, rmse
 
 
@@ -237,7 +229,7 @@ def train(cfg: TrainConfig, phi: FeatureNet | None = None
         last = step == cfg.total_steps - 1
         if val_data.triplets and (step % cfg.val_interval == cfg.val_interval - 1
                                   or last):
-            v_psnr, v_rmse = _validation_metrics(net, val_data, phi, cfg.crop)
+            v_psnr, v_rmse = _validation_metrics(net, val_data, phi)
             log.validations.append((step, v_psnr, v_rmse))
 
     if phi is not None and _params_digest(phi) != phi_digest:

@@ -140,12 +140,23 @@ def verification_scores(gallery: Array, probes: Array) -> ScoreSet:
 # full protocol
 # ---------------------------------------------------------------------------
 
-def _aligned_features(phi: FeatureNet, images: Array, eyes_list) -> Array:
-    crops = np.stack([
-        stn.bilinear_sample(img, stn.alignment_grid(
-            eyes, img.shape[1], img.shape[2], phi.in_h, phi.in_w))
-        for img, eyes in zip(images, eyes_list)])
-    return phi.features(crops)
+def _aligned_features(phi: FeatureNet, images: Array, eyes) -> Array:
+    _, _, h, w = images.shape
+    grid = stn.alignment_grid(eyes, h, w, phi.in_h, phi.in_w)
+    return phi.features(stn.bilinear_sample(images, grid))
+
+
+def recovery_metrics(recovered: Array, clear: Array, eyes,
+                     phi: FeatureNet | None):
+    """Mean PSNR and feature RMSE of recovered (N, 1, H, W) images against
+    the clear ones, plus the recovered images' aligned features. Without a
+    feature net the RMSE is nan and there are no features."""
+    mean_psnr = float(np.mean([psnr(r, c) for r, c in zip(recovered, clear)]))
+    if phi is None:
+        return mean_psnr, float("nan"), None
+    feats = _aligned_features(phi, recovered, eyes)
+    rmse = feature_rmse(list(feats), list(_aligned_features(phi, clear, eyes)))
+    return mean_psnr, rmse, feats
 
 
 def run_protocol(model: str, recover_fn, data: SplitData,
@@ -167,11 +178,8 @@ def run_protocol(model: str, recover_fn, data: SplitData,
         raise ShapeError(
             f"recovery changed the batch shape: {recovered.shape} vs {xs.shape}")
 
-    psnrs = [psnr(recovered[i], ys[i]) for i in range(len(data.triplets))]
-    eyes = [t.eyes for t in data.triplets]
-    feats_rec = _aligned_features(phi, recovered, eyes)
-    feats_clear = _aligned_features(phi, ys, eyes)
-    rmse = feature_rmse(list(feats_rec), list(feats_clear))
+    mean_psnr, rmse, feats_rec = recovery_metrics(
+        recovered, ys, [t.eyes for t in data.triplets], phi)
 
     gallery_rows = []
     seen = set()
@@ -192,7 +200,7 @@ def run_protocol(model: str, recover_fn, data: SplitData,
     points = roc(scores)
     return EvalReport(
         model=model,
-        psnr_db=float(np.mean(psnrs)),
+        psnr_db=mean_psnr,
         feature_rmse=rmse,
         tpr_at={t: tpr_at_fpr(points, t) for t in FPR_TARGETS},
         roc=points)

@@ -147,7 +147,6 @@ def test_inpaint_writes_a_graymap_and_reports_psnr(dataset, trained_checkpoint,
     assert run_cli("inpaint", "--checkpoint", str(trained_checkpoint),
                    "--in", str(sample_dir / "s000.x.pgm"),
                    "--out", str(out_img),
-                   "--landmarks", "8,12,16,12",
                    "--truth", str(sample_dir / "s000.y.pgm")) == 0
     out = capsys.readouterr().out
     assert "psnr_db = " in out
@@ -187,14 +186,16 @@ def test_inpaint_reports_a_truncated_checkpoint_on_one_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: CheckpointError: ")
 
-def test_inpaint_rejects_malformed_landmarks(trained_checkpoint, dataset,
-                                             tmp_path, capsys):
+def test_inpaint_reports_a_truncated_graymap_on_one_line(
+        trained_checkpoint, dataset, tmp_path, capsys):
     sample_dir = next((Path(dataset) / "test").glob("id*"))
+    blob = (sample_dir / "s000.x.pgm").read_bytes()
+    cut = tmp_path / "cut.pgm"
+    cut.write_bytes(blob[:len(blob) // 2])
     assert run_cli("inpaint", "--checkpoint", str(trained_checkpoint),
-                   "--in", str(sample_dir / "s000.x.pgm"),
-                   "--out", str(tmp_path / "o.pgm"),
-                   "--landmarks", "1,2,3") == 1
-    assert "landmarks" in capsys.readouterr().err
+                   "--in", str(cut), "--out", str(tmp_path / "o.pgm")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DatasetError: ")
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demesh.facegen import (DAILY_PROFILE, DatasetError, Jitter,
                             MASK_DENSITY_MAX, MASK_DENSITY_MIN, apply_mesh,
                             load_split, make_dataset, read_manifest, read_pgm,
                             render_face, render_with_jitter, sample_identity,
                             split_counts, synth_mesh, validate_dataset,
-                            write_pgm, _composite, _label_components)
+                            write_pgm, _label_components, _read_meta)
 
 
 def identity_fixture(seed=101):
@@ -132,13 +133,14 @@ def test_empty_mask_copies_clear_image():
     x = apply_mesh(y, np.zeros_like(y), stroke_seed=3)
     np.testing.assert_array_equal(x, y)
 
-def test_full_mask_with_zero_gray_blanks_image():
+def test_full_mask_replaces_image_with_one_gray():
     y = np.random.default_rng(1).uniform(size=(1, 6, 6))
     mask = np.ones_like(y)
     labels, count = _label_components(mask[0] > 0.5)
     assert count == 1
-    out = _composite(y, mask, [0.0], labels)
-    assert not out.any()
+    out = apply_mesh(y, mask, stroke_seed=4)
+    assert np.all(out == out[0, 0, 0])
+    assert not np.any(out == y)
 
 def test_corruption_support_is_exactly_the_mask():
     rng = np.random.default_rng(2)
@@ -240,3 +242,90 @@ def test_validation_flags_tampered_dataset(tmp_path):
     write_pgm(victim, img)
     with pytest.raises(DatasetError):
         validate_dataset(tmp_path / "data")
+
+
+# ---------------------------------------------------------------------------
+# malformed dataset files
+# ---------------------------------------------------------------------------
+
+_MANIFEST_HEAD = "split\tidentity\tsample\tkind\n"
+_PGM_2X2 = b"P5\n2 2\n255\n\x00\x01\x02\x03"
+
+
+@pytest.mark.parametrize("name, content, match", [
+    pytest.param("s.meta", b"eyes = 1 2 3 4 5\nidentity = a\n",
+                 "malformed meta", id="meta-extra-eye-value"),
+    pytest.param("s.meta", b"eyes = 1 2 x 4\n", "malformed meta",
+                 id="meta-non-numeric-eye"),
+    pytest.param("s.meta", b"eyes = 1 2 3 4\njitter_seed = 1.5\n",
+                 "malformed meta", id="meta-non-integer-seed"),
+    pytest.param("s.meta", b"eyes = 1 2 3 4\nidentity = \xff\n",
+                 "malformed meta", id="meta-not-utf8"),
+    pytest.param("s.meta", b"eyes = 1 nan 3 4\n", "non-finite",
+                 id="meta-nan-eye"),
+    pytest.param("s.meta", b"identity = a\n", "missing eye",
+                 id="meta-no-eyes"),
+    pytest.param("s.pgm", _PGM_2X2[:-1], "pixel bytes", id="pgm-truncated"),
+    pytest.param("s.pgm", b"P5\n2 x\n255\n\x00\x01\x02\x03", "header",
+                 id="pgm-non-integer-height"),
+    pytest.param("s.pgm", b"P5\n2 2.0\n255\n\x00\x01\x02\x03", "header",
+                 id="pgm-fractional-height"),
+    pytest.param("s.pgm", b"P5\n# comment without end", "header",
+                 id="pgm-unterminated-comment"),
+    pytest.param("s.pgm", b"P5\n0 2\n255\n", "pixel bytes",
+                 id="pgm-zero-width"),
+    pytest.param("s.pgm", b"P5\n2 2\n65535\n" + bytes(8), "maxval",
+                 id="pgm-16-bit"),
+    pytest.param("manifest.tsv",
+                 (_MANIFEST_HEAD + "train\tid0000\ts000\n").encode(),
+                 "expected split", id="manifest-three-fields"),
+    pytest.param("manifest.tsv",
+                 (_MANIFEST_HEAD + "tra\tid0000\ts000\ttriplet\n").encode(),
+                 "expected split", id="manifest-unknown-split"),
+    pytest.param("manifest.tsv",
+                 _MANIFEST_HEAD.encode() + b"train\tid\xff\ts\tdaily\n",
+                 "UTF-8", id="manifest-not-utf8"),
+])
+def test_malformed_dataset_files_raise_dataset_error(tmp_path, name, content,
+                                                     match):
+    path = tmp_path / name
+    path.write_bytes(content)
+    reader = {"s.meta": _read_meta, "s.pgm": read_pgm,
+              "manifest.tsv": lambda p: read_manifest(p.parent)}[name]
+    with pytest.raises(DatasetError, match=match):
+        reader(path)
+
+
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz") / "data"
+    make_dataset(root, 1, 1, seed=19, ratios=(1.0, 0.0, 0.0), height=16,
+                 width=16)
+    return root
+
+
+_FUZZED_FILES = {
+    "train/id0000/s000.x.pgm": read_pgm,
+    "train/id0000/s000.meta": _read_meta,
+    "manifest.tsv": lambda p: read_manifest(p.parent),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_FUZZED_FILES)), st.data())
+def test_dataset_file_byte_flips_and_truncations_read_or_raise_dataset_error(
+        small_dataset, tmp_path_factory, rel, data):
+    blob = bytearray((small_dataset / rel).read_bytes())
+    if data.draw(st.booleans()):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        for _ in range(data.draw(st.integers(1, 3))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= \
+                data.draw(st.integers(1, 255))
+    path = tmp_path_factory.getbasetemp() / "fuzzed" / rel
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(bytes(blob))
+    try:
+        _FUZZED_FILES[rel](path)
+    except DatasetError:
+        pass

@@ -3,8 +3,7 @@ import pytest
 
 from demesh import facegen, stn
 from demesh.featnet import (EARLY_CONV, FINAL_FEATURE, FeatureNet,
-                            FeatureSpec, build_phi, extract_feature, load_phi,
-                            save_phi, tap_activation)
+                            FeatureSpec, build_phi, load_phi, save_phi)
 from demesh.layers import (FrozenParameterError, ShapeError, adam_step,
                            grad_check)
 
@@ -19,18 +18,17 @@ def pretrained():
 
 def test_fixed_random_same_seed_gives_identical_features():
     x = np.random.default_rng(0).uniform(size=(1, 16, 16))
-    f1 = extract_feature(build_phi("fixed_random", 7, SMALL_SPEC), x)
-    f2 = extract_feature(build_phi("fixed_random", 7, SMALL_SPEC), x)
+    f1 = build_phi("fixed_random", 7, SMALL_SPEC).features(x[None])[0]
+    f2 = build_phi("fixed_random", 7, SMALL_SPEC).features(x[None])[0]
     np.testing.assert_array_equal(f1, f2)
 
 def test_extract_feature_is_deterministic_per_call(pretrained):
     x = np.random.default_rng(1).uniform(size=(1, 16, 16))
-    np.testing.assert_array_equal(extract_feature(pretrained, x),
-                                  extract_feature(pretrained, x))
+    np.testing.assert_array_equal(pretrained.features(x[None])[0],
+                                  pretrained.features(x[None])[0])
 
 def test_feature_width_matches_spec(pretrained):
-    x = np.zeros((1, 16, 16))
-    f = extract_feature(pretrained, x)
+    f = pretrained.features(np.zeros((1, 1, 16, 16)))[0]
     assert f.shape == (32,)
     assert np.all(np.isfinite(f))
 
@@ -40,12 +38,14 @@ def test_pretrain_accuracy_clears_chance(pretrained):
 
 def test_final_tap_consistent_with_extract_feature(pretrained):
     x = np.random.default_rng(2).uniform(size=(1, 16, 16))
-    np.testing.assert_array_equal(tap_activation(pretrained, x, FINAL_FEATURE),
-                                  extract_feature(pretrained, x))
+    acts = pretrained.forward_taps(x[None], taps=(FINAL_FEATURE,))
+    np.testing.assert_array_equal(acts[FINAL_FEATURE],
+                                  pretrained.features(x[None]))
 
 def test_early_tap_on_zero_image_is_bias_driven(pretrained):
-    a = tap_activation(pretrained, np.zeros((1, 16, 16)), EARLY_CONV)
-    b = tap_activation(pretrained, np.zeros((1, 16, 16)), EARLY_CONV)
+    zero = np.zeros((1, 1, 16, 16))
+    a = pretrained.forward_taps(zero, taps=(EARLY_CONV,))[EARLY_CONV][0]
+    b = pretrained.forward_taps(zero, taps=(EARLY_CONV,))[EARLY_CONV][0]
     np.testing.assert_array_equal(a, b)
     assert np.all(np.isfinite(a))
     # away from padding effects the map is constant per channel, driven by
@@ -55,22 +55,24 @@ def test_early_tap_on_zero_image_is_bias_driven(pretrained):
 
 def test_unknown_tap_rejected(pretrained):
     with pytest.raises(KeyError, match="unknown tap"):
-        tap_activation(pretrained, np.zeros((1, 16, 16)), "conv9")
+        pretrained.forward_taps(np.zeros((1, 1, 16, 16)), taps=("conv9",))
 
 def test_extent_mismatch_rejected(pretrained):
     with pytest.raises(ShapeError):
-        extract_feature(pretrained, np.zeros((1, 8, 8)))
+        pretrained.features(np.zeros((1, 1, 8, 8)))
 
 def test_distinct_images_do_not_reach_self_similarity(pretrained):
     rng = np.random.default_rng(4)
-    a = extract_feature(pretrained, rng.uniform(size=(1, 16, 16)))
-    b = extract_feature(pretrained, rng.uniform(size=(1, 16, 16)))
+    a = pretrained.features(rng.uniform(size=(1, 16, 16))[None])[0]
+    b = pretrained.features(rng.uniform(size=(1, 16, 16))[None])[0]
     cos = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
     assert cos < 1.0
 
 def _aligned_render(identity, seed, spec):
     img, eyes = facegen.render_face(identity, seed)
-    return stn.align_face(img, eyes, spec.in_h, spec.in_w)
+    _, h, w = img.shape
+    grid = stn.alignment_grid([eyes], h, w, spec.in_h, spec.in_w)
+    return stn.bilinear_sample(img[None], grid)[0]
 
 def test_intra_identity_similarity_exceeds_inter_identity(pretrained):
     rng = np.random.default_rng(5)
@@ -78,11 +80,9 @@ def test_intra_identity_similarity_exceeds_inter_identity(pretrained):
     for i in range(8):
         ident = facegen.sample_identity(f"probe{i}", int(rng.integers(2**32)),
                                         32, 24)
-        group = [extract_feature(pretrained,
-                                 _aligned_render(ident, int(rng.integers(2**32)),
-                                                 SMALL_SPEC))
-                 for _ in range(4)]
-        feats.append(np.stack(group))
+        crops = np.stack([_aligned_render(ident, int(rng.integers(2**32)),
+                                          SMALL_SPEC) for _ in range(4)])
+        feats.append(pretrained.features(crops))
     norm = [g / np.linalg.norm(g, axis=1, keepdims=True) for g in feats]
     intra, inter = [], []
     for i in range(8):
@@ -134,8 +134,8 @@ def test_save_load_round_trip_preserves_values_and_freeze(tmp_path, pretrained):
     loaded = load_phi(path)
     assert all(p.frozen for p in loaded.params())
     x = np.random.default_rng(6).uniform(size=(1, 16, 16))
-    np.testing.assert_array_equal(extract_feature(loaded, x),
-                                  extract_feature(pretrained, x))
+    np.testing.assert_array_equal(loaded.features(x[None])[0],
+                                  pretrained.features(x[None])[0])
 
 def test_pretrain_requires_enough_identities():
     with pytest.raises(ValueError, match="at least 2"):

@@ -41,12 +41,17 @@ def test_conv_single_window_dot_product():
 
 def test_conv_output_extent_formula():
     rng = np.random.default_rng(0)
-    for h, w, k, s, p in [(5, 7, 3, 1, 0), (8, 8, 3, 2, 1), (9, 6, 5, 2, 2),
-                          (4, 4, 1, 1, 0)]:
-        conv = Conv2d(2, 3, k, stride=s, pad=p, rng=rng)
+    for h, w, k, p in [(5, 7, 3, 0), (8, 8, 3, 1), (9, 6, 5, 2), (4, 4, 1, 0),
+                       (6, 5, 3, 2)]:
+        conv = Conv2d(2, 3, k, pad=p, rng=rng)
         out = conv.forward(rng.normal(size=(1, 2, h, w)))
-        assert out.shape[2] == (h + 2 * p - k) // s + 1
-        assert out.shape[3] == (w + 2 * p - k) // s + 1
+        assert out.shape[2] == h + 2 * p - k + 1
+        assert out.shape[3] == w + 2 * p - k + 1
+
+@pytest.mark.parametrize("k, p", [(3, 3), (1, 1), (3, -1)])
+def test_conv_rejects_padding_the_flipped_kernel_backward_cannot_handle(k, p):
+    with pytest.raises(ValueError, match="pad must be in"):
+        Conv2d(1, 1, k, pad=p)
 
 def test_conv_channel_mismatch_names_dimensions():
     conv = Conv2d(3, 4, 3, name="enc1")
@@ -55,7 +60,7 @@ def test_conv_channel_mismatch_names_dimensions():
 
 def test_conv_input_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
-    conv = Conv2d(4, 3, 3, stride=1, pad=1, rng=rng)
+    conv = Conv2d(4, 3, 3, pad=1, rng=rng)
     x = rng.normal(size=(1, 4, 5, 5))
     weights = rng.normal(size=(1, 3, 5, 5))
     report = grad_check(scalar_through(conv, x, weights), x)
@@ -63,9 +68,9 @@ def test_conv_input_gradient_matches_finite_differences():
 
 def test_conv_parameter_gradients_match_finite_differences():
     rng = np.random.default_rng(8)
-    conv = Conv2d(2, 3, 3, stride=2, pad=1, rng=rng)
+    conv = Conv2d(2, 3, 3, pad=1, rng=rng)
     x = rng.normal(size=(2, 2, 6, 6))
-    weights = rng.normal(size=(2, 3, 3, 3))
+    weights = rng.normal(size=(2, 3, 6, 6))
 
     def fn_of_weight(w):
         conv.weight.value = w
