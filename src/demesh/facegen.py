@@ -370,8 +370,11 @@ _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 def read_pgm(path: str | Path) -> Array:
     """Read a binary graymap as a (1, H, W) image in [0, 1]; a malformed
-    or truncated file raises DatasetError."""
-    blob = Path(path).read_bytes()
+    or truncated file raises DatasetError, as does one that cannot be read."""
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise DatasetError(f"{path}: cannot read graymap: {exc.strerror}") from None
     if not blob.startswith(b"P5"):
         raise DatasetError(f"{path}: not a binary graymap")
     header = _PGM_HEADER.match(blob)
@@ -440,6 +443,8 @@ def _read_meta(path: Path) -> tuple[Landmarks, str, dict[str, int]]:
                 seeds[key] = int(value)
     except ValueError as exc:  # bad numbers, field counts or UTF-8
         raise DatasetError(f"{path}: malformed meta file: {exc}") from None
+    except OSError as exc:
+        raise DatasetError(f"{path}: cannot read meta file: {exc.strerror}") from None
     if eyes is None:
         raise DatasetError(f"{path}: missing eye coordinates")
     if not np.isfinite(eyes.as_array()).all():

@@ -197,6 +197,8 @@ def build_phi(mode: str = "pretrain", seed: int = 0,
         raise ValueError(f"unknown mode {mode!r} (want 'pretrain' or 'fixed_random')")
     if n_identities < 2:
         raise ValueError(f"need at least 2 identities to pretrain, got {n_identities}")
+    if per_identity < 1:
+        raise ValueError(f"need at least 1 render per identity, got {per_identity}")
 
     crops, labels = _aligned_identity_crops(spec, rng, n_identities,
                                             per_identity, render_hw)

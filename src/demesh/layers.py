@@ -1,10 +1,13 @@
 """Dense float64 layers with explicit forward and backward passes.
 
 The networks in this project are fixed layer sequences (plus one sampling
-branch), so there is no general autograd graph: every layer caches what its
-backward pass needs, and a network walks its layer list in reverse. All math
-is 64-bit so central-difference gradient checks at tight tolerances are
-meaningful.
+branch), so there is no general autograd graph: each layer keeps a small
+record of its forward pass and a network walks its layer list in reverse.
+A conv keeps a reference to its input and lowers one image at a time: it
+fills that image's patch matrix into one reused buffer and multiplies it,
+and its backward pass refills the patches. Pooling keeps its argmax
+indices, activations their input, mask or output. All math is 64-bit so
+central-difference gradient checks at tight tolerances are meaningful.
 
 Array layout is NCHW: an explicit batch extent, then channels, height, width.
 """
@@ -88,19 +91,32 @@ def _window_views(x: Array):
             x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2])
 
 
+def _later_wins(first: Array, later: Array) -> Array:
+    """Where ``later`` beats ``first`` under argmax's rule: it is greater,
+    or it is NaN and ``first`` is not; ties keep ``first``."""
+    return ~(later <= first) & (first == first)
+
+
 def maxpool2_indices(x: Array) -> tuple[Array, Array]:
     """2x2 non-overlapping max pooling with argmax bookkeeping.
 
     Returns (pooled, indices). ``indices`` holds, per pooled cell, the flat
     position of the max inside its 2x2 window in row-major order (0..3,
     i.e. 2*row + col); ties go to the first element in that scan order.
+    The window is reduced pairwise (each row, then top against bottom),
+    which picks the same element as ``argmax`` over the four.
     """
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 requires even spatial extents, got {h}x{w}")
-    stacked = np.stack(_window_views(x))
-    idx = stacked.argmax(axis=0)
-    out = np.take_along_axis(stacked, idx[None], axis=0)[0]
+    a, b, c, d = _window_views(x)
+    right_top = _later_wins(a, b)
+    top = np.where(right_top, b, a)
+    right_bottom = _later_wins(c, d)
+    bottom = np.where(right_bottom, d, c)
+    lower = _later_wins(top, bottom)
+    out = np.where(lower, bottom, top)
+    idx = np.where(lower, right_bottom + 2, right_top).astype(np.intp, copy=False)
     return out, idx
 
 
@@ -108,7 +124,8 @@ def unpool_indices(x: Array, indices: Array, out_hw: tuple[int, int]) -> Array:
     """Scatter pooled values back to their recorded argmax positions.
 
     The result is zero everywhere except at the recorded index of each 2x2
-    window, where it equals the corresponding pooled value.
+    window, where it equals the corresponding pooled value (a -0.0 comes
+    back as +0.0).
     """
     n, c, oh, ow = x.shape
     h, w = out_hw
@@ -120,17 +137,21 @@ def unpool_indices(x: Array, indices: Array, out_hw: tuple[int, int]) -> Array:
             f"output extent {h}x{w} does not match pooled input {oh}x{ow}")
     if indices.min() < 0 or indices.max() > 3:
         raise ValueError("pooling index out of bounds (expected 0..3)")
-    out = np.zeros((n, c, h, w))
+    out = np.empty((n, c, h, w))
     for q, view in enumerate(_window_views(out)):
-        view += x * (indices == q)
+        np.multiply(x, indices == q, out=view)
+    out += 0.0  # -0.0 becomes +0.0, as in a sum into zeros
     return out
 
 
 def gather_pool_indices(grad: Array, indices: Array) -> Array:
-    """Collect, per 2x2 window, the gradient entry at the recorded index."""
-    out = np.zeros(indices.shape, dtype=np.float64)
-    for q, view in enumerate(_window_views(grad)):
-        out += view * (indices == q)
+    """Collect, per 2x2 window, the gradient entry at the recorded index
+    (a -0.0 comes back as +0.0)."""
+    v0, v1, v2, v3 = _window_views(grad)
+    out = np.where(indices == 0, v0, v1)
+    out = np.where(indices == 2, v2, out)
+    out = np.where(indices == 3, v3, out)
+    out += 0.0  # -0.0 becomes +0.0, as in a sum into zeros
     return out
 
 
@@ -155,33 +176,51 @@ def mfm_backward(grad: Array, x: Array) -> Array:
 # layers
 # ---------------------------------------------------------------------------
 
-def _im2col(x: Array, k: int, pad: int) -> Array:
-    """Channel-major patch matrix: (N, C*k*k, OH*OW)."""
-    n, c, h, w = x.shape
-    oh = h + 2 * pad - k + 1
-    ow = w + 2 * pad - k + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    cols = np.empty((n, c, k, k, oh, ow))
-    for ki in range(k):
-        for kj in range(k):
-            cols[:, :, ki, kj] = xp[:, :, ki:ki + oh, kj:kj + ow]
-    return cols.reshape(n, c * k * k, oh * ow)
+def _overlap(shift: int, size: int, out_size: int) -> tuple[slice, slice]:
+    """(output slice, input slice) along one axis where a window offset by
+    ``shift`` reads inside an input of extent ``size``."""
+    lo = max(0, -shift)
+    hi = max(lo, min(out_size, size - shift))
+    return slice(lo, hi), slice(lo + shift, hi + shift)
+
+
+def _patch_matrices(x: Array, k: int, pad: int):
+    """Yield each image's channel-major patch matrix, (C*k*k, OH*OW).
+
+    One zeroed buffer serves the whole batch: per image only the cells a
+    shifted window reads inside the image are written, so the zero padding
+    is never rewritten. Each matrix is overwritten by the next one.
+    """
+    _, c, h, w = x.shape
+    oh, ow = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    rows = [_overlap(d - pad, h, oh) for d in range(k)]
+    cols = [_overlap(d - pad, w, ow) for d in range(k)]
+    patches = np.zeros((c, k, k, oh, ow))
+    mat = patches.reshape(c * k * k, oh * ow)
+    for img in x:
+        for ki, (out_r, in_r) in enumerate(rows):
+            for kj, (out_c, in_c) in enumerate(cols):
+                patches[:, ki, kj, out_r, out_c] = img[:, in_r, in_c]
+        yield mat
 
 
 def _corr2d(x: Array, weight: Array, pad: int) -> Array:
-    """Plain cross-correlation of NCHW input with OIHW weights."""
+    """Plain cross-correlation of NCHW input with OIHW weights, one GEMM
+    per image."""
     n, _, h, w = x.shape
     oc, _, k, _ = weight.shape
     oh = h + 2 * pad - k + 1
     ow = w + 2 * pad - k + 1
-    cols = _im2col(x, k, pad)
-    out = np.matmul(weight.reshape(oc, -1), cols)
+    w_mat = weight.reshape(oc, -1)
+    out = np.empty((n, oc, oh * ow))
+    for i, mat in enumerate(_patch_matrices(x, k, pad)):
+        np.matmul(w_mat, mat, out=out[i])
     return out.reshape(n, oc, oh, ow)
 
 
 class Conv2d:
-    """2D stride-1 convolution (cross-correlation) over NCHW batches via
-    im2col.
+    """2D stride-1 convolution (cross-correlation) over NCHW batches,
+    lowered to one im2col GEMM per image.
 
     The padding is at most ``ksize - 1``: the input gradient is a
     correlation with the flipped kernel at padding ``ksize - 1 - pad``.
@@ -204,7 +243,7 @@ class Conv2d:
             w = rng.normal(0.0, std, size=(out_ch, in_ch, ksize, ksize))
         self.weight = Param(f"{name}.weight", w)
         self.bias = Param(f"{name}.bias", np.zeros(out_ch))
-        self._cols: Array | None = None
+        self._x: Array | None = None
 
     def params(self) -> list[Param]:
         return [self.weight, self.bias]
@@ -225,18 +264,21 @@ class Conv2d:
             raise ShapeError(
                 f"conv '{self.name}': {h}x{w} input too small for kernel {k} "
                 f"with pad {p}")
-        cols = _im2col(x, k, p)
-        out = np.matmul(self.weight.value.reshape(self.out_ch, -1), cols)
-        out += self.bias.value[:, None]
-        self._cols = cols
-        return out.reshape(n, self.out_ch, oh, ow)
+        out = _corr2d(x, self.weight.value, p)
+        out += self.bias.value[:, None, None]
+        self._x = x
+        return out
 
     def backward(self, grad: Array) -> Array:
-        assert self._cols is not None, "forward must run before backward"
+        assert self._x is not None, "forward must run before backward"
         n, _, oh, ow = grad.shape
         g_mat = grad.reshape(n, self.out_ch, oh * ow)
-        dw = np.matmul(g_mat, self._cols.transpose(0, 2, 1)).sum(axis=0)
-        self.weight.grad += dw.reshape(self.weight.shape)
+        # one product per image, reduced over the batch in one sum (a
+        # running += would round differently)
+        dw = np.empty((n, self.out_ch, self.weight.value[0].size))
+        for i, mat in enumerate(_patch_matrices(self._x, self.ksize, self.pad)):
+            np.matmul(g_mat[i], mat.T, out=dw[i])
+        self.weight.grad += dw.sum(axis=0).reshape(self.weight.shape)
         self.bias.grad += grad.sum(axis=(0, 2, 3))
         # input gradient as a correlation with the spatially flipped,
         # channel-swapped kernel

@@ -1,4 +1,5 @@
 import hashlib
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,21 @@ def test_inpaint_reports_a_truncated_graymap_on_one_line(
                    "--in", str(cut), "--out", str(tmp_path / "o.pgm")) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: DatasetError: ")
+
+def test_train_reports_a_missing_sample_file_on_one_line(dataset, tmp_path,
+                                                         capsys):
+    copy = tmp_path / "data"
+    shutil.copytree(dataset, copy)
+    victim = next((copy / "train").glob("id*")) / "s000.meta"
+    victim.unlink()
+    cfg_path = tmp_path / "config.txt"
+    write_tiny_config(cfg_path, copy)
+    assert run_cli("train", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "run")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DatasetError: ")
+    assert str(victim) in err[0]
+
 
 
 # ---------------------------------------------------------------------------

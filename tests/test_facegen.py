@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from collections import deque
 from pathlib import Path
 
@@ -294,6 +295,19 @@ def test_malformed_dataset_files_raise_dataset_error(tmp_path, name, content,
               "manifest.tsv": lambda p: read_manifest(p.parent)}[name]
     with pytest.raises(DatasetError, match=match):
         reader(path)
+
+
+@pytest.mark.parametrize("missing", ["s000.x.pgm", "s000.meta"])
+def test_manifest_row_naming_missing_files_raises_dataset_error(tmp_path,
+                                                                missing):
+    root = tmp_path / "data"
+    make_dataset(root, 2, 1, seed=23, ratios=(1.0, 0.0, 0.0), height=16,
+                 width=16)
+    victim = root / "train" / "id0001" / missing
+    victim.unlink()
+    for scan in (validate_dataset, lambda r: load_split(r, "train")):
+        with pytest.raises(DatasetError, match=re.escape(f"{victim}: cannot read")):
+            scan(root)
 
 
 @pytest.fixture(scope="module")

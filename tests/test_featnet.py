@@ -141,6 +141,11 @@ def test_pretrain_requires_enough_identities():
     with pytest.raises(ValueError, match="at least 2"):
         build_phi("pretrain", seed=0, spec=SMALL_SPEC, n_identities=1)
 
+def test_pretrain_requires_at_least_one_render_per_identity():
+    with pytest.raises(ValueError, match="at least 1 render per identity"):
+        build_phi("pretrain", seed=0, spec=SMALL_SPEC, n_identities=2,
+                  per_identity=0)
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError, match="unknown mode"):
         build_phi("finetune", seed=0, spec=SMALL_SPEC)

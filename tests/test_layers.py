@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from demesh.layers import (Conv2d, Dense, FrozenParameterError, MaxFeatureMap,
                            MaxPool2x2, MaxUnpool2x2, NonFiniteGradientError,
@@ -90,6 +93,88 @@ def test_conv_parameter_gradients_match_finite_differences():
     assert grad_check(fn_of_bias, conv.bias.value.copy()).passed
 
 
+# The batch-wide im2col lowering the per-image conv replaced. Its patch
+# matrix is (N, C*k*k, OH*OW); the stacked matmul runs the same GEMM per
+# image that the layer now runs one image at a time.
+def _ref_im2col(x, k, pad):
+    n, c, h, w = x.shape
+    oh = h + 2 * pad - k + 1
+    ow = w + 2 * pad - k + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
+    cols = np.empty((n, c, k, k, oh, ow))
+    for ki in range(k):
+        for kj in range(k):
+            cols[:, :, ki, kj] = xp[:, :, ki:ki + oh, kj:kj + ow]
+    return cols.reshape(n, c * k * k, oh * ow)
+
+def _ref_corr2d(x, weight, pad):
+    n, _, h, w = x.shape
+    oc, _, k, _ = weight.shape
+    out = np.matmul(weight.reshape(oc, -1), _ref_im2col(x, k, pad))
+    return out.reshape(n, oc, h + 2 * pad - k + 1, w + 2 * pad - k + 1)
+
+def _ref_conv(x, weight, bias, pad, grad):
+    """Output, input gradient and the weight and bias gradients accumulated
+    into zeroed parameters, all through the batch-wide lowering."""
+    n, oc, oh, ow = grad.shape
+    k = weight.shape[2]
+    cols = _ref_im2col(x, k, pad)
+    out = np.matmul(weight.reshape(oc, -1), cols)
+    out += bias[:, None]
+    g_mat = grad.reshape(n, oc, oh * ow)
+    dw = np.zeros(weight.shape)
+    dw += np.matmul(g_mat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+    db = np.zeros(oc)
+    db += grad.sum(axis=(0, 2, 3))
+    w_flip = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    dx = _ref_corr2d(grad, np.ascontiguousarray(w_flip), k - 1 - pad)
+    return out.reshape(n, oc, oh, ow), dx, dw, db
+
+def _conv_case(n, c, o, k, pad, h, w, seed):
+    rng = np.random.default_rng(seed)
+    oh, ow = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    return (rng.normal(size=(n, c, h, w)), rng.normal(size=(o, c, k, k)),
+            rng.normal(size=o), pad, rng.normal(size=(n, o, oh, ow)))
+
+@st.composite
+def conv_cases(draw):
+    k = draw(st.sampled_from([1, 3, 5, 7]))
+    pad = draw(st.integers(0, k - 1))
+    smallest = max(1, k - 2 * pad)  # one output pixel
+    return _conv_case(draw(st.integers(1, 9)), draw(st.integers(1, 5)),
+                      draw(st.integers(1, 5)), k, pad,
+                      draw(st.integers(smallest, smallest + 8)),
+                      draw(st.integers(smallest, smallest + 8)),
+                      draw(st.integers(0, 2 ** 32 - 1)))
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(conv_cases())
+@example(_conv_case(9, 1, 1, 1, 0, 5, 4, seed=0))
+@example(_conv_case(9, 1, 1, 1, 0, 1, 1, seed=1))
+def test_conv_matches_batch_im2col_reference_bitwise(case):
+    x, weight, bias, pad, grad = case
+    conv = Conv2d(weight.shape[1], weight.shape[0], weight.shape[2], pad=pad)
+    conv.weight.value[...] = weight
+    conv.bias.value[...] = bias
+    got = (conv.forward(x), conv.backward(grad), conv.weight.grad,
+           conv.bias.grad)
+    for name, g, r in zip(("out", "dx", "dw", "db"), got,
+                          _ref_conv(x, weight, bias, pad, grad)):
+        assert g.shape == r.shape and g.tobytes() == r.tobytes(), name
+
+def test_conv_forward_peak_memory_stays_below_twice_the_input():
+    # the batch-wide patch matrix alone would be 9x the input
+    x = np.random.default_rng(17).normal(size=(8, 16, 64, 48))
+    conv = Conv2d(16, 1, 3, pad=1, rng=np.random.default_rng(18))
+    tracemalloc.start()
+    try:
+        conv.forward(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x.nbytes
+
+
 # ---------------------------------------------------------------------------
 # pooling / unpooling
 # ---------------------------------------------------------------------------
@@ -162,6 +247,59 @@ def test_gather_is_adjoint_of_unpool_scatter():
     lhs = np.sum(unpool_indices(u, idx, (8, 8)) * v)
     rhs = np.sum(u * gather_pool_indices(v, idx))
     assert abs(lhs - rhs) < 1e-12
+
+# The four-way stack, argmax and masked sums the pairwise pooling kernels
+# replaced.
+def _ref_window_views(x):
+    return (x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2],
+            x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2])
+
+def _ref_maxpool2(x):
+    stacked = np.stack(_ref_window_views(x))
+    idx = stacked.argmax(axis=0)
+    return np.take_along_axis(stacked, idx[None], axis=0)[0], idx
+
+def _ref_unpool(x, indices):
+    n, c, oh, ow = x.shape
+    out = np.zeros((n, c, 2 * oh, 2 * ow))
+    for q, view in enumerate(_ref_window_views(out)):
+        view += x * (indices == q)
+    return out
+
+def _ref_gather(grad, indices):
+    out = np.zeros(indices.shape, dtype=np.float64)
+    for q, view in enumerate(_ref_window_views(grad)):
+        out += view * (indices == q)
+    return out
+
+# few distinct values, so most windows hold ties; -0.0 ties +0.0
+_TIE_VALUES = np.array([-1.0, -0.0, 0.0, 0.5, 2.0])
+
+@st.composite
+def pool_cases(draw):
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+             2 * draw(st.integers(1, 5)), 2 * draw(st.integers(1, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.choice(_TIE_VALUES, size=shape)
+    if draw(st.booleans()):  # argmax's rule: the first NaN wins
+        x[rng.random(shape) < 0.1] = rng.choice([np.nan, np.inf, -np.inf])
+    grad = rng.choice(_TIE_VALUES, size=shape)
+    return x, grad
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(pool_cases())
+def test_pool_kernels_match_stack_argmax_reference_bitwise(case):
+    x, grad = case
+    out, idx = maxpool2_indices(x)
+    ref_out, ref_idx = _ref_maxpool2(x)
+    assert out.tobytes() == ref_out.tobytes()
+    assert idx.dtype == ref_idx.dtype and idx.tobytes() == ref_idx.tobytes()
+    with np.errstate(invalid="ignore"):  # inf * 0 in the reference
+        up, ref_up = unpool_indices(out, idx, x.shape[2:]), _ref_unpool(out, idx)
+    assert up.tobytes() == ref_up.tobytes()
+    back, ref_back = gather_pool_indices(grad, idx), _ref_gather(grad, idx)
+    assert back.dtype == ref_back.dtype and back.tobytes() == ref_back.tobytes()
+
 
 
 # ---------------------------------------------------------------------------
