@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import atomic
 from .layers import Param
 
 MAGIC = b"DMSH"
@@ -44,7 +45,7 @@ def save_checkpoint(path: str | Path, arch_text: str, params: list[Param]) -> No
         chunks.append(struct.pack("<I", p.value.ndim))
         chunks.append(struct.pack(f"<{p.value.ndim}I", *p.value.shape))
         chunks.append(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    atomic.write_file(path, b"".join(chunks))
 
 
 def load_checkpoint(path: str | Path) -> tuple[str, list[tuple[str, bool, np.ndarray]]]:

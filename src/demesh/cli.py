@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import gradsuite, trainer, verifier
+from . import atomic, gradsuite, trainer, verifier
 from .facegen import load_split, make_dataset, read_pgm, validate_dataset, \
     write_pgm
 from .featnet import load_phi
@@ -75,7 +75,7 @@ def cmd_train(args) -> int:
     ckpt = out / f"{cfg.variant}.ckpt"
     save_psi(net, ckpt)
     log.write(out / f"{cfg.variant}_log.tsv")
-    (out / "config.txt").write_text(trainer.format_config(cfg))
+    atomic.write_file(out / "config.txt", trainer.format_config(cfg))
     print(f"checkpoint = {ckpt}")
     print(f"log = {out / f'{cfg.variant}_log.tsv'}")
     return 0
@@ -126,7 +126,7 @@ def cmd_inpaint(args) -> int:
         raise ValueError(
             f"image extent {img.shape[1]}x{img.shape[2]} does not match "
             f"checkpoint {net.spec.height}x{net.spec.width}")
-    pred = net.forward(img[None])[0]
+    pred = net.forward(img[None], keep=False)[0]
     write_pgm(args.out, pred)
     print(f"out = {args.out}")
     if args.truth:
@@ -197,10 +197,10 @@ def cmd_roc_plot(args) -> int:
     for name, points in series:
         lines += [f"{name}\t{p.fpr:.9f}\t{p.tpr:.9f}\t{p.threshold:.9f}"
                   for p in points]
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    atomic.write_file(args.out, "\n".join(lines) + "\n")
     print(f"out = {args.out}")
     if args.svg:
-        Path(args.svg).write_text(_roc_svg(series))
+        atomic.write_file(args.svg, _roc_svg(series))
         print(f"svg = {args.svg}")
     return 0
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import atomic
 from .stn import Landmarks
 
 Array = np.ndarray
@@ -307,29 +308,48 @@ def synth_mesh(seed: int, height: int = 64, width: int = 48) -> Array:
     return mask[None, :, :].astype(np.float64)
 
 
+# forward half of the 8-neighbourhood: east, south-west, south, south-east
+_FORWARD_NEIGHBOURS = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
 def _label_components(mask2d: Array) -> tuple[Array, int]:
     """8-connected component labels in first-pixel scan order (plumbing for
-    per-stroke gray assignment; strokes that cross share a label)."""
+    per-stroke gray assignment; strokes that cross share a label).
+
+    Hooking and pointer jumping (Shiloach & Vishkin 1982): every edge
+    between two mask pixels hooks both endpoints' roots to the smaller one,
+    then each pixel jumps to its root, until every edge joins one root.
+    Each component's root is then its first pixel in scan order, so
+    numbering the roots in increasing order keeps the scan order.
+    """
     h, w = mask2d.shape
-    labels = np.zeros((h, w), dtype=np.int64)
-    current = 0
-    for si in range(h):
-        for sj in range(w):
-            if not mask2d[si, sj] or labels[si, sj]:
-                continue
-            current += 1
-            stack = [(si, sj)]
-            labels[si, sj] = current
-            while stack:
-                i, j = stack.pop()
-                for di in (-1, 0, 1):
-                    for dj in (-1, 0, 1):
-                        ni, nj = i + di, j + dj
-                        if 0 <= ni < h and 0 <= nj < w and \
-                                mask2d[ni, nj] and not labels[ni, nj]:
-                            labels[ni, nj] = current
-                            stack.append((ni, nj))
-    return labels, current
+    flat = np.arange(h * w).reshape(h, w)
+    heads, tails = [], []
+    for di, dj in _FORWARD_NEIGHBOURS:
+        src = (slice(0, h - di), slice(max(0, -dj), w - max(0, dj)))
+        dst = (slice(di, h), slice(max(0, dj), w + min(0, dj)))
+        both = mask2d[src] & mask2d[dst]
+        heads.append(flat[src][both])
+        tails.append(flat[dst][both])
+    a, b = np.concatenate(heads), np.concatenate(tails)
+    parent = np.arange(h * w)
+    while True:
+        root_a, root_b = parent[a], parent[b]
+        if np.array_equal(root_a, root_b):
+            break
+        lower = np.minimum(root_a, root_b)
+        np.minimum.at(parent, root_a, lower)
+        np.minimum.at(parent, root_b, lower)
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    on = mask2d.ravel()
+    roots, numbers = np.unique(parent[on], return_inverse=True)
+    labels = np.zeros(h * w, dtype=np.int64)
+    labels[on] = numbers + 1
+    return labels.reshape(h, w), len(roots)
 
 
 def apply_mesh(clear: Array, mask: Array, stroke_seed: int) -> Array:
@@ -343,11 +363,13 @@ def apply_mesh(clear: Array, mask: Array, stroke_seed: int) -> Array:
         raise ValueError("mask must be binary")
     rng = np.random.default_rng(stroke_seed)
     labels, count = _label_components(mask[0] > 0.5)
-    out = clear.copy()
+    grays = np.empty(count + 1)  # per label; label 0 is off-mask
     for k in range(1, count + 1):
         dark = rng.random() < 0.5
-        out[0][labels == k] = float(rng.uniform(0.0, 0.3) if dark
-                                    else rng.uniform(0.7, 1.0))
+        grays[k] = rng.uniform(0.0, 0.3) if dark else rng.uniform(0.7, 1.0)
+    out = clear.copy()
+    on = labels > 0
+    out[0][on] = grays[labels[on]]
     return out
 
 
@@ -507,7 +529,7 @@ def make_dataset(out_dir: str | Path, n_identities: int,
                         {"jitter_seed": daily_seed})
             rows.append(f"{split}\t{ident}\tdaily\tdaily")
     manifest = out / "manifest.tsv"
-    manifest.write_text("\n".join(rows) + "\n")
+    atomic.write_file(manifest, "\n".join(rows) + "\n")
     return manifest
 
 

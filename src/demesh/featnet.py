@@ -94,7 +94,8 @@ class FeatureNet:
 
     ``backward_taps`` differentiates the most recent forward pass, injecting
     per-tap gradients where the taps sit and returning the gradient with
-    respect to the input crop.
+    respect to the input crop. A forward pass with ``keep=False`` (inference)
+    gives the same activations but keeps nothing for ``backward_taps``.
     """
 
     def __init__(self, layers: list, taps: dict[str, int], in_h: int,
@@ -118,15 +119,15 @@ class FeatureNet:
             raise ShapeError(
                 f"expected crops (N, 1, {self.in_h}, {self.in_w}), got {x.shape}")
 
-    def forward_taps(self, x: Array, taps: tuple[str, ...] | None = None
-                     ) -> dict[str, Array]:
+    def forward_taps(self, x: Array, taps: tuple[str, ...] | None = None, *,
+                     keep: bool = True) -> dict[str, Array]:
         self._check_input(x)
         wanted = self.taps if taps is None else \
             {t: self._tap_index(t) for t in taps}
         stop = max(wanted.values())
         acts: dict[str, Array] = {}
         for i, layer in enumerate(self.layers[:stop + 1]):
-            x = layer.forward(x)
+            x = layer.forward(x, keep=keep)
             for tap, idx in wanted.items():
                 if idx == i:
                     acts[tap] = x
@@ -146,9 +147,10 @@ class FeatureNet:
             raise KeyError(f"unknown tap {tap!r}; have {sorted(self.taps)}")
         return self.taps[tap]
 
-    def features(self, x: Array) -> Array:
+    def features(self, x: Array, *, keep: bool = True) -> Array:
         """Final compact features for a batch of aligned crops: (N, width)."""
-        return self.forward_taps(x, taps=(FINAL_FEATURE,))[FINAL_FEATURE]
+        return self.forward_taps(x, taps=(FINAL_FEATURE,),
+                                 keep=keep)[FINAL_FEATURE]
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +226,8 @@ def build_phi(mode: str = "pretrain", seed: int = 0,
 
     correct = 0
     for start in range(0, len(crops), 256):
-        feats = net.features(crops[start:start + 256])
-        preds = np.argmax(head.forward(feats), axis=1)
+        feats = net.features(crops[start:start + 256], keep=False)
+        preds = np.argmax(head.forward(feats, keep=False), axis=1)
         correct += int(np.sum(preds == labels[start:start + 256]))
     net.pretrain_accuracy = correct / len(crops)
     net.freeze()  # the head is discarded; phi serves features only

@@ -94,13 +94,16 @@ class InpaintNet:
         for p in self.params():
             p.zero_grad()
 
-    def forward(self, x: Array) -> Array:
+    def forward(self, x: Array, *, keep: bool = True) -> Array:
+        """Recovered images for a corrupted batch. ``keep=False`` is the
+        inference pass: the same outputs, but no layer keeps a record for
+        ``backward``."""
         if x.ndim != 4 or x.shape[1:] != (1, self.spec.height, self.spec.width):
             raise ShapeError(
                 f"expected input (N, 1, {self.spec.height}, {self.spec.width}), "
                 f"got {x.shape}")
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x, keep=keep)
         return x
 
     def backward(self, grad: Array) -> Array:

@@ -9,6 +9,12 @@ and its backward pass refills the patches. Pooling keeps its argmax
 indices, activations their input, mask or output. All math is 64-bit so
 central-difference gradient checks at tight tolerances are meaningful.
 
+Every ``forward`` takes ``keep``: with ``keep=False`` (inference) it does
+the same arithmetic but keeps no record and clears the previous one, so a
+later ``backward`` raises ``NoRecordError``. A pool's indices are also
+forward data for its paired unpool; a record-free pass holds them only
+until that unpool has read them.
+
 Array layout is NCHW: an explicit batch extent, then channels, height, width.
 """
 
@@ -31,6 +37,20 @@ class FrozenParameterError(RuntimeError):
 
 class NonFiniteGradientError(FloatingPointError):
     """A gradient contains NaN or Inf (training divergence signal)."""
+
+
+class NoRecordError(RuntimeError):
+    """``backward`` ran without a recording forward pass before it."""
+
+
+def _recorded(record, layer):
+    """``layer``'s record of its last forward pass; raises when that pass
+    kept none or no forward pass ran."""
+    if record is None:
+        raise NoRecordError(
+            f"{type(layer).__name__}.backward needs a recording forward "
+            f"pass (keep=True) before it")
+    return record
 
 
 class Param:
@@ -252,7 +272,7 @@ class Conv2d:
         k, p = self.ksize, self.pad
         return h + 2 * p - k + 1, w + 2 * p - k + 1
 
-    def forward(self, x: Array) -> Array:
+    def forward(self, x: Array, *, keep: bool = True) -> Array:
         n, c, h, w = x.shape
         if c != self.in_ch:
             raise ShapeError(
@@ -266,17 +286,17 @@ class Conv2d:
                 f"with pad {p}")
         out = _corr2d(x, self.weight.value, p)
         out += self.bias.value[:, None, None]
-        self._x = x
+        self._x = x if keep else None
         return out
 
     def backward(self, grad: Array) -> Array:
-        assert self._x is not None, "forward must run before backward"
+        x = _recorded(self._x, self)
         n, _, oh, ow = grad.shape
         g_mat = grad.reshape(n, self.out_ch, oh * ow)
         # one product per image, reduced over the batch in one sum (a
         # running += would round differently)
         dw = np.empty((n, self.out_ch, self.weight.value[0].size))
-        for i, mat in enumerate(_patch_matrices(self._x, self.ksize, self.pad)):
+        for i, mat in enumerate(_patch_matrices(x, self.ksize, self.pad)):
             np.matmul(g_mat[i], mat.T, out=dw[i])
         self.weight.grad += dw.sum(axis=0).reshape(self.weight.shape)
         self.bias.grad += grad.sum(axis=(0, 2, 3))
@@ -288,41 +308,51 @@ class Conv2d:
 
 
 class MaxPool2x2:
-    """2x2/stride-2 max pooling that remembers its argmax positions."""
+    """2x2/stride-2 max pooling that remembers its argmax positions.
+
+    A pool with a paired unpool (``paired``, set by ``MaxUnpool2x2``) keeps
+    its indices in a record-free pass too, for that unpool to read.
+    """
 
     def __init__(self):
         self.indices: Array | None = None
         self.in_hw: tuple[int, int] | None = None
+        self.paired = False
 
     def params(self) -> list[Param]:
         return []
 
-    def forward(self, x: Array) -> Array:
-        out, self.indices = maxpool2_indices(x)
+    def forward(self, x: Array, *, keep: bool = True) -> Array:
+        out, indices = maxpool2_indices(x)
+        self.indices = indices if keep or self.paired else None
         self.in_hw = x.shape[2:]
         return out
 
     def backward(self, grad: Array) -> Array:
-        assert self.indices is not None
-        return unpool_indices(grad, self.indices, self.in_hw)
+        return unpool_indices(grad, _recorded(self.indices, self), self.in_hw)
 
 
 class MaxUnpool2x2:
-    """Sparse upsampling using the paired encoder pool's recorded indices."""
+    """Sparse upsampling using the paired encoder pool's recorded indices.
+    A record-free forward clears them once it has read them."""
 
     def __init__(self, pool: MaxPool2x2):
         self.pool = pool
+        pool.paired = True
 
     def params(self) -> list[Param]:
         return []
 
-    def forward(self, x: Array) -> Array:
+    def forward(self, x: Array, *, keep: bool = True) -> Array:
         if self.pool.indices is None:
             raise RuntimeError("paired pool layer has not run forward yet")
-        return unpool_indices(x, self.pool.indices, self.pool.in_hw)
+        out = unpool_indices(x, self.pool.indices, self.pool.in_hw)
+        if not keep:
+            self.pool.indices = None
+        return out
 
     def backward(self, grad: Array) -> Array:
-        return gather_pool_indices(grad, self.pool.indices)
+        return gather_pool_indices(grad, _recorded(self.pool.indices, self))
 
 
 class MaxFeatureMap:
@@ -334,13 +364,12 @@ class MaxFeatureMap:
     def params(self) -> list[Param]:
         return []
 
-    def forward(self, x: Array) -> Array:
-        self._x = x
+    def forward(self, x: Array, *, keep: bool = True) -> Array:
+        self._x = x if keep else None
         return mfm(x)
 
     def backward(self, grad: Array) -> Array:
-        assert self._x is not None
-        return mfm_backward(grad, self._x)
+        return mfm_backward(grad, _recorded(self._x, self))
 
 
 class ReLU:
@@ -350,13 +379,13 @@ class ReLU:
     def params(self) -> list[Param]:
         return []
 
-    def forward(self, x: Array) -> Array:
-        self._mask = x > 0
-        return x * self._mask
+    def forward(self, x: Array, *, keep: bool = True) -> Array:
+        mask = x > 0
+        self._mask = mask if keep else None
+        return x * mask
 
     def backward(self, grad: Array) -> Array:
-        assert self._mask is not None
-        return grad * self._mask
+        return grad * _recorded(self._mask, self)
 
 
 class Sigmoid:
@@ -368,18 +397,18 @@ class Sigmoid:
     def params(self) -> list[Param]:
         return []
 
-    def forward(self, x: Array) -> Array:
+    def forward(self, x: Array, *, keep: bool = True) -> Array:
         y = np.empty_like(x)
         pos = x >= 0
         y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         y[~pos] = ex / (1.0 + ex)
-        self._y = y
+        self._y = y if keep else None
         return y
 
     def backward(self, grad: Array) -> Array:
-        assert self._y is not None
-        return grad * self._y * (1.0 - self._y)
+        y = _recorded(self._y, self)
+        return grad * y * (1.0 - y)
 
 
 class Dense:
@@ -402,20 +431,19 @@ class Dense:
     def params(self) -> list[Param]:
         return [self.weight, self.bias]
 
-    def forward(self, x: Array) -> Array:
+    def forward(self, x: Array, *, keep: bool = True) -> Array:
         n = x.shape[0]
         xf = x.reshape(n, -1)
         if xf.shape[1] != self.in_dim:
             raise ShapeError(
                 f"dense '{self.name}': flattened input length {xf.shape[1]} "
                 f"does not match weight matrix ({self.in_dim})")
-        self._xf = xf
+        self._xf = xf if keep else None
         self._in_shape = x.shape
         return xf @ self.weight.value.T + self.bias.value
 
     def backward(self, grad: Array) -> Array:
-        assert self._xf is not None
-        self.weight.grad += grad.T @ self._xf
+        self.weight.grad += grad.T @ _recorded(self._xf, self)
         self.bias.grad += grad.sum(axis=0)
         return (grad @ self.weight.value).reshape(self._in_shape)
 

@@ -154,13 +154,16 @@ def _feature_grid(pred: Array, eyes, phi: FeatureNet, align: bool):
 
 
 def _tap_residuals(pred: Array, target: Array, eyes, phi: FeatureNet,
-                   cfg: LossConfig):
+                   cfg: LossConfig, keep: bool):
     """Aligned crops of both branches, their per-tap residuals, and the
-    batch grid. Runs the target branch first so that a later backward pass
-    differentiates the prediction branch."""
+    batch grid. The target branch is a constant and keeps no backward
+    record; the prediction branch keeps one when ``keep`` is set. A
+    record-free pass clears φ's record, so the prediction branch runs last."""
     grid = _feature_grid(pred, eyes, phi, cfg.align)
-    acts_t = phi.forward_taps(stn.bilinear_sample(target, grid), taps=cfg.taps)
-    acts_p = phi.forward_taps(stn.bilinear_sample(pred, grid), taps=cfg.taps)
+    acts_t = phi.forward_taps(stn.bilinear_sample(target, grid), taps=cfg.taps,
+                              keep=False)
+    acts_p = phi.forward_taps(stn.bilinear_sample(pred, grid), taps=cfg.taps,
+                              keep=keep)
     residuals = {tap: acts_p[tap] - acts_t[tap] for tap in cfg.taps}
     return residuals, grid
 
@@ -169,7 +172,7 @@ def feature_thresholds(pred: Array, target: Array, eyes, phi: FeatureNet,
                        cfg: LossConfig) -> dict[str, float]:
     """Per-tap dynamic thresholds for this batch (each tap gets its own c,
     keeping the two taps' scales comparable)."""
-    residuals, _ = _tap_residuals(pred, target, eyes, phi, cfg)
+    residuals, _ = _tap_residuals(pred, target, eyes, phi, cfg, keep=False)
     return {tap: dynamic_c(r, cfg.c_fraction) for tap, r in residuals.items()}
 
 
@@ -184,7 +187,7 @@ def feature_loss(pred: Array, target: Array, eyes, phi: FeatureNet,
     """
     cfg.validate()
     n = pred.shape[0]
-    residuals, grid = _tap_residuals(pred, target, eyes, phi, cfg)
+    residuals, grid = _tap_residuals(pred, target, eyes, phi, cfg, keep=True)
     total = 0.0
     tap_grads: dict[str, Array] = {}
     for tap, r in residuals.items():

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import configio, losses
+from . import atomic, configio, losses
 from .facegen import SplitData, load_split
 from .featnet import FeatureNet, FeatureSpec, build_phi, load_phi, save_phi
 from .inpaint import InpaintNet, InpaintSpec, build_psi, save_psi
@@ -147,7 +147,7 @@ class TrainLog:
                   for s, t, p, f, lr in self.steps]
         for step, v_psnr, v_rmse in self.validations:
             lines.append(f"# val\t{step}\t{v_psnr:.6f}\t{v_rmse:.6f}")
-        Path(path).write_text("\n".join(lines) + "\n")
+        atomic.write_file(path, "\n".join(lines) + "\n")
 
 
 def _params_digest(net: FeatureNet) -> str:
@@ -173,7 +173,8 @@ def _validation_metrics(net: InpaintNet, data: SplitData,
 
 
 def batched_forward(net: InpaintNet, xs: Array, chunk: int = 64) -> Array:
-    return np.concatenate([net.forward(xs[i:i + chunk])
+    """ψ's inference pass over ``xs``, ``chunk`` images at a time."""
+    return np.concatenate([net.forward(xs[i:i + chunk], keep=False)
                            for i in range(0, len(xs), chunk)])
 
 

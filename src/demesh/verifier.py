@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import stn
+from . import atomic, stn
 from .facegen import SplitData
 from .featnet import FeatureNet
 from .layers import ShapeError
@@ -143,7 +143,7 @@ def verification_scores(gallery: Array, probes: Array) -> ScoreSet:
 def _aligned_features(phi: FeatureNet, images: Array, eyes) -> Array:
     _, _, h, w = images.shape
     grid = stn.alignment_grid(eyes, h, w, phi.in_h, phi.in_w)
-    return phi.features(stn.bilinear_sample(images, grid))
+    return phi.features(stn.bilinear_sample(images, grid), keep=False)
 
 
 def recovery_metrics(recovered: Array, clear: Array, eyes,
@@ -212,14 +212,14 @@ def run_protocol(model: str, recover_fn, data: SplitData,
 
 def write_report_tsv(reports: list[EvalReport], path: str | Path) -> None:
     lines = [REPORT_HEADER] + [r.row() for r in reports]
-    Path(path).write_text("\n".join(lines) + "\n")
+    atomic.write_file(path, "\n".join(lines) + "\n")
 
 
 def write_roc_tsv(report: EvalReport, out_dir: str | Path) -> Path:
     path = Path(out_dir) / f"roc_{report.model}.tsv"
     lines = ["fpr\ttpr\tthreshold"]
     lines += [f"{p.fpr:.9f}\t{p.tpr:.9f}\t{p.threshold:.9f}" for p in report.roc]
-    path.write_text("\n".join(lines) + "\n")
+    atomic.write_file(path, "\n".join(lines) + "\n")
     return path
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from demesh.facegen import (DAILY_PROFILE, DatasetError, Jitter,
                             MASK_DENSITY_MAX, MASK_DENSITY_MIN, apply_mesh,
@@ -119,6 +119,58 @@ def test_some_stroke_connects_opposite_borders():
         comps = _components_bfs(m)
         assert any(_touches_opposite_borders(c, *m.shape) for c in comps), seed
 
+def _flood_fill_labels(mask2d):
+    """Reference labelling: a depth-first flood fill from each unlabelled
+    mask pixel in scan order."""
+    h, w = mask2d.shape
+    labels = np.zeros((h, w), dtype=np.int64)
+    current = 0
+    for si in range(h):
+        for sj in range(w):
+            if not mask2d[si, sj] or labels[si, sj]:
+                continue
+            current += 1
+            stack = [(si, sj)]
+            labels[si, sj] = current
+            while stack:
+                i, j = stack.pop()
+                for di in (-1, 0, 1):
+                    for dj in (-1, 0, 1):
+                        ni, nj = i + di, j + dj
+                        if 0 <= ni < h and 0 <= nj < w and \
+                                mask2d[ni, nj] and not labels[ni, nj]:
+                            labels[ni, nj] = current
+                            stack.append((ni, nj))
+    return labels, current
+
+def _assert_labels_match_flood_fill(mask2d):
+    labels, count = _label_components(mask2d)
+    ref_labels, ref_count = _flood_fill_labels(mask2d)
+    assert count == ref_count
+    assert labels.dtype == ref_labels.dtype
+    assert labels.tobytes() == ref_labels.tobytes()
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(h=st.integers(1, 24), w=st.integers(1, 24), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1),
+       pattern=st.sampled_from(["random", "checkerboard", "holed checkerboard"]))
+@example(h=1, w=23, density=0.5, seed=0, pattern="random")
+@example(h=23, w=1, density=0.5, seed=1, pattern="random")
+@example(h=9, w=7, density=1.0, seed=2, pattern="checkerboard")
+@example(h=9, w=7, density=1.0, seed=3, pattern="checkerboard")
+def test_label_components_match_the_flood_fill(h, w, density, seed, pattern):
+    rng = np.random.default_rng(seed)
+    mask = rng.random((h, w)) < density
+    if pattern != "random":
+        # diagonal-only connections: no two mask pixels share an edge
+        board = np.add.outer(np.arange(h), np.arange(w)) % 2 == seed % 2
+        mask = board if pattern == "checkerboard" else board & mask
+    _assert_labels_match_flood_fill(mask)
+
+def test_label_components_match_the_flood_fill_on_mesh_masks():
+    for seed in range(100):
+        _assert_labels_match_flood_fill(synth_mesh(seed)[0] > 0.5)
+
 def test_mask_rejects_tiny_extents():
     with pytest.raises(ValueError, match=">= 16"):
         synth_mesh(0, height=8, width=8)
@@ -213,6 +265,12 @@ def test_dataset_is_byte_identical_for_same_seed(tmp_path):
     make_dataset(tmp_path / "a", 4, 2, seed=7)
     make_dataset(tmp_path / "b", 4, 2, seed=7)
     assert _dir_digest(tmp_path / "a") == _dir_digest(tmp_path / "b")
+
+def test_dataset_bytes_are_pinned(tmp_path):
+    # any change to the component order, the grays or the renders shows here
+    make_dataset(tmp_path, 3, 4, seed=0)
+    assert _dir_digest(tmp_path) == \
+        "f2458f50186143ccec186b8a7e6d7327347222093bc605eba3e1c4a4549860de"
 
 def test_dataset_differs_for_different_seed(tmp_path):
     make_dataset(tmp_path / "a", 3, 1, seed=7)

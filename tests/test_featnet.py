@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demesh import facegen, stn
 from demesh.featnet import (EARLY_CONV, FINAL_FEATURE, FeatureNet,
                             FeatureSpec, build_phi, load_phi, save_phi)
-from demesh.layers import (FrozenParameterError, ShapeError, adam_step,
-                           grad_check)
+from demesh.layers import (FrozenParameterError, NoRecordError, ShapeError,
+                           adam_step, grad_check)
 
 SMALL_SPEC = FeatureSpec(in_h=16, in_w=16, widths=(8, 16), feature_width=32)
 
@@ -149,3 +150,41 @@ def test_pretrain_requires_at_least_one_render_per_identity():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError, match="unknown mode"):
         build_phi("finetune", seed=0, spec=SMALL_SPEC)
+
+
+# ---------------------------------------------------------------------------
+# record-free (inference) forward
+# ---------------------------------------------------------------------------
+
+_RECORDS = ("_x", "_xf", "indices")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(taps=st.sampled_from([None, (EARLY_CONV,), (FINAL_FEATURE,),
+                             (FINAL_FEATURE, EARLY_CONV)]),
+       n=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1),
+       levels=st.sampled_from([0, 2]))
+def test_record_free_taps_are_bitwise_the_recording_taps(taps, n, seed,
+                                                         levels):
+    phi = build_phi("fixed_random", seed % 1000, SMALL_SPEC)
+    x = np.random.default_rng(seed).uniform(size=(n, 1, 16, 16))
+    if levels:  # few gray levels, so max-feature-map and pooling tie
+        x = np.round(x * levels) / levels
+    recorded = phi.forward_taps(x, taps)
+    free = phi.forward_taps(x, taps, keep=False)
+    assert sorted(free) == sorted(recorded)
+    for tap in recorded:
+        assert free[tap].tobytes() == recorded[tap].tobytes()
+    assert all(getattr(layer, name) is None for layer in phi.layers
+               for name in _RECORDS if hasattr(layer, name))
+    assert phi.features(x, keep=False).tobytes() == \
+        phi.features(x).tobytes()
+
+
+def test_backward_taps_after_a_record_free_forward_raises():
+    phi = build_phi("fixed_random", 4, SMALL_SPEC)
+    x = np.random.default_rng(0).uniform(size=(2, 1, 16, 16))
+    phi.forward_taps(x)
+    acts = phi.forward_taps(x, keep=False)
+    with pytest.raises(NoRecordError):
+        phi.backward_taps({FINAL_FEATURE: np.ones_like(acts[FINAL_FEATURE])})

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from demesh.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from demesh.inpaint import (InpaintNet, InpaintSpec, build_psi, load_psi,
                             save_psi)
-from demesh.layers import Param, ShapeError, grad_check
+from demesh.layers import NoRecordError, Param, ShapeError, grad_check
 
 SMALL = InpaintSpec(height=8, width=8, widths=(4, 6), kernel=3)
 
@@ -187,3 +188,56 @@ def test_save_is_deterministic(tmp_path):
     save_psi(net, p1)
     save_psi(net, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# record-free (inference) forward
+# ---------------------------------------------------------------------------
+
+_RECORDS = ("_x", "_mask", "_y", "_xf", "indices")
+
+
+def _records(net):
+    return [getattr(layer, name) for layer in net.layers
+            for name in _RECORDS if hasattr(layer, name)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec=st.sampled_from([SMALL, InpaintSpec(8, 4, (3,), 3),
+                             InpaintSpec(8, 8, (2, 2, 2), 1)]),
+       n=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1),
+       levels=st.sampled_from([0, 3]))
+def test_record_free_forward_is_bitwise_the_recording_forward(spec, n, seed,
+                                                              levels):
+    net = build_psi(spec, seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(n, 1, spec.height, spec.width))
+    if levels:  # few gray levels, so pooling windows tie
+        x = np.round(x * levels) / levels
+    recorded = net.forward(x)
+    free = net.forward(x, keep=False)
+    assert free.tobytes() == recorded.tobytes()
+    assert all(r is None for r in _records(net))
+    assert net.forward(x).tobytes() == recorded.tobytes()
+
+
+def test_backward_after_a_record_free_forward_raises():
+    net = build_psi(SMALL, seed=2)
+    x = np.random.default_rng(0).uniform(size=(2, 1, 8, 8))
+    net.forward(x)
+    out = net.forward(x, keep=False)
+    with pytest.raises(NoRecordError):
+        net.backward(np.ones_like(out))
+
+
+def test_record_free_forward_holds_nothing_beyond_its_output():
+    net = build_psi(InpaintSpec(), seed=0)
+    xs = np.random.default_rng(0).uniform(size=(64, 1, 64, 48))
+    net.forward(xs[:2], keep=False)
+    tracemalloc.start()
+    try:
+        out = net.forward(xs, keep=False)
+        held = tracemalloc.get_traced_memory()[0] - out.nbytes
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2 ** 20

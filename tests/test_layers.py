@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from demesh.layers import (Conv2d, Dense, FrozenParameterError, MaxFeatureMap,
                            MaxPool2x2, MaxUnpool2x2, NonFiniteGradientError,
-                           Param, ReLU, ShapeError, Sigmoid, adam_step,
+                           NoRecordError, Param, ReLU, ShapeError, Sigmoid,
+                           adam_step,
                            gather_pool_indices, grad_check, maxpool2_indices,
                            mfm, mfm_backward, softmax_cross_entropy,
                            unpool_indices)
@@ -502,3 +503,72 @@ def test_softmax_cross_entropy_gradient_matches_finite_differences():
         return loss, grad
 
     assert grad_check(fn, rng.normal(size=(3, 4))).passed
+
+
+# ---------------------------------------------------------------------------
+# record-free (inference) forward
+# ---------------------------------------------------------------------------
+
+def _pool_unpool():
+    pool = MaxPool2x2()
+    return pool, MaxUnpool2x2(pool)
+
+_LAYERS = {
+    "conv": lambda: Conv2d(2, 4, 3, pad=1, rng=np.random.default_rng(0)),
+    "pool": MaxPool2x2,
+    "mfm": MaxFeatureMap,
+    "relu": ReLU,
+    "sigmoid": Sigmoid,
+    "dense": lambda: Dense(2 * 4 * 4, 3, rng=np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LAYERS))
+def test_record_free_forward_matches_and_clears_the_record(kind):
+    layer = _LAYERS[kind]()
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(3, 2, 4, 4))
+    x[0, 0, 0, :2] = 0.0  # ties and zeros
+    recorded = layer.forward(x)
+    free = layer.forward(x, keep=False)
+    assert free.tobytes() == recorded.tobytes()
+    with pytest.raises(NoRecordError, match=type(layer).__name__):
+        layer.backward(np.ones_like(free))
+    # a recording pass afterwards is differentiable again
+    layer.forward(x)
+    layer.backward(np.ones_like(recorded))
+
+
+def test_backward_without_any_forward_raises():
+    with pytest.raises(NoRecordError):
+        ReLU().backward(np.ones((1, 1, 2, 2)))
+
+
+def test_unpool_clears_its_pool_indices_after_a_record_free_read():
+    pool, unpool = _pool_unpool()
+    x = np.random.default_rng(2).normal(size=(2, 3, 4, 4))
+    pooled = pool.forward(x, keep=False)
+    assert pool.indices is not None  # forward data for the paired unpool
+    out = unpool.forward(pooled, keep=False)
+    assert out.tobytes() == unpool_indices(pooled, maxpool2_indices(x)[1],
+                                           (4, 4)).tobytes()
+    assert pool.indices is None
+    with pytest.raises(NoRecordError):
+        unpool.backward(np.ones_like(out))
+    with pytest.raises(NoRecordError):
+        pool.backward(np.ones_like(pooled))
+
+
+def test_unpaired_pool_keeps_no_indices_in_a_record_free_pass():
+    pool = MaxPool2x2()
+    pool.forward(np.ones((1, 1, 2, 2)), keep=False)
+    assert pool.indices is None
+
+
+def test_recording_unpool_leaves_indices_for_both_backward_passes():
+    pool, unpool = _pool_unpool()
+    rng = np.random.default_rng(3)
+    pooled = pool.forward(rng.normal(size=(1, 2, 4, 4)))
+    unpool.forward(pooled)
+    unpool.backward(np.ones((1, 2, 4, 4)))
+    pool.backward(np.ones_like(pooled))

@@ -3,7 +3,8 @@ import pytest
 
 from demesh.featnet import (EARLY_CONV, FINAL_FEATURE, FeatureNet,
                             FeatureSpec, build_phi)
-from demesh.layers import Conv2d, MaxFeatureMap, ShapeError, grad_check
+from demesh.layers import (Conv2d, MaxFeatureMap, NoRecordError, ShapeError,
+                           grad_check)
 from demesh.losses import (LossConfig, dynamic_c, feature_loss,
                            feature_thresholds, pixel_loss, reverse_huber,
                            unified_loss, variant_config)
@@ -194,6 +195,17 @@ def test_feature_loss_gradient_matches_finite_differences():
         return lv.value, lv.grad
 
     assert grad_check(fn, base).passed
+
+def test_feature_thresholds_leave_no_record_in_phi():
+    phi = tiny_phi(seed=13)
+    rng = np.random.default_rng(8)
+    pred, target = rng.uniform(size=(2, 2, 1, 12, 10))
+    eyes = eyes_for(2, rng, 12, 10)
+    cfg = LossConfig()
+    feature_loss(pred, target, eyes, phi, cfg)
+    feature_thresholds(pred, target, eyes, phi, cfg)
+    with pytest.raises(NoRecordError):
+        phi.backward_taps({FINAL_FEATURE: np.ones((2, 8))})
 
 def test_feature_loss_squared_penalty_gradient():
     phi = tiny_phi(seed=12)
