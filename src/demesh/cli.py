@@ -5,36 +5,22 @@ ROC plot-data emission.
 Every command is a pure function of its flags, input files and seeds;
 reruns produce byte-identical outputs. Failures print a single
 machine-parsable line ``error: <kind>: <message>`` on stderr and exit
-nonzero. The DEMESH_THREADS environment variable caps worker parallelism
-(all built-in work is single-threaded, so any positive cap is honored).
+nonzero. DEMESH_THREADS caps the BLAS thread pools, the only workers; a
+value that is not a positive integer fails every command.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
-from . import atomic, gradsuite, trainer, verifier
+from . import atomic, gradsuite, thread_cap, trainer, verifier
 from .facegen import load_split, make_dataset, read_pgm, validate_dataset, \
     write_pgm
 from .featnet import load_phi
 from .inpaint import load_psi, save_psi
 from .verifier import psnr
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("DEMESH_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"DEMESH_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ValueError(f"DEMESH_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _worker_cap()
+        thread_cap()
         return args.func(args)
     except Exception as exc:  # one machine-parsable line, nonzero exit
         message = " ".join(str(exc).split())

@@ -418,26 +418,22 @@ def read_pgm(path: str | Path) -> Array:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Triplet:
+class SplitData:
+    """One split in manifest order. ``x``, ``y`` and ``m`` stack the
+    corrupted, clear and mask images as (N, 1, H, W), and ``eyes``,
+    ``identity`` and ``sample`` hold one entry per row. ``dailies`` maps
+    each identity to its daily photo's (image, eyes)."""
+
     x: Array
     y: Array
     m: Array
-    eyes: Landmarks
-    identity: str
-    sample: str
+    eyes: list[Landmarks]
+    identity: list[str]
+    sample: list[str]
+    dailies: dict[str, tuple[Array, Landmarks]]
 
-
-@dataclass
-class DailyPhoto:
-    image: Array
-    eyes: Landmarks
-    identity: str
-
-
-@dataclass
-class SplitData:
-    triplets: list[Triplet]
-    dailies: dict[str, DailyPhoto]
+    def __len__(self) -> int:
+        return len(self.sample)
 
 
 def _write_meta(path: Path, eyes: Landmarks, identity: str, seeds: dict[str, int]) -> None:
@@ -553,25 +549,32 @@ def read_manifest(root: str | Path) -> list[tuple[str, str, str, str]]:
 
 
 def load_split(root: str | Path, split: str) -> SplitData:
-    """Read one split back into memory, in manifest order."""
-    root = Path(root)
-    triplets: list[Triplet] = []
-    dailies: dict[str, DailyPhoto] = {}
+    """Read one split back into memory, in manifest order; an empty split
+    stacks as (0, 1, 0, 0)."""
+    split_dir = Path(root) / split
+    rows: list[tuple[str, str]] = []
+    dailies: dict[str, tuple[Array, Landmarks]] = {}
     for row_split, ident, sample, kind in read_manifest(root):
         if row_split != split:
             continue
-        id_dir = root / split / ident
         if kind == "daily":
-            eyes, _, _ = _read_meta(id_dir / "daily.meta")
-            dailies[ident] = DailyPhoto(read_pgm(id_dir / "daily.y.pgm"), eyes, ident)
+            eyes, _, _ = _read_meta(split_dir / ident / "daily.meta")
+            dailies[ident] = (read_pgm(split_dir / ident / "daily.y.pgm"), eyes)
         else:
-            eyes, _, _ = _read_meta(id_dir / f"{sample}.meta")
-            triplets.append(Triplet(
-                x=read_pgm(id_dir / f"{sample}.x.pgm"),
-                y=read_pgm(id_dir / f"{sample}.y.pgm"),
-                m=(read_pgm(id_dir / f"{sample}.m.pgm") > 0.5).astype(np.float64),
-                eyes=eyes, identity=ident, sample=sample))
-    return SplitData(triplets, dailies)
+            rows.append((ident, sample))
+    stems = [split_dir / ident / sample for ident, sample in rows]
+
+    def stack(kind: str) -> Array:
+        # one image kind at a time, so one kind's per-image list is alive
+        if not stems:
+            return np.empty((0, 1, 0, 0))
+        return np.stack([read_pgm(f"{stem}.{kind}.pgm") for stem in stems])
+
+    return SplitData(stack("x"), stack("y"),
+                     (stack("m") > 0.5).astype(np.float64),
+                     [_read_meta(Path(f"{stem}.meta"))[0] for stem in stems],
+                     [ident for ident, _ in rows],
+                     [sample for _, sample in rows], dailies)
 
 
 def validate_dataset(root: str | Path) -> int:

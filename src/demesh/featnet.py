@@ -20,7 +20,8 @@ import numpy as np
 
 from . import checkpoint, configio, facegen, stn
 from .layers import (Conv2d, Dense, MaxFeatureMap, MaxPool2x2, Param,
-                     ShapeError, adam_step, softmax_cross_entropy)
+                     ShapeError, adam_step, map_chunks,
+                     softmax_cross_entropy)
 
 Array = np.ndarray
 
@@ -224,11 +225,10 @@ def build_phi(mode: str = "pretrain", seed: int = 0,
         for p in trainable:
             adam_step(p, p.grad, lr)
 
-    correct = 0
-    for start in range(0, len(crops), 256):
-        feats = net.features(crops[start:start + 256], keep=False)
-        preds = np.argmax(head.forward(feats, keep=False), axis=1)
-        correct += int(np.sum(preds == labels[start:start + 256]))
+    def predict(rows: slice) -> Array:
+        feats = net.features(crops[rows], keep=False)
+        return np.argmax(head.forward(feats, keep=False), axis=1)
+    correct = np.count_nonzero(map_chunks(predict, len(crops)) == labels)
     net.pretrain_accuracy = correct / len(crops)
     net.freeze()  # the head is discarded; phi serves features only
     return net

@@ -460,6 +460,28 @@ def softmax_cross_entropy(logits: Array, labels: Array) -> tuple[float, Array]:
 
 
 # ---------------------------------------------------------------------------
+# chunked inference
+# ---------------------------------------------------------------------------
+
+INFERENCE_CHUNK = 64  # most rows in one inference chunk
+
+
+def map_chunks(fn, n: int) -> Array:
+    """``fn(rows)`` over ceil(n / INFERENCE_CHUNK) slices ``rows`` that cover
+    range(n) in order, their lengths differing by at most one, concatenated
+    along the first axis.
+
+    Near-equal slices, not 64 rows plus a short remainder: a matrix product
+    of a few rows rounds differently (OpenBLAS switches kernels), which moved
+    φ's Dense output by up to 9e-15. One slice, or slices of 32 rows or
+    more, give φ's features bitwise as one batch does.
+    """
+    k = max(1, -(-n // INFERENCE_CHUNK))
+    return np.concatenate([fn(slice(i * n // k, (i + 1) * n // k))
+                           for i in range(k)])
+
+
+# ---------------------------------------------------------------------------
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 

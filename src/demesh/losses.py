@@ -63,19 +63,24 @@ class LossConfig:
             raise ValueError(f"unknown feature penalty {self.feature_penalty!r}")
 
 
-def variant_config(variant: str) -> LossConfig:
-    """Loss configuration for each model variant of the comparison matrix."""
-    if variant == "fcne":
-        return LossConfig(lambda_mask=0.0, lambda_feature=0.0)
-    if variant == "fcnw":
-        return LossConfig(lambda_feature=0.0)
-    if variant == "fcnf":
-        return LossConfig(taps=(EARLY_CONV,), align=False)
-    if variant == "demesh_e":
-        return LossConfig(feature_penalty="squared")
-    if variant == "demesh":
-        return LossConfig()
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+def variant_config(variant: str, lambda_mask: float = 1.0,
+                   lambda_feature: float = 1.0,
+                   c_fraction: float = 0.2) -> LossConfig:
+    """Loss configuration of one variant of the comparison matrix, with the
+    c fraction and the weights of the terms it keeps (fcne keeps neither
+    weighted term, fcnw no feature term)."""
+    base = LossConfig(lambda_mask=lambda_mask, lambda_feature=lambda_feature,
+                      c_fraction=c_fraction)
+    configs = {
+        "fcne": replace(base, lambda_mask=0.0, lambda_feature=0.0),
+        "fcnw": replace(base, lambda_feature=0.0),
+        "fcnf": replace(base, taps=(EARLY_CONV,), align=False),
+        "demesh_e": replace(base, feature_penalty="squared"),
+        "demesh": base,
+    }
+    if variant not in configs:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return configs[variant]
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +227,3 @@ def unified_loss(pred: Array, target: Array, mask: Array, eyes,
     value = px.value + cfg.lambda_feature * feat.value
     grad = px.grad + cfg.lambda_feature * feat.grad
     return UnifiedLoss(float(value), grad, px.value, feat.value)
-
-
-def config_for(variant: str, base: LossConfig | None = None) -> LossConfig:
-    """Variant config, optionally inheriting non-structural knobs from a base
-    (the c fraction and the mask weight where the variant keeps it)."""
-    cfg = variant_config(variant)
-    if base is not None:
-        cfg = replace(cfg, c_fraction=base.c_fraction)
-        if variant not in ("fcne",):
-            cfg = replace(cfg, lambda_mask=base.lambda_mask)
-        if variant not in ("fcne", "fcnw"):
-            cfg = replace(cfg, lambda_feature=base.lambda_feature)
-    return cfg

@@ -21,7 +21,7 @@ from .facegen import SplitData, load_split
 from .featnet import FeatureNet, FeatureSpec, build_phi, load_phi, save_phi
 from .inpaint import InpaintNet, InpaintSpec, build_psi, save_psi
 from .losses import LossConfig, VARIANTS
-from .layers import adam_step
+from .layers import adam_step, map_chunks
 from .verifier import (EvalReport, recovery_metrics, run_protocol,
                        write_report_tsv, write_roc_tsv)
 
@@ -84,10 +84,8 @@ class TrainConfig:
                            feature_width=self.phi_feature_width)
 
     def loss_config(self) -> LossConfig:
-        base = LossConfig(lambda_mask=self.lambda_mask,
-                          lambda_feature=self.lambda_feature,
-                          c_fraction=self.c_fraction)
-        return losses.config_for(self.variant, base)
+        return losses.variant_config(self.variant, self.lambda_mask,
+                                     self.lambda_feature, self.c_fraction)
 
     def learning_rate(self, step: int) -> float:
         return self.lr * self.lr_decay_factor ** (step // self.lr_decay_interval)
@@ -157,25 +155,15 @@ def _params_digest(net: FeatureNet) -> str:
     return h.hexdigest()
 
 
-def _stack_split(data: SplitData):
-    xs = np.stack([t.x for t in data.triplets])
-    ys = np.stack([t.y for t in data.triplets])
-    ms = np.stack([t.m for t in data.triplets])
-    eyes = [t.eyes for t in data.triplets]
-    return xs, ys, ms, eyes
-
-
 def _validation_metrics(net: InpaintNet, data: SplitData,
                         phi: FeatureNet | None):
-    xs, ys, _, eyes = _stack_split(data)
-    mean_psnr, rmse, _ = recovery_metrics(batched_forward(net, xs), ys, eyes, phi)
+    mean_psnr, rmse, _ = recovery_metrics(batched_forward(net, data.x), data, phi)
     return mean_psnr, rmse
 
 
-def batched_forward(net: InpaintNet, xs: Array, chunk: int = 64) -> Array:
-    """ψ's inference pass over ``xs``, ``chunk`` images at a time."""
-    return np.concatenate([net.forward(xs[i:i + chunk], keep=False)
-                           for i in range(0, len(xs), chunk)])
+def batched_forward(net: InpaintNet, xs: Array) -> Array:
+    """ψ's inference pass over ``xs``, in chunks."""
+    return map_chunks(lambda rows: net.forward(xs[rows], keep=False), len(xs))
 
 
 def train(cfg: TrainConfig, phi: FeatureNet | None = None
@@ -190,35 +178,33 @@ def train(cfg: TrainConfig, phi: FeatureNet | None = None
     loss_cfg = cfg.loss_config()
     if loss_cfg.lambda_feature > 0 and phi is None:
         raise ValueError(f"variant {cfg.variant!r} needs a frozen feature net")
-    train_data = load_split(cfg.dataset, "train")
-    if len(train_data.triplets) < cfg.batch_size:
-        raise ValueError(
-            f"train split has {len(train_data.triplets)} triplets, "
-            f"batch size is {cfg.batch_size}")
+    data = load_split(cfg.dataset, "train")
+    if len(data) < cfg.batch_size:
+        raise ValueError(f"train split has {len(data)} triplets, "
+                         f"batch size is {cfg.batch_size}")
     val_data = load_split(cfg.dataset, "val")
-    xs, ys, ms, eyes = _stack_split(train_data)
 
     phi_digest = _params_digest(phi) if phi is not None else None
     net = build_psi(cfg.arch_spec(), cfg.init_seed)
     log = TrainLog()
     rng = np.random.default_rng(cfg.data_seed)
-    order = rng.permutation(len(xs))
+    order = rng.permutation(len(data))
     cursor = 0
     for step in range(cfg.total_steps):
         if cursor + cfg.batch_size > len(order):
-            order = rng.permutation(len(xs))
+            order = rng.permutation(len(data))
             cursor = 0
         idx = order[cursor:cursor + cfg.batch_size]
         cursor += cfg.batch_size
         lr = cfg.learning_rate(step)
 
-        pred = net.forward(xs[idx])
-        ul = losses.unified_loss(pred, ys[idx], ms[idx],
-                                 [eyes[i] for i in idx], phi, loss_cfg)
+        pred = net.forward(data.x[idx])
+        ul = losses.unified_loss(pred, data.y[idx], data.m[idx],
+                                 [data.eyes[i] for i in idx], phi, loss_cfg)
         if not np.isfinite(ul.value):
             raise TrainingDiverged(
                 f"non-finite loss at step {step} (lr={lr:g}, "
-                f"batch={[train_data.triplets[i].sample for i in idx]})")
+                f"batch={[data.sample[i] for i in idx]})")
         net.zero_grads()
         net.backward(ul.grad)
         for p in net.params():
@@ -228,8 +214,8 @@ def train(cfg: TrainConfig, phi: FeatureNet | None = None
         log.steps.append((step, ul.value, ul.pixel, ul.feature, lr))
 
         last = step == cfg.total_steps - 1
-        if val_data.triplets and (step % cfg.val_interval == cfg.val_interval - 1
-                                  or last):
+        if len(val_data) and (step % cfg.val_interval == cfg.val_interval - 1
+                              or last):
             v_psnr, v_rmse = _validation_metrics(net, val_data, phi)
             log.validations.append((step, v_psnr, v_rmse))
 
@@ -273,7 +259,6 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[EvalReport]:
     out.mkdir(parents=True, exist_ok=True)
     phi = ensure_phi(cfg, out / "phi.ckpt")
     test_data = load_split(cfg.dataset, "test")
-    ys = np.stack([t.y for t in test_data.triplets])
 
     reports: list[EvalReport] = []
 
@@ -282,7 +267,7 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[EvalReport]:
         write_roc_tsv(report, out)
         write_report_tsv(reports, out / "ablation.tsv")
 
-    finish(run_protocol("clear", lambda xs: ys, test_data, phi))
+    finish(run_protocol("clear", lambda xs: test_data.y, test_data, phi))
     finish(run_protocol("corrupted", lambda xs: xs, test_data, phi))
     for variant in VARIANTS:
         vcfg = replace(cfg, variant=variant)

@@ -15,6 +15,7 @@ triplets.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import atomic, stn
 from .facegen import SplitData
 from .featnet import FeatureNet
-from .layers import ShapeError
+from .layers import ShapeError, map_chunks
 
 Array = np.ndarray
 
@@ -72,8 +73,8 @@ def psnr(pred: Array, target: Array, max_val: float = 1.0) -> float:
     return 10.0 * math.log10(max_val * max_val / mse)
 
 
-def feature_rmse(preds: list[Array], targets: list[Array]) -> float:
-    """Mean over samples of the Euclidean feature distance."""
+def feature_rmse(preds: Sequence[Array], targets: Sequence[Array]) -> float:
+    """Mean over samples (rows) of the Euclidean feature distance."""
     if len(preds) != len(targets):
         raise ValueError(f"sample counts differ: {len(preds)} vs {len(targets)}")
     dists = []
@@ -141,21 +142,25 @@ def verification_scores(gallery: Array, probes: Array) -> ScoreSet:
 # ---------------------------------------------------------------------------
 
 def _aligned_features(phi: FeatureNet, images: Array, eyes) -> Array:
+    """φ's features of each image's eye-aligned crop, one chunk at a time."""
     _, _, h, w = images.shape
-    grid = stn.alignment_grid(eyes, h, w, phi.in_h, phi.in_w)
-    return phi.features(stn.bilinear_sample(images, grid), keep=False)
+
+    def crop_features(rows: slice) -> Array:
+        grid = stn.alignment_grid(eyes[rows], h, w, phi.in_h, phi.in_w)
+        return phi.features(stn.bilinear_sample(images[rows], grid), keep=False)
+    return map_chunks(crop_features, len(images))
 
 
-def recovery_metrics(recovered: Array, clear: Array, eyes,
+def recovery_metrics(recovered: Array, data: SplitData,
                      phi: FeatureNet | None):
     """Mean PSNR and feature RMSE of recovered (N, 1, H, W) images against
-    the clear ones, plus the recovered images' aligned features. Without a
-    feature net the RMSE is nan and there are no features."""
-    mean_psnr = float(np.mean([psnr(r, c) for r, c in zip(recovered, clear)]))
+    the split's clear ones, plus the recovered images' aligned features.
+    Without a feature net the RMSE is nan and there are no features."""
+    mean_psnr = float(np.mean([psnr(r, c) for r, c in zip(recovered, data.y)]))
     if phi is None:
         return mean_psnr, float("nan"), None
-    feats = _aligned_features(phi, recovered, eyes)
-    rmse = feature_rmse(list(feats), list(_aligned_features(phi, clear, eyes)))
+    feats = _aligned_features(phi, recovered, data.eyes)
+    rmse = feature_rmse(feats, _aligned_features(phi, data.y, data.eyes))
     return mean_psnr, rmse, feats
 
 
@@ -165,38 +170,29 @@ def run_protocol(model: str, recover_fn, data: SplitData,
 
     ``recover_fn`` maps a batch of corrupted images (N, 1, H, W) to recovered
     images of the same shape. PSNR and feature RMSE are computed against the
-    clear ground truth over every triplet; verification scores every
-    (recovered gallery, daily probe) pair over one gallery image (the first
-    triplet) and one daily photo per identity.
+    clear ground truth over every row; verification scores every
+    (recovered gallery, daily probe) pair over one gallery image (the
+    identity's first row) and one daily photo per identity.
     """
-    if not data.triplets:
+    if not len(data):
         raise ValueError("empty test split")
-    xs = np.stack([t.x for t in data.triplets])
-    ys = np.stack([t.y for t in data.triplets])
-    recovered = recover_fn(xs)
-    if recovered.shape != xs.shape:
-        raise ShapeError(
-            f"recovery changed the batch shape: {recovered.shape} vs {xs.shape}")
+    recovered = recover_fn(data.x)
+    if recovered.shape != data.x.shape:
+        raise ShapeError(f"recovery changed the batch shape: "
+                         f"{recovered.shape} vs {data.x.shape}")
 
-    mean_psnr, rmse, feats_rec = recovery_metrics(
-        recovered, ys, [t.eyes for t in data.triplets], phi)
+    mean_psnr, rmse, feats_rec = recovery_metrics(recovered, data, phi)
 
-    gallery_rows = []
-    seen = set()
-    for i, t in enumerate(data.triplets):
-        if t.identity not in seen:
-            seen.add(t.identity)
-            gallery_rows.append(i)
-    idents = [data.triplets[i].identity for i in gallery_rows]
+    # each identity's first row, in first-seen order
+    gallery_rows = np.sort(np.unique(data.identity, return_index=True)[1])
+    idents = [data.identity[i] for i in gallery_rows]
     missing = [ident for ident in idents if ident not in data.dailies]
     if missing:
         raise ValueError(f"identities without a daily photo: {missing}")
-    gallery_feats = feats_rec[gallery_rows]
-    probe_imgs = np.stack([data.dailies[ident].image for ident in idents])
-    probe_eyes = [data.dailies[ident].eyes for ident in idents]
-    probe_feats = _aligned_features(phi, probe_imgs, probe_eyes)
+    probe_imgs, probe_eyes = zip(*(data.dailies[ident] for ident in idents))
+    probe_feats = _aligned_features(phi, np.stack(probe_imgs), probe_eyes)
 
-    scores = verification_scores(gallery_feats, probe_feats)
+    scores = verification_scores(feats_rec[gallery_rows], probe_feats)
     points = roc(scores)
     return EvalReport(
         model=model,

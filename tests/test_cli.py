@@ -1,10 +1,14 @@
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import demesh
 from demesh.cli import main
 from demesh.facegen import make_dataset, read_pgm, write_pgm
 from demesh.trainer import TrainConfig, format_config
@@ -273,3 +277,21 @@ def test_worker_cap_env_var_is_validated(monkeypatch, capsys):
     assert "DEMESH_THREADS" in capsys.readouterr().err
     monkeypatch.setenv("DEMESH_THREADS", "2")
     assert run_cli("gradcheck", "--module", "stn", "--points", "1") == 0
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("cap, copied", [("zero", None), ("0", None),
+                                         ("3", "3"), (None, "1")])
+def test_import_copies_only_a_valid_thread_cap(cap, copied):
+    env = {k: v for k, v in os.environ.items()
+           if k not in BLAS_VARS + ("DEMESH_THREADS",)}
+    if cap is not None:
+        env["DEMESH_THREADS"] = cap
+    env["PYTHONPATH"] = str(Path(demesh.__file__).parents[1])
+    probe = "import os, demesh; print([os.environ.get(v) for v in %r])" \
+        % (BLAS_VARS,)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == str([copied] * len(BLAS_VARS))

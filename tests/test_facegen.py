@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from demesh.facegen import (DAILY_PROFILE, DatasetError, Jitter,
-                            MASK_DENSITY_MAX, MASK_DENSITY_MIN, apply_mesh,
+                            MASK_DENSITY_MAX, MASK_DENSITY_MIN, SPLITS,
+                            apply_mesh,
                             load_split, make_dataset, read_manifest, read_pgm,
                             render_face, render_with_jitter, sample_identity,
                             split_counts, synth_mesh, validate_dataset,
@@ -284,12 +285,44 @@ def test_generated_triplets_pass_full_scan_validation(tmp_path):
 def test_load_split_round_trips_triplets_and_dailies(tmp_path):
     make_dataset(tmp_path / "data", 5, 2, seed=13, ratios=(0.6, 0.2, 0.2))
     data = load_split(tmp_path / "data", "train")
-    assert len(data.triplets) == 6  # 3 train identities x 2 samples
-    assert set(data.dailies) == {t.identity for t in data.triplets}
-    t = data.triplets[0]
-    assert t.x.shape == t.y.shape == t.m.shape == (1, 64, 48)
-    off = t.m == 0.0
-    np.testing.assert_array_equal(t.x[off], t.y[off])
+    assert len(data) == 6  # 3 train identities x 2 samples
+    assert set(data.dailies) == set(data.identity)
+    x, y, m = data.x[0], data.y[0], data.m[0]
+    assert x.shape == y.shape == m.shape == (1, 64, 48)
+    off = m == 0.0
+    np.testing.assert_array_equal(x[off], y[off])
+
+def test_load_split_stacks_rows_in_manifest_order(tmp_path):
+    root = tmp_path / "data"
+    make_dataset(root, 5, 3, seed=21, ratios=(0.6, 0.2, 0.2))
+    manifest = read_manifest(root)
+    for split in SPLITS:
+        data = load_split(root, split)
+        rows = [(ident, sample) for s, ident, sample, kind in manifest
+                if s == split and kind == "triplet"]
+        assert list(zip(data.identity, data.sample)) == rows
+        assert data.x.shape == data.y.shape == data.m.shape == \
+            (len(rows), 1, 64, 48)
+        assert len(data) == len(data.eyes) == len(rows)
+        for i, (ident, sample) in enumerate(rows):
+            stem = root / split / ident / sample
+            for stack, kind in ((data.x, "x"), (data.y, "y"), (data.m, "m")):
+                np.testing.assert_array_equal(
+                    stack[i], read_pgm(f"{stem}.{kind}.pgm"))
+            assert data.eyes[i] == _read_meta(stem.with_suffix(".meta"))[0]
+        assert list(data.dailies) == list(dict.fromkeys(data.identity))
+        for ident, (image, eyes) in data.dailies.items():
+            np.testing.assert_array_equal(
+                image, read_pgm(root / split / ident / "daily.y.pgm"))
+            assert eyes == _read_meta(root / split / ident / "daily.meta")[0]
+
+def test_an_empty_split_loads_as_zero_rows(tmp_path):
+    make_dataset(tmp_path / "data", 3, 2, seed=23, ratios=(1.0, 0.0, 0.0))
+    data = load_split(tmp_path / "data", "val")
+    assert len(data) == 0
+    assert data.x.shape == data.y.shape == data.m.shape == (0, 1, 0, 0)
+    assert data.eyes == data.identity == data.sample == []
+    assert data.dailies == {}
 
 def test_validation_flags_tampered_dataset(tmp_path):
     make_dataset(tmp_path / "data", 3, 1, seed=17, ratios=(1.0, 0.0, 0.0))

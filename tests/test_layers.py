@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from demesh.layers import (Conv2d, Dense, FrozenParameterError, MaxFeatureMap,
+from demesh.layers import (Conv2d, Dense, FrozenParameterError,
+                           INFERENCE_CHUNK, MaxFeatureMap,
                            MaxPool2x2, MaxUnpool2x2, NonFiniteGradientError,
                            NoRecordError, Param, ReLU, ShapeError, Sigmoid,
                            adam_step,
-                           gather_pool_indices, grad_check, maxpool2_indices,
-                           mfm, mfm_backward, softmax_cross_entropy,
-                           unpool_indices)
+                           gather_pool_indices, grad_check, map_chunks,
+                           maxpool2_indices, mfm, mfm_backward,
+                           softmax_cross_entropy, unpool_indices)
 
 
 def scalar_through(layer, x, weights):
@@ -572,3 +573,30 @@ def test_recording_unpool_leaves_indices_for_both_backward_passes():
     unpool.forward(pooled)
     unpool.backward(np.ones((1, 2, 4, 4)))
     pool.backward(np.ones_like(pooled))
+
+
+# ---------------------------------------------------------------------------
+# chunked inference
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 1000))
+@example(0)
+@example(64)
+@example(65)
+@example(128)
+@example(129)
+def test_map_chunks_covers_the_rows_in_order_with_near_equal_chunks(n):
+    chunks = []
+
+    def rows_of(rows):
+        chunks.append(rows)
+        return np.arange(n)[rows]
+
+    np.testing.assert_array_equal(map_chunks(rows_of, n), np.arange(n))
+    lengths = [rows.stop - rows.start for rows in chunks]
+    assert len(chunks) == max(1, -(-n // INFERENCE_CHUNK))
+    assert max(lengths) - min(lengths) <= 1
+    assert max(lengths) <= INFERENCE_CHUNK
+    if n > INFERENCE_CHUNK:
+        assert min(lengths) >= INFERENCE_CHUNK // 2

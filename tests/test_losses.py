@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demesh.featnet import (EARLY_CONV, FINAL_FEATURE, FeatureNet,
                             FeatureSpec, build_phi)
 from demesh.layers import (Conv2d, MaxFeatureMap, NoRecordError, ShapeError,
                            grad_check)
-from demesh.losses import (LossConfig, dynamic_c, feature_loss,
+from demesh.losses import (LossConfig, VARIANTS, dynamic_c, feature_loss,
                            feature_thresholds, pixel_loss, reverse_huber,
                            unified_loss, variant_config)
 from demesh.stn import Landmarks
@@ -302,3 +305,34 @@ def test_variant_configs_match_their_definitions():
     assert demesh.feature_penalty == "berhu" and demesh.align
     with pytest.raises(ValueError):
         variant_config("mtnet")
+
+
+def config_for(variant, base=None):
+    """The reference: each variant's default config, then the base's c
+    fraction and the weights of the terms the variant keeps."""
+    cfg = {"fcne": LossConfig(lambda_mask=0.0, lambda_feature=0.0),
+           "fcnw": LossConfig(lambda_feature=0.0),
+           "fcnf": LossConfig(taps=(EARLY_CONV,), align=False),
+           "demesh_e": LossConfig(feature_penalty="squared"),
+           "demesh": LossConfig()}[variant]
+    if base is not None:
+        cfg = replace(cfg, c_fraction=base.c_fraction)
+        if variant not in ("fcne",):
+            cfg = replace(cfg, lambda_mask=base.lambda_mask)
+        if variant not in ("fcne", "fcnw"):
+            cfg = replace(cfg, lambda_feature=base.lambda_feature)
+    return cfg
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.floats(0.0, 10.0), st.floats(0.0, 10.0),
+       st.floats(0.0, 1.0, exclude_min=True))
+def test_variant_config_weights_match_the_reference(lambda_mask,
+                                                    lambda_feature,
+                                                    c_fraction):
+    base = LossConfig(lambda_mask=lambda_mask, lambda_feature=lambda_feature,
+                      c_fraction=c_fraction)
+    for variant in VARIANTS:
+        assert variant_config(variant) == config_for(variant), variant
+        assert variant_config(variant, lambda_mask, lambda_feature,
+                              c_fraction) == config_for(variant, base), variant

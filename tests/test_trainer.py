@@ -96,10 +96,7 @@ def test_single_step_replay_matches_hand_applied_adam_update(dataset, phi):
 
     # independent replay: same net init, same first batch, hand Adam
     data = load_split(cfg.dataset, "train")
-    xs = np.stack([t.x for t in data.triplets])
-    ys = np.stack([t.y for t in data.triplets])
-    ms = np.stack([t.m for t in data.triplets])
-    eyes = [t.eyes for t in data.triplets]
+    xs, ys, ms, eyes = data.x, data.y, data.m, data.eyes
     idx = np.random.default_rng(cfg.data_seed).permutation(len(xs))[:cfg.batch_size]
 
     net = build_psi(cfg.arch_spec(), cfg.init_seed)
@@ -156,6 +153,17 @@ def test_validation_metrics_are_recorded(dataset, phi):
     for _, v_psnr, v_rmse in log.validations:
         assert math.isfinite(v_psnr)
         assert math.isfinite(v_rmse)
+
+def test_training_without_a_val_split_writes_no_val_line(tmp_path):
+    root = tmp_path / "data"
+    make_dataset(root, 2, 4, seed=37, ratios=(1.0, 0.0, 0.0),
+                 height=32, width=24)
+    _, log = train(tiny_config(root, total_steps=3, val_interval=1))
+    assert log.validations == []
+    log.write(tmp_path / "log.tsv")
+    lines = (tmp_path / "log.tsv").read_text().splitlines()
+    assert len(lines) == 4
+    assert not any(line.startswith("# val") for line in lines)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from demesh import stn
 from demesh.facegen import load_split, make_dataset
 from demesh.featnet import FeatureSpec, build_phi
+from demesh.inpaint import InpaintSpec, build_psi
 from demesh.layers import ShapeError
+from demesh.trainer import batched_forward
 from demesh.verifier import (EvalReport, FPR_TARGETS, RocPoint, ScoreSet,
-                             feature_rmse, psnr,
+                             _aligned_features, feature_rmse, psnr,
                              read_roc_tsv, roc, run_protocol, tpr_at_fpr,
                              verification_scores, write_report_tsv,
                              write_roc_tsv)
@@ -266,8 +270,7 @@ def test_identity_recovery_equals_corrupted_baseline(protocol_setup):
 
 def test_truth_oracle_recovery_equals_clear_baseline(protocol_setup):
     data, phi = protocol_setup
-    ys = np.stack([t.y for t in data.triplets])
-    report = run_protocol("oracle", lambda xs: ys, data, phi)
+    report = run_protocol("oracle", lambda xs: data.y, data, phi)
     assert math.isinf(report.psnr_db)
     assert report.feature_rmse == 0.0
 
@@ -286,12 +289,72 @@ def test_handcrafted_feature_sets_match_brute_force_exactly():
 def test_protocol_scoreset_counts_follow_identity_count(protocol_setup):
     data, phi = protocol_setup
     report = run_protocol("m", lambda xs: xs, data, phi)
-    n = len({t.identity for t in data.triplets})
+    n = len(set(data.identity))
     assert len(report.roc) >= 2
     # N genuine + N(N-1) impostor scores swept over distinct thresholds
     assert max(p.fpr for p in report.roc) == 1.0
     assert max(p.tpr for p in report.roc) == 1.0
     assert n == 6
+
+
+# ---------------------------------------------------------------------------
+# chunked inference
+# ---------------------------------------------------------------------------
+
+CHUNK_PHI = build_phi("fixed_random", seed=4, spec=FeatureSpec())
+CHUNK_PSI = build_psi(InpaintSpec(height=16, width=12, widths=(4, 8)), seed=8)
+# row counts just past one and two chunks of 64: fixed 64-row chunks leave a
+# remainder of 1-7 rows there, whose φ features round differently
+EDGE_ROWS = (*range(65, 72), *range(129, 136))
+
+
+def with_edge_rows(test):
+    for n in EDGE_ROWS:
+        test = example(n=n, seed=n)(test)
+    return test
+
+
+def faces(n, seed, h=64, w=48):
+    """Random (n, 1, h, w) images with jittered eye landmarks."""
+    rng = np.random.default_rng(seed)
+    left = rng.normal((0.35 * w, 0.4 * h), 1.5, size=(n, 2))
+    right = rng.normal((0.65 * w, 0.4 * h), 1.5, size=(n, 2))
+    eyes = [stn.Landmarks(tuple(a), tuple(b)) for a, b in zip(left, right)]
+    return rng.uniform(size=(n, 1, h, w)), eyes
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 200), seed=st.integers(0, 2 ** 16))
+@with_edge_rows
+def test_chunked_phi_features_are_bitwise_the_one_batch_features(n, seed):
+    images, eyes = faces(n, seed)
+    grid = stn.alignment_grid(eyes, 64, 48, CHUNK_PHI.in_h, CHUNK_PHI.in_w)
+    one_batch = CHUNK_PHI.features(stn.bilinear_sample(images, grid),
+                                   keep=False)
+    assert _aligned_features(CHUNK_PHI, images, eyes).tobytes() == \
+        one_batch.tobytes()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 200), seed=st.integers(0, 2 ** 16))
+@with_edge_rows
+def test_chunked_psi_is_bitwise_the_one_batch_forward(n, seed):
+    xs = np.random.default_rng(seed).uniform(size=(n, 1, 16, 12))
+    assert batched_forward(CHUNK_PSI, xs).tobytes() == \
+        CHUNK_PSI.forward(xs, keep=False).tobytes()
+
+
+def test_aligned_features_hold_one_chunk_at_a_time():
+    images, eyes = faces(400, seed=6)
+    _aligned_features(CHUNK_PHI, images[:2], eyes[:2])
+    tracemalloc.start()
+    try:
+        feats = _aligned_features(CHUNK_PHI, images, eyes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert feats.shape == (400, FeatureSpec().feature_width)
+    assert peak < 24 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
