@@ -548,10 +548,28 @@ def read_manifest(root: str | Path) -> list[tuple[str, str, str, str]]:
     return rows
 
 
+def _extent(img: Array) -> str:
+    """A (1, H, W) image's extent as ``WxH``, as a graymap header gives it."""
+    return f"{img.shape[2]}x{img.shape[1]}"
+
+
 def load_split(root: str | Path, split: str) -> SplitData:
     """Read one split back into memory, in manifest order; an empty split
     stacks as (0, 1, 0, 0)."""
     split_dir = Path(root) / split
+    first: Array | None = None
+
+    def read(path: str | Path) -> Array:
+        # every image of a split, dailies included, has the first one's extent
+        nonlocal first
+        img = read_pgm(path)
+        if first is None:
+            first = img
+        elif img.shape != first.shape:
+            raise DatasetError(f"{path}: {_extent(img)} graymap, the split's "
+                               f"first image is {_extent(first)}")
+        return img
+
     rows: list[tuple[str, str]] = []
     dailies: dict[str, tuple[Array, Landmarks]] = {}
     for row_split, ident, sample, kind in read_manifest(root):
@@ -559,7 +577,7 @@ def load_split(root: str | Path, split: str) -> SplitData:
             continue
         if kind == "daily":
             eyes, _, _ = _read_meta(split_dir / ident / "daily.meta")
-            dailies[ident] = (read_pgm(split_dir / ident / "daily.y.pgm"), eyes)
+            dailies[ident] = (read(split_dir / ident / "daily.y.pgm"), eyes)
         else:
             rows.append((ident, sample))
     stems = [split_dir / ident / sample for ident, sample in rows]
@@ -568,7 +586,7 @@ def load_split(root: str | Path, split: str) -> SplitData:
         # one image kind at a time, so one kind's per-image list is alive
         if not stems:
             return np.empty((0, 1, 0, 0))
-        return np.stack([read_pgm(f"{stem}.{kind}.pgm") for stem in stems])
+        return np.stack([read(f"{stem}.{kind}.pgm") for stem in stems])
 
     return SplitData(stack("x"), stack("y"),
                      (stack("m") > 0.5).astype(np.float64),
@@ -593,6 +611,10 @@ def validate_dataset(root: str | Path) -> int:
         y = read_pgm(id_dir / f"{sample}.y.pgm")
         m_raw = read_pgm(id_dir / f"{sample}.m.pgm")
         where = f"{split}/{ident}/{sample}"
+        for kind, img in (("x", x), ("y", y)):
+            if img.shape != m_raw.shape:
+                raise DatasetError(f"{where}.{kind}.pgm: {_extent(img)} "
+                                   f"graymap, its mask is {_extent(m_raw)}")
         if not np.all(np.isin(m_raw, (0.0, 1.0))):
             raise DatasetError(f"{where}: mask is not binary")
         density = m_raw.mean()

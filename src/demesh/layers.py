@@ -15,6 +15,14 @@ later ``backward`` raises ``NoRecordError``. A pool's indices are also
 forward data for its paired unpool; a record-free pass holds them only
 until that unpool has read them.
 
+Pooling and its gradient gather pick one of two float64 operands per
+element, and the pick depends on the data. ``np.where`` branches per element
+on that mask, which costs several times a contiguous compare when the mask
+is irregular, as argmax masks are. ``_select`` instead computes
+``f + (l - f) * wins`` on the int64 views of the operands: the arithmetic
+wraps modulo 2**64, so it hands back one operand's exact bit pattern
+(-0.0, infinities and NaNs of either sign included) with no branch.
+
 Array layout is NCHW: an explicit batch extent, then channels, height, width.
 """
 
@@ -117,6 +125,16 @@ def _later_wins(first: Array, later: Array) -> Array:
     return ~(later <= first) & (first == first)
 
 
+def _select(first: Array, later: Array, wins: Array) -> Array:
+    """``later`` where ``wins``, else ``first``, bit for bit and without a
+    branch (see the module docstring)."""
+    f = first.view(np.int64)
+    picked = later.view(np.int64) - f
+    picked *= wins
+    picked += f
+    return picked.view(np.float64)
+
+
 def maxpool2_indices(x: Array) -> tuple[Array, Array]:
     """2x2 non-overlapping max pooling with argmax bookkeeping.
 
@@ -126,18 +144,23 @@ def maxpool2_indices(x: Array) -> tuple[Array, Array]:
     The window is reduced pairwise (each row, then top against bottom),
     which picks the same element as ``argmax`` over the four.
     """
-    h, w = x.shape[2:]
+    n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 requires even spatial extents, got {h}x{w}")
-    a, b, c, d = _window_views(x)
-    right_top = _later_wins(a, b)
-    top = np.where(right_top, b, a)
-    right_bottom = _later_wins(c, d)
-    bottom = np.where(right_bottom, d, c)
+    # every row's horizontal pairs at once, then rows 2i and 2i + 1
+    pairs = x.reshape(-1, 2)
+    left, right = pairs[:, 0], pairs[:, 1]
+    right_wins = _later_wins(left, right)
+    rows = _select(left, right, right_wins).reshape(-1, 2, w // 2)
+    top, bottom = rows[:, 0], rows[:, 1]
     lower = _later_wins(top, bottom)
-    out = np.where(lower, bottom, top)
-    idx = np.where(lower, right_bottom + 2, right_top).astype(np.intp, copy=False)
-    return out, idx
+    out = _select(top, bottom, lower)
+    col = right_wins.view(np.int8).reshape(-1, 2, w // 2)
+    idx = col[:, 1] + 2 - col[:, 0]  # 2*row + col, by the same select
+    idx *= lower
+    idx += col[:, 0]
+    pooled = (n, c, h // 2, w // 2)
+    return out.reshape(pooled), idx.reshape(pooled).astype(np.intp)
 
 
 def unpool_indices(x: Array, indices: Array, out_hw: tuple[int, int]) -> Array:
@@ -168,9 +191,9 @@ def gather_pool_indices(grad: Array, indices: Array) -> Array:
     """Collect, per 2x2 window, the gradient entry at the recorded index
     (a -0.0 comes back as +0.0)."""
     v0, v1, v2, v3 = _window_views(grad)
-    out = np.where(indices == 0, v0, v1)
-    out = np.where(indices == 2, v2, out)
-    out = np.where(indices == 3, v3, out)
+    out = _select(v0, v1, indices == 1)
+    out = _select(out, v2, indices == 2)
+    out = _select(out, v3, indices == 3)
     out += 0.0  # -0.0 becomes +0.0, as in a sum into zeros
     return out
 
@@ -398,11 +421,12 @@ class Sigmoid:
         return []
 
     def forward(self, x: Array, *, keep: bool = True) -> Array:
-        y = np.empty_like(x)
-        pos = x >= 0
-        y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        y[~pos] = ex / (1.0 + ex)
+        # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never
+        # overflows; min(x, -x) is -|x| but keeps a NaN's sign bit
+        y = np.exp(np.minimum(x, -x))
+        denom = 1.0 + y
+        np.copyto(y, 1.0, where=x >= 0)
+        y /= denom
         self._y = y if keep else None
         return y
 
@@ -463,22 +487,29 @@ def softmax_cross_entropy(logits: Array, labels: Array) -> tuple[float, Array]:
 # chunked inference
 # ---------------------------------------------------------------------------
 
-INFERENCE_CHUNK = 64  # most rows in one inference chunk
+INFERENCE_CHUNK = 64  # most rows in one inference chunk, by default
 
 
-def map_chunks(fn, n: int) -> Array:
-    """``fn(rows)`` over ceil(n / INFERENCE_CHUNK) slices ``rows`` that cover
-    range(n) in order, their lengths differing by at most one, concatenated
+def map_chunks(fn, n: int, rows: int = INFERENCE_CHUNK) -> Array:
+    """``fn(chunk)`` over ceil(n / rows) slices ``chunk`` that cover
+    range(n) in order, their lengths differing by at most one, stacked
     along the first axis.
 
     Near-equal slices, not 64 rows plus a short remainder: a matrix product
     of a few rows rounds differently (OpenBLAS switches kernels), which moved
     φ's Dense output by up to 9e-15. One slice, or slices of 32 rows or
-    more, give φ's features bitwise as one batch does.
+    more, give φ's features bitwise as one batch does. A net without a
+    matrix product across rows, like ψ, may take smaller slices.
     """
-    k = max(1, -(-n // INFERENCE_CHUNK))
-    return np.concatenate([fn(slice(i * n // k, (i + 1) * n // k))
-                           for i in range(k)])
+    k = max(1, -(-n // rows))
+    out = None
+    for i in range(k):
+        lo, hi = i * n // k, (i + 1) * n // k
+        part = fn(slice(lo, hi))
+        if out is None:
+            out = np.empty((n, *part.shape[1:]), dtype=part.dtype)
+        out[lo:hi] = part
+    return out
 
 
 # ---------------------------------------------------------------------------

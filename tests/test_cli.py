@@ -202,6 +202,20 @@ def test_inpaint_reports_a_truncated_graymap_on_one_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: DatasetError: ")
 
+def test_train_reports_a_graymap_of_another_extent_on_one_line(
+        dataset, tmp_path, capsys):
+    copy = tmp_path / "data"
+    shutil.copytree(dataset, copy)
+    victim = next((copy / "train").glob("id*")) / "s001.y.pgm"
+    write_pgm(victim, np.zeros((12, 8)))
+    cfg_path = tmp_path / "config.txt"
+    write_tiny_config(cfg_path, copy)
+    assert run_cli("train", "--config", str(cfg_path), "--out",
+                   str(tmp_path / "run")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DatasetError: ")
+    assert "8x12 graymap" in err[0]
+
 def test_train_reports_a_missing_sample_file_on_one_line(dataset, tmp_path,
                                                          capsys):
     copy = tmp_path / "data"

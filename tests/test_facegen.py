@@ -401,6 +401,22 @@ def test_manifest_row_naming_missing_files_raises_dataset_error(tmp_path,
             scan(root)
 
 
+@pytest.mark.parametrize("name", ["s001.x", "s001.y", "s001.m", "daily.y"])
+def test_a_graymap_of_another_extent_raises_dataset_error(tmp_path, name):
+    root = tmp_path / "data"
+    make_dataset(root, 2, 2, seed=1, ratios=(1.0, 0.0, 0.0), height=16,
+                 width=16)
+    victim = root / "train" / "id0001" / f"{name}.pgm"
+    write_pgm(victim, np.zeros((12, 8)))
+    if not name.startswith("daily"):  # the scan checks triplets only
+        with pytest.raises(DatasetError,
+                           match="id0001/s001.* graymap, its mask"):
+            validate_dataset(root)
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{victim}: 8x12 graymap, the split's first image is 16x16")):
+        load_split(root, "train")
+
+
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz") / "data"

@@ -12,6 +12,7 @@ from demesh.layers import (Conv2d, Dense, FrozenParameterError,
                            gather_pool_indices, grad_check, map_chunks,
                            maxpool2_indices, mfm, mfm_backward,
                            softmax_cross_entropy, unpool_indices)
+from demesh.trainer import PSI_BLOCK
 
 
 def scalar_through(layer, x, weights):
@@ -284,7 +285,8 @@ def pool_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     x = rng.choice(_TIE_VALUES, size=shape)
     if draw(st.booleans()):  # argmax's rule: the first NaN wins
-        x[rng.random(shape) < 0.1] = rng.choice([np.nan, np.inf, -np.inf])
+        x[rng.random(shape) < 0.1] = rng.choice([np.nan, -np.nan, np.inf,
+                                                 -np.inf])
     grad = rng.choice(_TIE_VALUES, size=shape)
     return x, grad
 
@@ -339,6 +341,33 @@ def test_mfm_gradient_matches_finite_differences_away_from_ties():
 def test_mfm_works_on_flat_feature_vectors():
     x = np.array([[1.0, 5.0, 2.0, 0.5]])
     np.testing.assert_array_equal(mfm(x), [[2.0, 5.0]])
+
+
+# ---------------------------------------------------------------------------
+# logistic
+# ---------------------------------------------------------------------------
+
+def _ref_sigmoid(x):
+    """The boolean-mask form the one-exp Sigmoid replaced."""
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+_SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
+                  5e-324, -5e-324]
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.floats(-800.0, 800.0),
+                          st.sampled_from(_SIGMOID_EDGES)),
+                min_size=1, max_size=70))
+@example(_SIGMOID_EDGES)
+def test_sigmoid_matches_the_boolean_mask_reference_bitwise(values):
+    x = np.array(values).reshape(1, 1, 1, -1)
+    y = Sigmoid().forward(x, keep=False)
+    assert y.tobytes() == _ref_sigmoid(x).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -582,21 +611,25 @@ def test_recording_unpool_leaves_indices_for_both_backward_passes():
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 1000))
 @example(0)
+@example(8)
+@example(9)
 @example(64)
 @example(65)
 @example(128)
 @example(129)
 def test_map_chunks_covers_the_rows_in_order_with_near_equal_chunks(n):
-    chunks = []
+    for rows in (INFERENCE_CHUNK, PSI_BLOCK):  # φ's and ψ's bounds
+        chunks = []
 
-    def rows_of(rows):
-        chunks.append(rows)
-        return np.arange(n)[rows]
+        def rows_of(chunk):
+            chunks.append(chunk)
+            return np.arange(n)[chunk]
 
-    np.testing.assert_array_equal(map_chunks(rows_of, n), np.arange(n))
-    lengths = [rows.stop - rows.start for rows in chunks]
-    assert len(chunks) == max(1, -(-n // INFERENCE_CHUNK))
-    assert max(lengths) - min(lengths) <= 1
-    assert max(lengths) <= INFERENCE_CHUNK
-    if n > INFERENCE_CHUNK:
-        assert min(lengths) >= INFERENCE_CHUNK // 2
+        np.testing.assert_array_equal(map_chunks(rows_of, n, rows),
+                                      np.arange(n))
+        lengths = [chunk.stop - chunk.start for chunk in chunks]
+        assert len(chunks) == max(1, -(-n // rows))
+        assert max(lengths) - min(lengths) <= 1
+        assert max(lengths) <= rows
+        if n > rows:
+            assert min(lengths) >= rows // 2

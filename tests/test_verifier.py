@@ -306,12 +306,16 @@ CHUNK_PSI = build_psi(InpaintSpec(height=16, width=12, widths=(4, 8)), seed=8)
 # row counts just past one and two chunks of 64: fixed 64-row chunks leave a
 # remainder of 1-7 rows there, whose φ features round differently
 EDGE_ROWS = (*range(65, 72), *range(129, 136))
+# row counts around one, two and eight of ψ's 8-row blocks
+BLOCK_EDGE_ROWS = (*range(7, 10), *range(15, 18), *range(63, 66))
 
 
-def with_edge_rows(test):
-    for n in EDGE_ROWS:
-        test = example(n=n, seed=n)(test)
-    return test
+def with_rows(counts):
+    def add_examples(test):
+        for n in counts:
+            test = example(n=n, seed=n)(test)
+        return test
+    return add_examples
 
 
 def faces(n, seed, h=64, w=48):
@@ -325,7 +329,7 @@ def faces(n, seed, h=64, w=48):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(n=st.integers(1, 200), seed=st.integers(0, 2 ** 16))
-@with_edge_rows
+@with_rows(EDGE_ROWS)
 def test_chunked_phi_features_are_bitwise_the_one_batch_features(n, seed):
     images, eyes = faces(n, seed)
     grid = stn.alignment_grid(eyes, 64, 48, CHUNK_PHI.in_h, CHUNK_PHI.in_w)
@@ -337,11 +341,25 @@ def test_chunked_phi_features_are_bitwise_the_one_batch_features(n, seed):
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(n=st.integers(1, 200), seed=st.integers(0, 2 ** 16))
-@with_edge_rows
+@with_rows(EDGE_ROWS + BLOCK_EDGE_ROWS)
 def test_chunked_psi_is_bitwise_the_one_batch_forward(n, seed):
     xs = np.random.default_rng(seed).uniform(size=(n, 1, 16, 12))
     assert batched_forward(CHUNK_PSI, xs).tobytes() == \
         CHUNK_PSI.forward(xs, keep=False).tobytes()
+
+
+def test_psi_blocks_hold_one_block_at_a_time():
+    psi = build_psi(InpaintSpec(), seed=8)
+    xs = np.random.default_rng(8).uniform(size=(400, 1, 64, 48))
+    batched_forward(psi, xs[:2])
+    tracemalloc.start()
+    try:
+        out = batched_forward(psi, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == xs.shape
+    assert peak < 24 * 2 ** 20
 
 
 def test_aligned_features_hold_one_chunk_at_a_time():
