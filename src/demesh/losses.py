@@ -96,7 +96,8 @@ def pixel_loss(pred: Array, target: Array, mask: Array,
     """Squared error plus a mask-weighted squared error on corrupted pixels.
 
     Summed over pixels, averaged over the batch. The gradient is with
-    respect to the prediction.
+    respect to the prediction. The mask is bool or 0/1 floats; both give
+    the same bits.
     """
     if pred.shape != target.shape or pred.shape != mask.shape:
         raise ShapeError(

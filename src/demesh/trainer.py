@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import atomic, configio, losses
-from .facegen import SplitData, load_split
+from .facegen import SplitData, load_split, to_float
 from .featnet import FeatureNet, FeatureSpec, build_phi, load_phi, save_phi
 from .inpaint import InpaintNet, InpaintSpec, build_psi, save_psi
 from .losses import LossConfig, VARIANTS
@@ -171,9 +171,10 @@ PSI_BLOCK = 8
 
 
 def batched_forward(net: InpaintNet, xs: Array) -> Array:
-    """ψ's inference pass over ``xs``, in cache-sized blocks."""
-    return map_chunks(lambda rows: net.forward(xs[rows], keep=False), len(xs),
-                      PSI_BLOCK)
+    """ψ's inference pass over the graymaps ``xs``, in cache-sized blocks,
+    each converted to float as it is run."""
+    return map_chunks(lambda rows: net.forward(to_float(xs[rows]), keep=False),
+                      len(xs), PSI_BLOCK)
 
 
 def train(cfg: TrainConfig, phi: FeatureNet | None = None
@@ -208,8 +209,8 @@ def train(cfg: TrainConfig, phi: FeatureNet | None = None
         cursor += cfg.batch_size
         lr = cfg.learning_rate(step)
 
-        pred = net.forward(data.x[idx])
-        ul = losses.unified_loss(pred, data.y[idx], data.m[idx],
+        pred = net.forward(to_float(data.x[idx]))
+        ul = losses.unified_loss(pred, to_float(data.y[idx]), data.m[idx],
                                  [data.eyes[i] for i in idx], phi, loss_cfg)
         if not np.isfinite(ul.value):
             raise TrainingDiverged(
@@ -277,8 +278,9 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[EvalReport]:
         write_roc_tsv(report, out)
         write_report_tsv(reports, out / "ablation.tsv")
 
-    finish(run_protocol("clear", lambda xs: test_data.y, test_data, phi))
-    finish(run_protocol("corrupted", lambda xs: xs, test_data, phi))
+    finish(run_protocol("clear", lambda xs: to_float(test_data.y), test_data,
+                        phi))
+    finish(run_protocol("corrupted", to_float, test_data, phi))
     for variant in VARIANTS:
         vcfg = replace(cfg, variant=variant)
         net, log = train(vcfg, phi)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import atomic, stn
-from .facegen import SplitData
+from .facegen import SplitData, to_float
 from .featnet import FeatureNet
 from .layers import ShapeError, map_chunks
 
@@ -141,36 +141,41 @@ def verification_scores(gallery: Array, probes: Array) -> ScoreSet:
 # full protocol
 # ---------------------------------------------------------------------------
 
-def _aligned_features(phi: FeatureNet, images: Array, eyes) -> Array:
-    """φ's features of each image's eye-aligned crop, one chunk at a time."""
-    _, _, h, w = images.shape
-
+def _aligned_features(phi: FeatureNet, load, eyes) -> Array:
+    """φ's features of each image's eye-aligned crop, one chunk at a time;
+    ``load(rows)`` gives a slice of rows' float images (n, 1, H, W)."""
     def crop_features(rows: slice) -> Array:
-        grid = stn.alignment_grid(eyes[rows], h, w, phi.in_h, phi.in_w)
-        return phi.features(stn.bilinear_sample(images[rows], grid), keep=False)
-    return map_chunks(crop_features, len(images))
+        images = load(rows)
+        grid = stn.alignment_grid(eyes[rows], *images.shape[2:], phi.in_h,
+                                  phi.in_w)
+        return phi.features(stn.bilinear_sample(images, grid), keep=False)
+    return map_chunks(crop_features, len(eyes))
 
 
 def recovery_metrics(recovered: Array, data: SplitData,
                      phi: FeatureNet | None):
-    """Mean PSNR and feature RMSE of recovered (N, 1, H, W) images against
-    the split's clear ones, plus the recovered images' aligned features.
-    Without a feature net the RMSE is nan and there are no features."""
-    mean_psnr = float(np.mean([psnr(r, c) for r, c in zip(recovered, data.y)]))
+    """Mean PSNR and feature RMSE of recovered (N, 1, H, W) float images
+    against the split's clear graymaps, plus the recovered images' aligned
+    features. Without a feature net the RMSE is nan and there are no
+    features."""
+    mean_psnr = float(np.mean([psnr(r, to_float(c))
+                               for r, c in zip(recovered, data.y)]))
     if phi is None:
         return mean_psnr, float("nan"), None
-    feats = _aligned_features(phi, recovered, data.eyes)
-    rmse = feature_rmse(feats, _aligned_features(phi, data.y, data.eyes))
-    return mean_psnr, rmse, feats
+    feats = _aligned_features(phi, lambda rows: recovered[rows], data.eyes)
+    clear = _aligned_features(phi, lambda rows: to_float(data.y[rows]),
+                              data.eyes)
+    return mean_psnr, feature_rmse(feats, clear), feats
 
 
 def run_protocol(model: str, recover_fn, data: SplitData,
                  phi: FeatureNet) -> EvalReport:
     """Evaluate one recovery function on a test split.
 
-    ``recover_fn`` maps a batch of corrupted images (N, 1, H, W) to recovered
-    images of the same shape. PSNR and feature RMSE are computed against the
-    clear ground truth over every row; verification scores every
+    ``recover_fn`` maps the split's corrupted graymaps (N, 1, H, W) to
+    recovered float64 images of the same shape; any other dtype raises
+    TypeError. PSNR and feature RMSE are computed against the clear ground
+    truth over every row; verification scores every
     (recovered gallery, daily probe) pair over one gallery image (the
     identity's first row) and one daily photo per identity.
     """
@@ -180,6 +185,9 @@ def run_protocol(model: str, recover_fn, data: SplitData,
     if recovered.shape != data.x.shape:
         raise ShapeError(f"recovery changed the batch shape: "
                          f"{recovered.shape} vs {data.x.shape}")
+    if recovered.dtype != np.float64:
+        raise TypeError(f"recovery must be float64 images in [0, 1], got "
+                        f"{recovered.dtype} (convert graymaps with to_float)")
 
     mean_psnr, rmse, feats_rec = recovery_metrics(recovered, data, phi)
 
@@ -190,7 +198,8 @@ def run_protocol(model: str, recover_fn, data: SplitData,
     if missing:
         raise ValueError(f"identities without a daily photo: {missing}")
     probe_imgs, probe_eyes = zip(*(data.dailies[ident] for ident in idents))
-    probe_feats = _aligned_features(phi, np.stack(probe_imgs), probe_eyes)
+    probe_feats = _aligned_features(
+        phi, lambda rows: to_float(np.stack(probe_imgs[rows])), probe_eyes)
 
     scores = verification_scores(feats_rec[gallery_rows], probe_feats)
     points = roc(scores)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import demesh
+from demesh import cli
 from demesh.cli import main
 from demesh.facegen import make_dataset, read_pgm, write_pgm
 from demesh.trainer import TrainConfig, format_config
@@ -70,6 +71,22 @@ def test_gen_data_refuses_nonempty_dir_without_force(tmp_path, capsys):
     assert err.count("\n") == 1
     assert run_cli("gen-data", "--out", str(target), "--identities", "2",
                    "--per-id", "1", "--force") == 0
+
+def test_gen_data_reports_a_truncated_daily_photo_on_one_line(
+        tmp_path, capsys, monkeypatch):
+    def make_then_truncate(out, *args):
+        manifest = make_dataset(out, *args)
+        daily = out / "train" / "id0001" / "daily.y.pgm"
+        daily.write_bytes(daily.read_bytes()[:len(b"P5\n16 16\n255\n")])
+        return manifest
+
+    monkeypatch.setattr(cli, "make_dataset", make_then_truncate)
+    assert run_cli("gen-data", "--out", str(tmp_path / "d"), "--identities",
+                   "2", "--per-id", "1", "--split", "1,0,0", "--height", "16",
+                   "--width", "16") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DatasetError: ")
+    assert "id0001/daily.y.pgm: 0 pixel bytes" in err[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from collections import deque
 from pathlib import Path
 
@@ -11,10 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 from demesh.facegen import (DAILY_PROFILE, DatasetError, Jitter,
                             MASK_DENSITY_MAX, MASK_DENSITY_MIN, SPLITS,
                             apply_mesh,
-                            load_split, make_dataset, read_manifest, read_pgm,
-                            render_face, render_with_jitter, sample_identity,
-                            split_counts, synth_mesh, validate_dataset,
-                            write_pgm, _label_components, _read_meta)
+                            load_split, make_dataset, read_graymap,
+                            read_manifest, read_pgm, render_face,
+                            render_with_jitter, sample_identity, split_counts,
+                            synth_mesh, to_float, validate_dataset, write_pgm,
+                            _label_components, _read_meta)
 
 
 def identity_fixture(seed=101):
@@ -303,17 +305,22 @@ def test_load_split_stacks_rows_in_manifest_order(tmp_path):
         assert list(zip(data.identity, data.sample)) == rows
         assert data.x.shape == data.y.shape == data.m.shape == \
             (len(rows), 1, 64, 48)
+        assert (data.x.dtype, data.y.dtype, data.m.dtype) == \
+            (np.uint8, np.uint8, bool)
         assert len(data) == len(data.eyes) == len(rows)
         for i, (ident, sample) in enumerate(rows):
             stem = root / split / ident / sample
-            for stack, kind in ((data.x, "x"), (data.y, "y"), (data.m, "m")):
+            for stack, kind in ((data.x, "x"), (data.y, "y")):
                 np.testing.assert_array_equal(
-                    stack[i], read_pgm(f"{stem}.{kind}.pgm"))
+                    to_float(stack[i]), read_pgm(f"{stem}.{kind}.pgm"))
+            np.testing.assert_array_equal(
+                data.m[i], read_pgm(f"{stem}.m.pgm") > 0.5)
             assert data.eyes[i] == _read_meta(stem.with_suffix(".meta"))[0]
         assert list(data.dailies) == list(dict.fromkeys(data.identity))
         for ident, (image, eyes) in data.dailies.items():
+            assert image.dtype == np.uint8
             np.testing.assert_array_equal(
-                image, read_pgm(root / split / ident / "daily.y.pgm"))
+                to_float(image), read_pgm(root / split / ident / "daily.y.pgm"))
             assert eyes == _read_meta(root / split / ident / "daily.meta")[0]
 
 def test_an_empty_split_loads_as_zero_rows(tmp_path):
@@ -323,6 +330,47 @@ def test_an_empty_split_loads_as_zero_rows(tmp_path):
     assert data.x.shape == data.y.shape == data.m.shape == (0, 1, 0, 0)
     assert data.eyes == data.identity == data.sample == []
     assert data.dailies == {}
+
+def test_load_split_of_a_200_by_2_split_holds_bytes_not_floats(tmp_path):
+    root = tmp_path / "data"
+    make_dataset(root, 200, 2, seed=3, ratios=(0.0, 0.0, 1.0))
+    load_split(root, "test")
+    tracemalloc.start()
+    try:
+        data = load_split(root, "test")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.x.shape == (400, 1, 64, 48)
+    # float64 stacks of x, y, m and the dailies peaked at 42.6 MiB here;
+    # the graymaps at 5.7 MiB
+    assert peak < 8 * 2 ** 20
+
+def test_to_float_is_bitwise_read_pgm_for_every_byte(tmp_path):
+    every = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
+    path = tmp_path / "ramp.pgm"
+    path.write_bytes(b"P5\n16 16\n255\n" + every.tobytes())
+    np.testing.assert_array_equal(read_graymap(path), every)
+    assert to_float(every).tobytes() == read_pgm(path).tobytes()
+    # the split's mask threshold on bytes is the float one
+    np.testing.assert_array_equal(every > 127, read_pgm(path) > 0.5)
+
+@pytest.mark.parametrize("name, content, match", [
+    pytest.param("daily.y.pgm", b"P5\n16 16\n255\n",
+                 "id0001/daily.y.pgm: 0 pixel bytes", id="header-only-graymap"),
+    pytest.param("daily.meta", b"identity = id0001\n",
+                 "id0001/daily.meta: missing eye", id="meta-without-eyes"),
+    pytest.param("daily.meta", b"eyes = 1 5 9 5\nidentity = id0001\n",
+                 "train/id0001/daily.meta: eyes out of frame",
+                 id="eyes-out-of-frame"),
+])
+def test_validation_checks_every_daily_photo(tmp_path, name, content, match):
+    root = tmp_path / "data"
+    make_dataset(root, 2, 2, seed=1, ratios=(1.0, 0.0, 0.0), height=16,
+                 width=16)
+    (root / "train" / "id0001" / name).write_bytes(content)
+    with pytest.raises(DatasetError, match=match):
+        validate_dataset(root)
 
 def test_validation_flags_tampered_dataset(tmp_path):
     make_dataset(tmp_path / "data", 3, 1, seed=17, ratios=(1.0, 0.0, 0.0))
@@ -408,10 +456,10 @@ def test_a_graymap_of_another_extent_raises_dataset_error(tmp_path, name):
                  width=16)
     victim = root / "train" / "id0001" / f"{name}.pgm"
     write_pgm(victim, np.zeros((12, 8)))
-    if not name.startswith("daily"):  # the scan checks triplets only
-        with pytest.raises(DatasetError,
-                           match="id0001/s001.* graymap, its mask"):
-            validate_dataset(root)
+    match = "id0001/daily.y.pgm: 8x12 graymap, its identity's triplets" \
+        if name.startswith("daily") else "id0001/s001.* graymap, its mask"
+    with pytest.raises(DatasetError, match=match):
+        validate_dataset(root)
     with pytest.raises(DatasetError, match=re.escape(
             f"{victim}: 8x12 graymap, the split's first image is 16x16")):
         load_split(root, "train")

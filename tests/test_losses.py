@@ -80,6 +80,20 @@ def test_pixel_loss_gradient_matches_finite_differences_tightly():
     report = grad_check(fn, rng.uniform(size=(2, 1, 3, 3)))
     assert report.max_rel_err < 1e-6
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(n=st.integers(1, 4), lam=st.floats(0.0, 4.0),
+       seed=st.integers(0, 2 ** 16))
+def test_pixel_loss_with_a_bool_mask_is_bitwise_the_float_mask_result(
+        n, lam, seed):
+    rng = np.random.default_rng(seed)
+    pred = rng.normal(size=(n, 1, 5, 4))
+    target = rng.uniform(size=(n, 1, 5, 4))
+    mask = rng.uniform(size=(n, 1, 5, 4)) > 0.7
+    by_bool = pixel_loss(pred, target, mask, lam)
+    by_float = pixel_loss(pred, target, mask.astype(np.float64), lam)
+    assert by_bool.value == by_float.value
+    assert by_bool.grad.tobytes() == by_float.grad.tobytes()
+
 def test_pixel_loss_averages_over_batch():
     pred = np.ones((4, 1, 2, 2))
     target = np.zeros_like(pred)

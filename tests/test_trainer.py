@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from demesh import losses, trainer
-from demesh.facegen import load_split, make_dataset
+from demesh.facegen import load_split, make_dataset, to_float
 from demesh.featnet import FeatureSpec, build_phi
 from demesh.inpaint import build_psi, load_psi, save_psi
 from demesh.losses import UnifiedLoss
@@ -96,7 +96,7 @@ def test_single_step_replay_matches_hand_applied_adam_update(dataset, phi):
 
     # independent replay: same net init, same first batch, hand Adam
     data = load_split(cfg.dataset, "train")
-    xs, ys, ms, eyes = data.x, data.y, data.m, data.eyes
+    xs, ys, ms, eyes = to_float(data.x), to_float(data.y), data.m, data.eyes
     idx = np.random.default_rng(cfg.data_seed).permutation(len(xs))[:cfg.batch_size]
 
     net = build_psi(cfg.arch_spec(), cfg.init_seed)

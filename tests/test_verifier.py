@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from demesh import stn
-from demesh.facegen import load_split, make_dataset
+from demesh.facegen import load_split, make_dataset, to_float
 from demesh.featnet import FeatureSpec, build_phi
 from demesh.inpaint import InpaintSpec, build_psi
 from demesh.layers import ShapeError
@@ -262,17 +262,26 @@ def protocol_setup(tmp_path_factory):
 
 def test_identity_recovery_equals_corrupted_baseline(protocol_setup):
     data, phi = protocol_setup
-    a = run_protocol("model", lambda xs: xs, data, phi)
-    b = run_protocol("corrupted", lambda xs: xs.copy(), data, phi)
+    a = run_protocol("model", to_float, data, phi)
+    b = run_protocol("corrupted", lambda xs: to_float(xs.copy()), data, phi)
     assert a.psnr_db == b.psnr_db
     assert a.feature_rmse == b.feature_rmse
     assert a.tpr_at == b.tpr_at
 
 def test_truth_oracle_recovery_equals_clear_baseline(protocol_setup):
     data, phi = protocol_setup
-    report = run_protocol("oracle", lambda xs: data.y, data, phi)
+    report = run_protocol("oracle", lambda xs: to_float(data.y), data, phi)
     assert math.isinf(report.psnr_db)
     assert report.feature_rmse == 0.0
+
+@pytest.mark.parametrize("recover", [
+    pytest.param(lambda xs: xs, id="graymap"),
+    pytest.param(lambda xs: to_float(xs).astype(np.float32), id="float32"),
+])
+def test_a_recovery_that_is_not_float64_is_refused(protocol_setup, recover):
+    data, phi = protocol_setup
+    with pytest.raises(TypeError, match="float64"):
+        run_protocol("raw", recover, data, phi)
 
 def test_handcrafted_feature_sets_match_brute_force_exactly():
     rng = np.random.default_rng(50)
@@ -288,7 +297,7 @@ def test_handcrafted_feature_sets_match_brute_force_exactly():
 
 def test_protocol_scoreset_counts_follow_identity_count(protocol_setup):
     data, phi = protocol_setup
-    report = run_protocol("m", lambda xs: xs, data, phi)
+    report = run_protocol("m", to_float, data, phi)
     n = len(set(data.identity))
     assert len(report.roc) >= 2
     # N genuine + N(N-1) impostor scores swept over distinct thresholds
@@ -335,22 +344,24 @@ def test_chunked_phi_features_are_bitwise_the_one_batch_features(n, seed):
     grid = stn.alignment_grid(eyes, 64, 48, CHUNK_PHI.in_h, CHUNK_PHI.in_w)
     one_batch = CHUNK_PHI.features(stn.bilinear_sample(images, grid),
                                    keep=False)
-    assert _aligned_features(CHUNK_PHI, images, eyes).tobytes() == \
-        one_batch.tobytes()
+    assert _aligned_features(CHUNK_PHI, lambda rows: images[rows],
+                             eyes).tobytes() == one_batch.tobytes()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(n=st.integers(1, 200), seed=st.integers(0, 2 ** 16))
 @with_rows(EDGE_ROWS + BLOCK_EDGE_ROWS)
 def test_chunked_psi_is_bitwise_the_one_batch_forward(n, seed):
-    xs = np.random.default_rng(seed).uniform(size=(n, 1, 16, 12))
+    xs = np.random.default_rng(seed).integers(0, 256, size=(n, 1, 16, 12),
+                                              dtype=np.uint8)
     assert batched_forward(CHUNK_PSI, xs).tobytes() == \
-        CHUNK_PSI.forward(xs, keep=False).tobytes()
+        CHUNK_PSI.forward(to_float(xs), keep=False).tobytes()
 
 
 def test_psi_blocks_hold_one_block_at_a_time():
     psi = build_psi(InpaintSpec(), seed=8)
-    xs = np.random.default_rng(8).uniform(size=(400, 1, 64, 48))
+    xs = np.random.default_rng(8).integers(0, 256, size=(400, 1, 64, 48),
+                                           dtype=np.uint8)
     batched_forward(psi, xs[:2])
     tracemalloc.start()
     try:
@@ -364,10 +375,10 @@ def test_psi_blocks_hold_one_block_at_a_time():
 
 def test_aligned_features_hold_one_chunk_at_a_time():
     images, eyes = faces(400, seed=6)
-    _aligned_features(CHUNK_PHI, images[:2], eyes[:2])
+    _aligned_features(CHUNK_PHI, lambda rows: images[rows], eyes[:2])
     tracemalloc.start()
     try:
-        feats = _aligned_features(CHUNK_PHI, images, eyes)
+        feats = _aligned_features(CHUNK_PHI, lambda rows: images[rows], eyes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
