@@ -20,7 +20,6 @@ from .facegen import load_split, make_dataset, read_pgm, validate_dataset, \
     write_pgm
 from .featnet import load_phi
 from .inpaint import load_psi, save_psi
-from .verifier import psnr
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +111,12 @@ def cmd_inpaint(args) -> int:
         raise ValueError(
             f"image extent {img.shape[1]}x{img.shape[2]} does not match "
             f"checkpoint {net.spec.height}x{net.spec.width}")
-    pred = net.forward(img[None], keep=False)[0]
-    write_pgm(args.out, pred)
+    pred = net.forward(img[None], keep=False)
+    write_pgm(args.out, pred[0])
     print(f"out = {args.out}")
     if args.truth:
         truth = read_pgm(args.truth)
-        print(f"psnr_db = {psnr(pred, truth):.6f}")
+        print(f"psnr_db = {verifier.psnr(pred, truth[None])[0]:.6f}")
     return 0
 
 
@@ -125,7 +124,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf")
 
 
-def _roc_svg(series: list[tuple[str, list]], width=640, height=480) -> str:
+def _roc_svg(series: list[tuple], width=640, height=480) -> str:
     left, bottom, right, top = 60, 40, 20, 20
     pw, ph = width - left - right, height - bottom - top
 
@@ -144,9 +143,9 @@ def _roc_svg(series: list[tuple[str, list]], width=640, height=480) -> str:
              f'<text x="16" y="{top + ph / 2:.0f}" text-anchor="middle" '
              f'font-size="14" transform="rotate(-90 16 {top + ph / 2:.0f})">'
              f'true positive rate</text>']
-    for k, (model, points) in enumerate(series):
+    for k, (model, table) in enumerate(series):
         color = _PALETTE[k % len(_PALETTE)]
-        pts = sorted(((p.fpr, p.tpr) for p in points))
+        pts = sorted(zip(table[:, 0], table[:, 1]))
         d = [f"M {sx(0):.2f} {sy(pts[0][1]):.2f}"]
         prev_tpr = pts[0][1]
         for fpr, tpr in pts:
@@ -179,10 +178,9 @@ def cmd_roc_plot(args) -> int:
             raise FileNotFoundError(f"no roc_*.tsv files in {report_dir}")
     series = [(n, verifier.read_roc_tsv(report_dir / f"roc_{n}.tsv"))
               for n in names]
-    lines = ["model\tfpr\ttpr\tthreshold"]
-    for name, points in series:
-        lines += [f"{name}\t{p.fpr:.9f}\t{p.tpr:.9f}\t{p.threshold:.9f}"
-                  for p in points]
+    lines = ["model\t" + verifier.ROC_HEADER]
+    for name, table in series:
+        lines += [f"{name}\t{line}" for line in verifier.roc_lines(table)]
     atomic.write_file(args.out, "\n".join(lines) + "\n")
     print(f"out = {args.out}")
     if args.svg:

@@ -99,13 +99,11 @@ class FeatureNet:
     gives the same activations but keeps nothing for ``backward_taps``.
     """
 
-    def __init__(self, layers: list, taps: dict[str, int], in_h: int,
-                 in_w: int, spec: FeatureSpec | None = None):
+    def __init__(self, layers: list, taps: dict[str, int], spec: FeatureSpec):
         self.layers = layers
         self.taps = taps
-        self.in_h = in_h
-        self.in_w = in_w
         self.spec = spec
+        self.in_h, self.in_w = spec.in_h, spec.in_w
         self.pretrain_accuracy: float | None = None
 
     def params(self) -> list[Param]:
@@ -192,7 +190,7 @@ def build_phi(mode: str = "pretrain", seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     layers, taps = _build_layers(spec, rng)
-    net = FeatureNet(layers, taps, spec.in_h, spec.in_w, spec)
+    net = FeatureNet(layers, taps, spec)
     if mode == "fixed_random":
         net.freeze()
         return net
@@ -235,8 +233,6 @@ def build_phi(mode: str = "pretrain", seed: int = 0,
 
 
 def save_phi(net: FeatureNet, path) -> None:
-    if net.spec is None:
-        raise ValueError("only spec-built feature nets can be serialized")
     checkpoint.save_checkpoint(path, configio.format_kv(net.spec.to_kv()),
                                net.params())
 
@@ -249,6 +245,6 @@ def load_phi(path) -> FeatureNet:
             f"{path}: checkpoint holds a {kv.get('kind')!r} net, expected feature")
     spec = FeatureSpec.from_kv(kv)
     layers, taps = _build_layers(spec, rng=np.random.default_rng(0))
-    net = FeatureNet(layers, taps, spec.in_h, spec.in_w, spec)
+    net = FeatureNet(layers, taps, spec)
     checkpoint.fill_params(net.params(), records, path)
     return net

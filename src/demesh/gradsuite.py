@@ -130,7 +130,7 @@ def _check_bilinear_backward(rng):
     return grad_check(fn, rng.normal(size=(2, 1, 6, 6)))
 
 
-def _check_align_face(rng):
+def _check_alignment_sample(rng):
     eyes = [stn.Landmarks((rng.uniform(3, 5), rng.uniform(4, 6)),
                           (rng.uniform(8, 10), rng.uniform(4, 6)))
             for _ in range(2)]
@@ -220,7 +220,7 @@ _CHECKS = {
     ],
     "stn": [
         ("bilinear_backward", _check_bilinear_backward),
-        ("align_face", _check_align_face),
+        ("alignment_sample", _check_alignment_sample),
     ],
     "losses": [
         ("pixel_loss", _check_pixel_loss),

@@ -21,7 +21,7 @@ from .facegen import SplitData, load_split, to_float
 from .featnet import FeatureNet, FeatureSpec, build_phi, load_phi, save_phi
 from .inpaint import InpaintNet, InpaintSpec, build_psi, save_psi
 from .losses import LossConfig, VARIANTS
-from .layers import adam_step, map_chunks
+from .layers import PSI_BLOCK, adam_step, map_chunks
 from .verifier import (EvalReport, recovery_metrics, run_protocol,
                        write_report_tsv, write_roc_tsv)
 
@@ -159,15 +159,6 @@ def _validation_metrics(net: InpaintNet, data: SplitData,
                         phi: FeatureNet | None):
     mean_psnr, rmse, _ = recovery_metrics(batched_forward(net, data.x), data, phi)
     return mean_psnr, rmse
-
-
-# ψ's inference block: at 8 rows the largest activation, (8, 16, 64, 48),
-# is 3.1 MB and every layer's input and output stay in a 4 MiB L2. Over 400
-# 64x48 images (one thread, 2-vCPU Xeon, medians of 10 interleaved runs)
-# bounds of 4, 8, 16, 32 and 64 rows took 1.66, 1.65, 1.85, 1.91 and
-# 2.00 s. ψ has no matrix product across rows, so any block gives the
-# one-batch output bitwise.
-PSI_BLOCK = 8
 
 
 def batched_forward(net: InpaintNet, xs: Array) -> Array:

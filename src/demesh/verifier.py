@@ -15,8 +15,8 @@ triplets.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,25 +24,23 @@ import numpy as np
 from . import atomic, stn
 from .facegen import SplitData, to_float
 from .featnet import FeatureNet
-from .layers import ShapeError, map_chunks
+from .layers import PSI_BLOCK, ShapeError, map_chunks
 
 Array = np.ndarray
 
 FPR_TARGETS = (1e-2, 1e-3, 1e-4)
 REPORT_HEADER = "model\ttpr_fpr_1e2\ttpr_fpr_1e3\ttpr_fpr_1e4\tpsnr_db\tfeature_rmse"
+ROC_HEADER = "fpr\ttpr\tthreshold"
+
+
+class RocTableError(ValueError):
+    """A ROC table that is not what ``write_roc_tsv`` writes."""
 
 
 @dataclass
-class ScoreSet:
-    genuine: list[float]
-    impostor: list[float]
-
-
-@dataclass
-class RocPoint:
-    fpr: float
-    tpr: float
-    threshold: float
+class ScoreSet:  # float64 cosine scores
+    genuine: Array
+    impostor: Array
 
 
 @dataclass
@@ -51,38 +49,35 @@ class EvalReport:
     psnr_db: float
     feature_rmse: float
     tpr_at: dict[float, float]
-    roc: list[RocPoint] = field(default_factory=list)
+    roc: Array  # the (P, 3) table of roc()
 
     def row(self) -> str:
-        psnr = "inf" if math.isinf(self.psnr_db) else f"{self.psnr_db:.6f}"
         tprs = "\t".join(f"{self.tpr_at[t]:.6f}" for t in FPR_TARGETS)
-        return f"{self.model}\t{tprs}\t{psnr}\t{self.feature_rmse:.6f}"
+        return f"{self.model}\t{tprs}\t{self.psnr_db:.6f}\t{self.feature_rmse:.6f}"
 
 
 # ---------------------------------------------------------------------------
-# scalar metrics
+# image and feature metrics
 # ---------------------------------------------------------------------------
 
-def psnr(pred: Array, target: Array, max_val: float = 1.0) -> float:
-    """10 log10(max^2 / MSE); identical images report +inf."""
+def psnr(pred: Array, target: Array) -> Array:
+    """Per-image PSNR in dB of (N, 1, H, W) images in [0, 1] against their
+    targets; +inf for an identical pair. Each image's dB comes from
+    ``math.log10``: ``np.log10``'s SIMD loops round differently across CPUs."""
     if pred.shape != target.shape:
         raise ShapeError(f"image shapes differ: {pred.shape} vs {target.shape}")
-    mse = float(np.mean((pred - target) ** 2))
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(max_val * max_val / mse)
+    mse = np.mean((pred - target) ** 2, axis=(1, 2, 3))
+    return np.array([10.0 * math.log10(1.0 / m) if m else math.inf for m in mse])
 
 
-def feature_rmse(preds: Sequence[Array], targets: Sequence[Array]) -> float:
-    """Mean over samples (rows) of the Euclidean feature distance."""
-    if len(preds) != len(targets):
-        raise ValueError(f"sample counts differ: {len(preds)} vs {len(targets)}")
-    dists = []
-    for p, t in zip(preds, targets):
-        if p.shape != t.shape:
-            raise ShapeError(f"feature widths differ: {p.shape} vs {t.shape}")
-        dists.append(float(np.linalg.norm(p - t)))
-    return float(np.mean(dists))
+def feature_rmse(preds: Array, targets: Array) -> float:
+    """Mean over rows of the Euclidean distance between (N, F) features.
+    A stacked (1, F) @ (F, 1) product per row gives the bits of a per-row
+    ``np.linalg.norm``; ``norm(d, axis=1)`` does not."""
+    if preds.shape != targets.shape:
+        raise ShapeError(f"feature shapes differ: {preds.shape} vs {targets.shape}")
+    d = preds - targets
+    return float(np.mean(np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])))
 
 
 # ---------------------------------------------------------------------------
@@ -93,34 +88,28 @@ def _count_at_or_above(scores: Array, thresholds: Array) -> Array:
     return scores.size - np.searchsorted(np.sort(scores), thresholds, side="left")
 
 
-def roc(scores: ScoreSet) -> list[RocPoint]:
+def roc(scores: ScoreSet) -> Array:
     """Threshold sweep over every distinct score; a pair accepts when its
-    score is >= the threshold. Points come out sorted by FPR (then TPR).
-    Scores must be finite."""
-    if not scores.genuine or not scores.impostor:
+    score is >= the threshold. Returns a (P, 3) float64 table of (fpr, tpr,
+    threshold) rows, sorted by FPR, then TPR, then threshold. Scores must be
+    finite."""
+    genuine, impostor = scores.genuine, scores.impostor
+    if not genuine.size or not impostor.size:
         raise ValueError("both genuine and impostor scores are required")
-    genuine = np.asarray(scores.genuine, dtype=np.float64)
-    impostor = np.asarray(scores.impostor, dtype=np.float64)
     if not (np.isfinite(genuine).all() and np.isfinite(impostor).all()):
         raise ValueError("scores must be finite (no NaN or inf)")
     thr = np.unique(np.concatenate([genuine, impostor]))
     fpr = _count_at_or_above(impostor, thr) / impostor.size
     tpr = _count_at_or_above(genuine, thr) / genuine.size
-    order = np.lexsort((thr, tpr, fpr))
-    return [RocPoint(f, t, h) for f, t, h in zip(
-        fpr[order].tolist(), tpr[order].tolist(), thr[order].tolist())]
+    return np.column_stack((fpr, tpr, thr))[np.lexsort((thr, tpr, fpr))]
 
 
-def tpr_at_fpr(points: list[RocPoint], target: float) -> float:
-    """TPR of the point with the largest FPR <= target; 0 when only the
+def tpr_at_fpr(table: Array, target: float) -> float:
+    """TPR of the ROC point with the largest FPR <= target; 0 when only the
     trivial origin qualifies."""
     if not (0.0 < target < 1.0):
         raise ValueError(f"target FPR must be in (0, 1), got {target}")
-    best = 0.0
-    for p in points:
-        if p.fpr <= target:
-            best = max(best, p.tpr)
-    return best
+    return float(np.max(table[:, 1], where=table[:, 0] <= target, initial=0.0))
 
 
 def verification_scores(gallery: Array, probes: Array) -> ScoreSet:
@@ -133,8 +122,7 @@ def verification_scores(gallery: Array, probes: Array) -> ScoreSet:
     if not (g_norm.all() and p_norm.all()):
         raise ValueError("cosine similarity undefined for a zero-norm feature")
     s = (gallery @ probes.T) / np.outer(g_norm, p_norm)
-    off_diagonal = ~np.eye(len(s), dtype=bool)
-    return ScoreSet(np.diagonal(s).tolist(), s[off_diagonal].tolist())
+    return ScoreSet(np.diagonal(s), s[~np.eye(len(s), dtype=bool)])
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +145,10 @@ def recovery_metrics(recovered: Array, data: SplitData,
     """Mean PSNR and feature RMSE of recovered (N, 1, H, W) float images
     against the split's clear graymaps, plus the recovered images' aligned
     features. Without a feature net the RMSE is nan and there are no
-    features."""
-    mean_psnr = float(np.mean([psnr(r, to_float(c))
-                               for r, c in zip(recovered, data.y)]))
+    features. PSNR runs in blocks of rows, never all clear images in float."""
+    mean_psnr = float(np.mean(map_chunks(
+        lambda rows: psnr(recovered[rows], to_float(data.y[rows])),
+        len(recovered), PSI_BLOCK)))
     if phi is None:
         return mean_psnr, float("nan"), None
     feats = _aligned_features(phi, lambda rows: recovered[rows], data.eyes)
@@ -201,14 +190,10 @@ def run_protocol(model: str, recover_fn, data: SplitData,
     probe_feats = _aligned_features(
         phi, lambda rows: to_float(np.stack(probe_imgs[rows])), probe_eyes)
 
-    scores = verification_scores(feats_rec[gallery_rows], probe_feats)
-    points = roc(scores)
-    return EvalReport(
-        model=model,
-        psnr_db=mean_psnr,
-        feature_rmse=rmse,
-        tpr_at={t: tpr_at_fpr(points, t) for t in FPR_TARGETS},
-        roc=points)
+    table = roc(verification_scores(feats_rec[gallery_rows], probe_feats))
+    return EvalReport(model=model, psnr_db=mean_psnr, feature_rmse=rmse,
+                      tpr_at={t: tpr_at_fpr(table, t) for t in FPR_TARGETS},
+                      roc=table)
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +205,38 @@ def write_report_tsv(reports: list[EvalReport], path: str | Path) -> None:
     atomic.write_file(path, "\n".join(lines) + "\n")
 
 
+def roc_lines(table: Array) -> list[str]:
+    """The ROC table's rows as TSV lines, formatted in one pass."""
+    return ("%.9f\t%.9f\t%.9f\n" * len(table) % tuple(table.ravel())).splitlines()
+
+
 def write_roc_tsv(report: EvalReport, out_dir: str | Path) -> Path:
     path = Path(out_dir) / f"roc_{report.model}.tsv"
-    lines = ["fpr\ttpr\tthreshold"]
-    lines += [f"{p.fpr:.9f}\t{p.tpr:.9f}\t{p.threshold:.9f}" for p in report.roc]
-    atomic.write_file(path, "\n".join(lines) + "\n")
+    atomic.write_file(path, "\n".join([ROC_HEADER, *roc_lines(report.roc)]) + "\n")
     return path
 
 
-def read_roc_tsv(path: str | Path) -> list[RocPoint]:
-    lines = Path(path).read_text().splitlines()
-    points = []
-    for line in lines[1:]:
-        fpr, tpr, thr = (float(v) for v in line.split("\t"))
-        points.append(RocPoint(fpr, tpr, thr))
-    return points
+_NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_BAD_ROW = re.compile(rf"^(?!{_NUMBER}\t{_NUMBER}\t{_NUMBER}$).*$", re.M | re.A)
+
+
+def read_roc_tsv(path: str | Path) -> Array:
+    """The (P, 3) table of a ``write_roc_tsv`` file. A wrong header, no rows,
+    a row that is not three tab-separated decimal numbers, a rate outside
+    [0, 1] or an infinite threshold raise RocTableError at ``path:line``."""
+    lines = Path(path).read_text(errors="replace").splitlines()
+    if lines[:1] != [ROC_HEADER] or len(lines) == 1:
+        raise RocTableError(f"{path}:1: want the header {ROC_HEADER!r} and rows")
+    body = "\n".join(lines[1:])
+    bad = _BAD_ROW.search(body)  # the first line not of three numbers
+    if bad:
+        line = 2 + body.count("\n", 0, bad.start())
+        raise RocTableError(f"{path}:{line}: not three tab-separated decimal "
+                            f"numbers: {bad[0]!r}")
+    table = np.array(body.split(), dtype=np.float64).reshape(-1, 3)
+    ok = np.isfinite(table[:, 2]) & ((table[:, :2] >= 0.0)
+                                     & (table[:, :2] <= 1.0)).all(axis=1)
+    if not ok.all():
+        raise RocTableError(f"{path}:{2 + int(np.argmin(ok))}: a rate outside "
+                            f"[0, 1] or an infinite threshold")
+    return table

@@ -10,12 +10,11 @@ from demesh.cli import main
 from demesh.facegen import make_dataset
 from demesh.layers import Param
 from demesh.trainer import TrainLog
-from demesh.verifier import (EvalReport, RocPoint, write_report_tsv,
-                             write_roc_tsv)
+from demesh.verifier import EvalReport, write_report_tsv, write_roc_tsv
 
 OLD = b"the previous contents\n"
 REPORT = EvalReport("m", 30.0, 0.5, {1e-2: 1.0, 1e-3: 0.5, 1e-4: 0.25},
-                    [RocPoint(0.0, 0.5, 0.9), RocPoint(1.0, 1.0, 0.1)])
+                    np.array([[0.0, 0.5, 0.9], [1.0, 1.0, 0.1]]))
 
 
 def _roc_plot(path):

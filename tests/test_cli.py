@@ -102,7 +102,7 @@ def test_gradcheck_all_modules_pass(capsys):
 def test_gradcheck_stn_covers_sampler_and_alignment(capsys):
     assert run_cli("gradcheck", "--module", "stn", "--points", "2") == 0
     out = capsys.readouterr().out
-    assert "bilinear_backward" in out and "align_face" in out
+    assert "bilinear_backward" in out and "alignment_sample" in out
 
 def test_gradcheck_sabotage_is_detected(capsys):
     assert run_cli("gradcheck", "--module", "layers", "--points", "1",
@@ -296,6 +296,32 @@ def test_roc_plot_lists_missing_models(roc_dir, tmp_path, capsys):
                    str(tmp_path / "m.tsv"), "--models", "alpha,gamma,delta") == 1
     err = capsys.readouterr().err
     assert "delta,gamma" in err
+
+GOOD_ROW = "0.000000000\t0.500000000\t0.900000000\n"
+
+@pytest.mark.parametrize("text, line", [
+    ("fpr\ttpr\tthreshold\n", 1),
+    ("fpr\ttpr\n" + GOOD_ROW, 1),
+    ("fpr\ttpr\tthreshold\n" + GOOD_ROW + "0.5\t1.0\n", 3),
+    ("fpr\ttpr\tthreshold\n" + GOOD_ROW + "0.5\thigh\t0.3\n", 3),
+    ("fpr\ttpr\tthreshold\n0.5\tnan\t0.3\n", 2),
+    ("fpr\ttpr\tthreshold\n" + GOOD_ROW + "0.5\t1.0\t1e999\n", 3),
+    ("fpr\ttpr\tthreshold\n" + GOOD_ROW * 2 + "1.5\t1.0\t0.3\n", 4),
+    ("fpr\ttpr\tthreshold\n" + GOOD_ROW + "0.5\t1.0\t0.3\udcff\n", 3),
+], ids=["header only", "wrong header", "two fields", "non-numeric",
+        "nan cell", "non-finite cell", "rate above one", "non-UTF-8 byte"])
+def test_roc_plot_refuses_a_bad_table_before_writing(roc_dir, tmp_path,
+                                                     capsys, text, line):
+    # a lone surrogate escape writes the raw byte 0xff
+    (roc_dir / "roc_gamma.tsv").write_bytes(
+        text.encode("utf-8", "surrogateescape"))
+    out, svg = tmp_path / "m.tsv", tmp_path / "p.svg"
+    assert run_cli("roc-plot", "--report", str(roc_dir), "--out", str(out),
+                   "--svg", str(svg)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: RocTableError: ")
+    assert f"roc_gamma.tsv:{line}: " in err[0]
+    assert not out.exists() and not svg.exists()
 
 
 # ---------------------------------------------------------------------------

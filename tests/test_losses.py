@@ -186,7 +186,8 @@ def test_feature_loss_matches_hand_trace_on_tiny_net():
     conv = Conv2d(1, 2, 1, name="conv1")
     conv.weight.value[0, 0, 0, 0] = 1.0
     conv.weight.value[1, 0, 0, 0] = -1.0
-    phi = FeatureNet([conv, MaxFeatureMap()], {EARLY_CONV: 1}, in_h=2, in_w=2)
+    phi = FeatureNet([conv, MaxFeatureMap()], {EARLY_CONV: 1},
+                     FeatureSpec(in_h=2, in_w=2))
     pred = np.array([[[[0.2, -0.4], [0.9, 0.0]]]])
     target = np.array([[[[0.1, 0.5], [0.1, 0.3]]]])
     cfg = LossConfig(taps=(EARLY_CONV,), align=False)

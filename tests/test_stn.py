@@ -210,7 +210,7 @@ def test_align_gradient_matches_finite_differences():
 
     assert grad_check(fn, rng.uniform(size=(2, 1, 14, 12))).passed
 
-def test_align_face_differentiable_wrt_image_through_public_api():
+def test_alignment_sample_differentiable_wrt_image_through_public_api():
     eyes = Landmarks((3.0, 3.5), (8.5, 3.2))
     img = np.random.default_rng(31).uniform(size=(1, 1, 12, 12))
     crop = bilinear_sample(img, alignment_grid([eyes], 12, 12, 6, 6))

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from demesh import stn
-from demesh.facegen import load_split, make_dataset, to_float
+from demesh.facegen import SplitData, load_split, make_dataset, to_float
 from demesh.featnet import FeatureSpec, build_phi
 from demesh.inpaint import InpaintSpec, build_psi
 from demesh.layers import ShapeError
 from demesh.trainer import batched_forward
-from demesh.verifier import (EvalReport, FPR_TARGETS, RocPoint, ScoreSet,
+from demesh.verifier import (EvalReport, FPR_TARGETS, ScoreSet,
                              _aligned_features, feature_rmse, psnr,
-                             read_roc_tsv, roc, run_protocol, tpr_at_fpr,
-                             verification_scores, write_report_tsv,
-                             write_roc_tsv)
+                             read_roc_tsv, recovery_metrics, roc,
+                             run_protocol, tpr_at_fpr, verification_scores,
+                             write_report_tsv, write_roc_tsv)
 
 
 # ---------------------------------------------------------------------------
@@ -40,8 +40,9 @@ def brute_tpr_at(genuine, impostor, target):
 
 
 # ---------------------------------------------------------------------------
-# the per-threshold sweep and per-pair scoring loops that roc and
-# verification_scores replaced, kept as oracles
+# the per-threshold sweep, per-pair scoring, per-image PSNR and per-row norm
+# loops that roc, verification_scores and recovery_metrics replaced, and the
+# per-point ROC formatting, kept as oracles
 # ---------------------------------------------------------------------------
 
 def loop_roc(genuine, impostor):
@@ -63,6 +64,26 @@ def loop_scores(gallery, probes):
             (genuine if i == j else impostor).append(s)
     return genuine, impostor
 
+def loop_mean_psnr(recovered, clear):
+    dbs = []
+    for r, c in zip(recovered, clear):
+        mse = float(np.mean((r - to_float(c)) ** 2))
+        dbs.append(math.inf if mse == 0.0 else 10.0 * math.log10(1.0 / mse))
+    return float(np.mean(dbs))
+
+def loop_feature_rmse(preds, targets):
+    return float(np.mean([float(np.linalg.norm(p - t))
+                          for p, t in zip(preds, targets)]))
+
+def loop_roc_text(points):
+    lines = ["fpr\ttpr\tthreshold"]
+    lines += [f"{fpr:.9f}\t{tpr:.9f}\t{thr:.9f}" for fpr, tpr, thr in points]
+    return "\n".join(lines) + "\n"
+
+def score_set(genuine, impostor):
+    return ScoreSet(np.array(genuine, dtype=np.float64),
+                    np.array(impostor, dtype=np.float64))
+
 
 # ---------------------------------------------------------------------------
 # cosine scores
@@ -70,7 +91,7 @@ def loop_scores(gallery, probes):
 
 def cosine(f1, f2):
     scores = verification_scores(f1[None], f2[None])
-    assert scores.impostor == []
+    assert scores.impostor.size == 0
     return scores.genuine[0]
 
 def test_cosine_of_identical_vectors_is_one():
@@ -118,40 +139,39 @@ def test_scores_match_the_per_pair_loop(pair):
 # ---------------------------------------------------------------------------
 
 def test_separable_scores_reach_the_perfect_corner():
-    points = roc(ScoreSet(genuine=[0.9], impostor=[0.1]))
-    assert any(p.fpr == 0.0 and p.tpr == 1.0 for p in points)
+    table = roc(score_set([0.9], [0.1]))
+    assert table.shape == (2, 3) and table.dtype == np.float64
+    assert any(fpr == 0.0 and tpr == 1.0 for fpr, tpr, _ in table)
 
 def test_identical_distributions_sit_on_the_diagonal():
-    points = roc(ScoreSet(genuine=[0.2, 0.5, 0.8], impostor=[0.2, 0.5, 0.8]))
-    for p in points:
-        assert p.fpr == pytest.approx(p.tpr, abs=1e-12)
+    table = roc(score_set([0.2, 0.5, 0.8], [0.2, 0.5, 0.8]))
+    np.testing.assert_allclose(table[:, 0], table[:, 1], rtol=0, atol=1e-12)
 
 def test_roc_matches_exhaustive_threshold_enumeration():
     genuine = [0.9, 0.7, 0.4]
     impostor = [0.8, 0.3, 0.2]
-    points = roc(ScoreSet(genuine, impostor))
-    got = {(round(p.fpr, 12), round(p.tpr, 12)) for p in points}
+    table = roc(score_set(genuine, impostor))
+    got = {(round(fpr, 12), round(tpr, 12)) for fpr, tpr, _ in table}
     assert got == brute_points(genuine, impostor)
 
 def test_roc_is_monotone_after_sorting_by_fpr():
     rng = np.random.default_rng(41)
     for _ in range(20):
-        scores = ScoreSet(list(rng.normal(0.6, 0.2, size=30)),
-                          list(rng.normal(0.4, 0.2, size=50)))
-        points = roc(scores)
-        tprs = [p.tpr for p in points]
-        assert all(b >= a - 1e-15 for a, b in zip(tprs, tprs[1:]))
+        scores = ScoreSet(rng.normal(0.6, 0.2, size=30),
+                          rng.normal(0.4, 0.2, size=50))
+        tprs = roc(scores)[:, 1]
+        assert np.all(np.diff(tprs) >= -1e-15)
 
 def test_roc_requires_both_classes():
     with pytest.raises(ValueError):
-        roc(ScoreSet([], [0.1]))
+        roc(score_set([], [0.1]))
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_roc_rejects_non_finite_scores(bad):
     with pytest.raises(ValueError, match="finite"):
-        roc(ScoreSet([0.5, bad], [0.1]))
+        roc(score_set([0.5, bad], [0.1]))
     with pytest.raises(ValueError, match="finite"):
-        roc(ScoreSet([0.5], [bad, 0.1]))
+        roc(score_set([0.5], [bad, 0.1]))
 
 # a coarse grid makes ties within and across the classes common
 grid_scores = st.lists(st.integers(-4, 4).map(lambda k: k / 4), min_size=1,
@@ -160,44 +180,57 @@ grid_scores = st.lists(st.integers(-4, 4).map(lambda k: k / 4), min_size=1,
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(grid_scores, grid_scores)
 def test_roc_equals_the_per_threshold_loop_in_order(genuine, impostor):
-    points = roc(ScoreSet(genuine, impostor))
-    assert [(p.fpr, p.tpr, p.threshold) for p in points] == \
-        loop_roc(genuine, impostor)
+    table = roc(score_set(genuine, impostor))
+    assert [tuple(row) for row in table] == loop_roc(genuine, impostor)
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40))
 def test_roc_equals_the_per_threshold_loop_on_arbitrary_floats(genuine,
                                                                impostor):
-    points = roc(ScoreSet(genuine, impostor))
-    assert [(p.fpr, p.tpr, p.threshold) for p in points] == \
-        loop_roc(genuine, impostor)
+    table = roc(score_set(genuine, impostor))
+    assert [tuple(row) for row in table] == loop_roc(genuine, impostor)
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(grid_scores, grid_scores)
+def test_roc_table_text_is_the_per_point_formatting_byte_for_byte(
+        tmp_path_factory, genuine, impostor):
+    report = EvalReport("m", 0.0, 0.0, {}, roc(score_set(genuine, impostor)))
+    path = write_roc_tsv(report, tmp_path_factory.mktemp("roc"))
+    assert path.read_text() == loop_roc_text(loop_roc(genuine, impostor))
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(grid_scores, grid_scores, st.floats(1e-6, 1.0, exclude_max=True))
+def test_tpr_at_fpr_equals_the_brute_force_enumeration(genuine, impostor,
+                                                       target):
+    table = roc(score_set(genuine, impostor))
+    assert tpr_at_fpr(table, target) == brute_tpr_at(genuine, impostor,
+                                                     target)
 
 def test_tpr_at_fpr_hand_walked_step_function():
     # thresholds 0.9..0.2; at target 0.34 the largest reachable fpr is 1/3,
     # where dropping the threshold to 0.4 lifts tpr to 1
-    points = roc(ScoreSet([0.9, 0.7, 0.4], [0.8, 0.3, 0.2]))
-    assert tpr_at_fpr(points, 0.34) == 1.0
-    assert tpr_at_fpr(points, 0.34) == brute_tpr_at(
+    table = roc(score_set([0.9, 0.7, 0.4], [0.8, 0.3, 0.2]))
+    assert tpr_at_fpr(table, 0.34) == 1.0
+    assert tpr_at_fpr(table, 0.34) == brute_tpr_at(
         [0.9, 0.7, 0.4], [0.8, 0.3, 0.2], 0.34)
 
 def test_tpr_at_fpr_on_separable_scores_is_one_everywhere():
-    points = roc(ScoreSet([0.9, 0.8], [0.1, 0.2]))
+    table = roc(score_set([0.9, 0.8], [0.1, 0.2]))
     for target in FPR_TARGETS:
-        assert tpr_at_fpr(points, target) == 1.0
+        assert tpr_at_fpr(table, target) == 1.0
 
 def test_tpr_at_fpr_near_chance_tracks_the_target():
     rng = np.random.default_rng(42)
-    pool = list(rng.uniform(size=400))
-    points = roc(ScoreSet(pool[:200], pool[200:]))
-    assert tpr_at_fpr(points, 0.5) == pytest.approx(0.5, abs=0.1)
+    pool = rng.uniform(size=400)
+    table = roc(ScoreSet(pool[:200], pool[200:]))
+    assert tpr_at_fpr(table, 0.5) == pytest.approx(0.5, abs=0.1)
 
 def test_tpr_at_fpr_is_monotone_in_the_target():
     rng = np.random.default_rng(43)
-    points = roc(ScoreSet(list(rng.normal(0.7, 0.15, 40)),
-                          list(rng.normal(0.3, 0.2, 60))))
+    table = roc(ScoreSet(rng.normal(0.7, 0.15, 40), rng.normal(0.3, 0.2, 60)))
     targets = np.linspace(0.01, 0.9, 30)
-    vals = [tpr_at_fpr(points, t) for t in targets]
+    vals = [tpr_at_fpr(table, t) for t in targets]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
 def test_tpr_matches_brute_force_on_random_score_sets():
@@ -205,9 +238,9 @@ def test_tpr_matches_brute_force_on_random_score_sets():
     for _ in range(25):
         genuine = list(np.round(rng.uniform(size=rng.integers(2, 8)), 3))
         impostor = list(np.round(rng.uniform(size=rng.integers(2, 8)), 3))
-        points = roc(ScoreSet(genuine, impostor))
+        table = roc(score_set(genuine, impostor))
         for target in (0.01, 0.1, 0.25, 0.5):
-            assert tpr_at_fpr(points, target) == pytest.approx(
+            assert tpr_at_fpr(table, target) == pytest.approx(
                 brute_tpr_at(genuine, impostor, target), abs=1e-12)
 
 
@@ -216,33 +249,66 @@ def test_tpr_matches_brute_force_on_random_score_sets():
 # ---------------------------------------------------------------------------
 
 def test_psnr_of_identical_images_is_infinite():
-    img = np.random.default_rng(45).uniform(size=(1, 8, 8))
-    assert math.isinf(psnr(img, img.copy()))
+    img = np.random.default_rng(45).uniform(size=(2, 1, 8, 8))
+    assert np.isposinf(psnr(img, img.copy())).all()
 
 def test_psnr_of_constant_offset_has_closed_form():
-    img = np.random.default_rng(46).uniform(0.0, 0.8, size=(1, 8, 8))
-    assert psnr(img + 0.1, img) == pytest.approx(20.0, abs=1e-12)
+    img = np.random.default_rng(46).uniform(0.0, 0.8, size=(2, 1, 8, 8))
+    np.testing.assert_allclose(psnr(img + 0.1, img), 20.0, rtol=0, atol=1e-12)
 
 def test_psnr_matches_independent_two_liner():
     rng = np.random.default_rng(47)
-    a, b = rng.uniform(size=(1, 6, 6)), rng.uniform(size=(1, 6, 6))
-    mse = np.mean((a - b) ** 2)
-    assert psnr(a, b) == pytest.approx(10 * np.log10(1.0 / mse), abs=1e-10)
+    a, b = rng.uniform(size=(3, 1, 6, 6)), rng.uniform(size=(3, 1, 6, 6))
+    b[1] = a[1]
+    mse = np.mean((a - b) ** 2, axis=(1, 2, 3))
+    got = psnr(a, b)
+    assert got.shape == (3,) and math.isinf(got[1])
+    np.testing.assert_allclose(got[[0, 2]], 10 * np.log10(1.0 / mse[[0, 2]]),
+                               rtol=0, atol=1e-10)
+
+def test_psnr_rejects_mismatched_shapes():
+    with pytest.raises(ShapeError):
+        psnr(np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 4, 3)))
 
 def test_feature_rmse_trivials_and_brute_loop():
-    f = [np.array([1.0, 2.0]), np.array([0.0, -1.0])]
-    assert feature_rmse(f, [v.copy() for v in f]) == 0.0
-    assert feature_rmse([np.zeros(3)], [np.array([0.0, 1.0, 0.0])]) == 1.0
+    f = np.array([[1.0, 2.0], [0.0, -1.0]])
+    assert feature_rmse(f, f.copy()) == 0.0
+    assert feature_rmse(np.zeros((1, 3)), np.array([[0.0, 1.0, 0.0]])) == 1.0
     rng = np.random.default_rng(48)
-    preds = [rng.normal(size=5) for _ in range(7)]
-    targets = [rng.normal(size=5) for _ in range(7)]
+    preds, targets = rng.normal(size=(7, 5)), rng.normal(size=(7, 5))
     brute = sum(math.sqrt(sum((p - t) ** 2)) for p, t in
                 zip(preds, targets)) / 7
     assert feature_rmse(preds, targets) == pytest.approx(brute, abs=1e-10)
 
 def test_feature_rmse_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        feature_rmse([np.ones(2)], [])
+        feature_rmse(np.ones((1, 2)), np.ones((0, 2)))
+    with pytest.raises(ShapeError):
+        feature_rmse(np.ones((1, 2)), np.ones((1, 3)))
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 200), width=st.integers(1, 160),
+       seed=st.integers(0, 2 ** 16))
+@example(n=200, width=64, seed=0)
+def test_feature_rmse_is_bitwise_the_per_row_norm_loop(n, width, seed):
+    rng = np.random.default_rng(seed)
+    preds, targets = rng.normal(size=(2, n, width))
+    assert feature_rmse(preds, targets) == loop_feature_rmse(preds, targets)
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(1, 200), seed=st.integers(0, 2 ** 16))
+@example(n=1, seed=1)
+@example(n=7, seed=7)
+@example(n=200, seed=200)
+def test_blocked_psnr_is_bitwise_the_per_image_loop(n, seed):
+    rng = np.random.default_rng(seed)
+    clear = rng.integers(0, 256, size=(n, 1, 64, 48), dtype=np.uint8)
+    recovered = rng.uniform(size=clear.shape)
+    data = SplitData(x=clear, y=clear, m=clear > 127, eyes=[], identity=[],
+                     sample=[str(i) for i in range(n)], dailies={})
+    mean_psnr, rmse, feats = recovery_metrics(recovered, data, None)
+    assert mean_psnr == loop_mean_psnr(recovered, clear)
+    assert math.isnan(rmse) and feats is None
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +367,7 @@ def test_protocol_scoreset_counts_follow_identity_count(protocol_setup):
     n = len(set(data.identity))
     assert len(report.roc) >= 2
     # N genuine + N(N-1) impostor scores swept over distinct thresholds
-    assert max(p.fpr for p in report.roc) == 1.0
-    assert max(p.tpr for p in report.roc) == 1.0
+    assert report.roc[:, :2].max(axis=0).tolist() == [1.0, 1.0]
     assert n == 6
 
 
@@ -393,13 +458,13 @@ def test_aligned_features_hold_one_chunk_at_a_time():
 def test_report_tsv_and_roc_round_trip(tmp_path):
     report = EvalReport("demo", math.inf, 0.0,
                         {1e-2: 1.0, 1e-3: 0.5, 1e-4: 0.25},
-                        [RocPoint(0.0, 0.5, 0.9), RocPoint(0.5, 1.0, 0.3)])
+                        np.array([[0.0, 0.5, 0.9], [0.5, 1.0, 0.3]]))
     write_report_tsv([report], tmp_path / "report.tsv")
     text = (tmp_path / "report.tsv").read_text()
     assert text.splitlines()[0].startswith("model\ttpr_fpr_1e2")
     assert "\tinf\t" in text.splitlines()[1]
     path = write_roc_tsv(report, tmp_path)
     assert path.name == "roc_demo.tsv"
-    points = read_roc_tsv(path)
-    assert [(p.fpr, p.tpr, p.threshold) for p in points] == \
-        [(0.0, 0.5, 0.9), (0.5, 1.0, 0.3)]
+    table = read_roc_tsv(path)
+    assert table.dtype == np.float64
+    assert table.tolist() == [[0.0, 0.5, 0.9], [0.5, 1.0, 0.3]]
