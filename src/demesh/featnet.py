@@ -95,8 +95,9 @@ class FeatureNet:
 
     ``backward_taps`` differentiates the most recent forward pass, injecting
     per-tap gradients where the taps sit and returning the gradient with
-    respect to the input crop. A forward pass with ``keep=False`` (inference)
-    gives the same activations but keeps nothing for ``backward_taps``.
+    respect to the input crop (None with ``input_grad=False``). A forward
+    pass with ``keep=False`` (inference) gives the same activations but
+    keeps nothing for ``backward_taps``.
     """
 
     def __init__(self, layers: list, taps: dict[str, int], spec: FeatureSpec):
@@ -132,14 +133,17 @@ class FeatureNet:
                     acts[tap] = x
         return acts
 
-    def backward_taps(self, tap_grads: dict[str, Array]) -> Array:
+    def backward_taps(self, tap_grads: dict[str, Array], *,
+                      input_grad: bool = True) -> Array | None:
         indexed = {self._tap_index(t): g for t, g in tap_grads.items()}
         grad: Array | None = None
         for i in range(max(indexed), -1, -1):
             if i in indexed:
                 grad = indexed[i] if grad is None else grad + indexed[i]
-            grad = self.layers[i].backward(grad)
-        return grad
+            if i:
+                grad = self.layers[i].backward(grad)
+        # the first layer is a conv, which may skip the input gradient
+        return self.layers[0].backward(grad, input_grad=input_grad)
 
     def _tap_index(self, tap: str) -> int:
         if tap not in self.taps:
@@ -204,7 +208,6 @@ def build_phi(mode: str = "pretrain", seed: int = 0,
     crops, labels = _aligned_identity_crops(spec, rng, n_identities,
                                             per_identity, render_hw)
     head = Dense(spec.feature_width, n_identities, name="head", rng=rng)
-    trainable = net.params() + head.params()
     order = rng.permutation(len(crops))
     cursor = 0
     for _ in range(steps):
@@ -213,23 +216,39 @@ def build_phi(mode: str = "pretrain", seed: int = 0,
             cursor = 0
         idx = order[cursor:cursor + batch_size]
         cursor += batch_size
-        feats = net.features(crops[idx])
-        logits = head.forward(feats)
-        _, grad_logits = softmax_cross_entropy(logits, labels[idx])
-        for p in trainable:
-            p.zero_grad()
-        grad_feats = head.backward(grad_logits)
-        net.backward_taps({FINAL_FEATURE: grad_feats})
-        for p in trainable:
-            adam_step(p, p.grad, lr)
+        pretrain_step(net, head, crops[idx], labels[idx], lr)
 
-    def predict(rows: slice) -> Array:
-        feats = net.features(crops[rows], keep=False)
-        return np.argmax(head.forward(feats, keep=False), axis=1)
-    correct = np.count_nonzero(map_chunks(predict, len(crops)) == labels)
+    correct = np.count_nonzero(classify(net, head, crops, batch_size) == labels)
     net.pretrain_accuracy = correct / len(crops)
     net.freeze()  # the head is discarded; phi serves features only
     return net
+
+
+def pretrain_step(net: FeatureNet, head: Dense, crops: Array, labels: Array,
+                  lr: float) -> None:
+    """One Adam step of φ and its classifier ``head`` on a batch of crops
+    under softmax cross-entropy. Nothing reads the crops' gradient, so
+    φ's first conv skips it."""
+    trainable = net.params() + head.params()
+    logits = head.forward(net.features(crops))
+    _, grad_logits = softmax_cross_entropy(logits, labels)
+    for p in trainable:
+        p.zero_grad()
+    net.backward_taps({FINAL_FEATURE: head.backward(grad_logits)},
+                      input_grad=False)
+    for p in trainable:
+        adam_step(p, p.grad, lr)
+
+
+def classify(net: FeatureNet, head: Dense, crops: Array, rows: int) -> Array:
+    """The head's predicted class per crop, in record-free chunks of at
+    most ``rows`` crops. ``Dense`` gives a row the same bits at 8 or more
+    rows per product on the OpenBLAS SkylakeX kernel, so chunks of at least
+    8 rows predict as one batch does."""
+    def predict(chunk: slice) -> Array:
+        feats = net.features(crops[chunk], keep=False)
+        return np.argmax(head.forward(feats, keep=False), axis=1)
+    return map_chunks(predict, len(crops), rows)
 
 
 def save_phi(net: FeatureNet, path) -> None:

@@ -106,10 +106,15 @@ class InpaintNet:
             x = layer.forward(x, keep=keep)
         return x
 
-    def backward(self, grad: Array) -> Array:
-        for layer in reversed(self.layers):
+    def backward(self, grad: Array, *, input_grad: bool = True
+                 ) -> Array | None:
+        """Gradients of the last recorded pass; returns the gradient with
+        respect to the input images, or None with ``input_grad=False``
+        (the first conv then skips it)."""
+        first, *rest = self.layers
+        for layer in reversed(rest):
             grad = layer.backward(grad)
-        return grad
+        return first.backward(grad, input_grad=input_grad)
 
     def receptive_field(self) -> int:
         """Theoretical receptive-field extent of one output pixel, in input

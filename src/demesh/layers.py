@@ -6,8 +6,15 @@ record of its forward pass and a network walks its layer list in reverse.
 A conv keeps a reference to its input and lowers one image at a time: it
 fills that image's patch matrix into one reused buffer and multiplies it,
 and its backward pass refills the patches. Pooling keeps its argmax
-indices, activations their input, mask or output. All math is 64-bit so
-central-difference gradient checks at tight tolerances are meaningful.
+indices as int8 (0..3), a max-feature-map the boolean mask of where its
+first half won, ReLU its mask and Sigmoid its output. All math is 64-bit
+so central-difference gradient checks at tight tolerances are meaningful.
+
+A backward pass computes only what is read. ``Conv2d`` and ``Dense`` skip
+the gradient of a frozen parameter, so its ``grad`` stays as it was, and
+``Conv2d.backward(grad, input_grad=False)`` returns no input gradient: a
+net's first conv needs none when nothing reads the gradient with respect
+to the images.
 
 Every ``forward`` takes ``keep``: with ``keep=False`` (inference) it does
 the same arithmetic but keeps no record and clears the previous one, so a
@@ -139,8 +146,9 @@ def maxpool2_indices(x: Array) -> tuple[Array, Array]:
     """2x2 non-overlapping max pooling with argmax bookkeeping.
 
     Returns (pooled, indices). ``indices`` holds, per pooled cell, the flat
-    position of the max inside its 2x2 window in row-major order (0..3,
-    i.e. 2*row + col); ties go to the first element in that scan order.
+    position of the max inside its 2x2 window in row-major order (int8
+    0..3, i.e. 2*row + col); ties go to the first element in that scan
+    order.
     The window is reduced pairwise (each row, then top against bottom),
     which picks the same element as ``argmax`` over the four.
     """
@@ -160,7 +168,7 @@ def maxpool2_indices(x: Array) -> tuple[Array, Array]:
     idx *= lower
     idx += col[:, 0]
     pooled = (n, c, h // 2, w // 2)
-    return out.reshape(pooled), idx.reshape(pooled).astype(np.intp)
+    return out.reshape(pooled), idx.reshape(pooled)
 
 
 def unpool_indices(x: Array, indices: Array, out_hw: tuple[int, int]) -> Array:
@@ -207,12 +215,15 @@ def mfm(x: Array) -> Array:
     return np.maximum(x[:, :half], x[:, half:])
 
 
-def mfm_backward(grad: Array, x: Array) -> Array:
-    """Route the gradient to the winning half; ties go to the first half."""
-    half = x.shape[1] // 2
-    a, b = x[:, :half], x[:, half:]
-    first_wins = a >= b
-    return np.concatenate([grad * first_wins, grad * ~first_wins], axis=1)
+def mfm_backward(grad: Array, first_wins: Array) -> Array:
+    """Route the gradient to the winning half, given the forward pass's
+    boolean ``a >= b`` mask of the two halves (ties go to the first half).
+    Both halves are written into one array."""
+    half = grad.shape[1]
+    out = np.empty((grad.shape[0], 2 * half, *grad.shape[2:]), grad.dtype)
+    np.multiply(grad, first_wins, out=out[:, :half])
+    np.multiply(grad, ~first_wins, out=out[:, half:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +323,24 @@ class Conv2d:
         self._x = x if keep else None
         return out
 
-    def backward(self, grad: Array) -> Array:
+    def backward(self, grad: Array, *, input_grad: bool = True
+                 ) -> Array | None:
+        """Accumulate the gradients of the parameters that are not frozen
+        and return the input gradient, or None with ``input_grad=False``."""
         x = _recorded(self._x, self)
-        n, _, oh, ow = grad.shape
-        g_mat = grad.reshape(n, self.out_ch, oh * ow)
-        # one product per image, reduced over the batch in one sum (a
-        # running += would round differently)
-        dw = np.empty((n, self.out_ch, self.weight.value[0].size))
-        for i, mat in enumerate(_patch_matrices(x, self.ksize, self.pad)):
-            np.matmul(g_mat[i], mat.T, out=dw[i])
-        self.weight.grad += dw.sum(axis=0).reshape(self.weight.shape)
-        self.bias.grad += grad.sum(axis=(0, 2, 3))
+        if not self.weight.frozen:
+            n, _, oh, ow = grad.shape
+            g_mat = grad.reshape(n, self.out_ch, oh * ow)
+            # one product per image, reduced over the batch in one sum (a
+            # running += would round differently)
+            dw = np.empty((n, self.out_ch, self.weight.value[0].size))
+            for i, mat in enumerate(_patch_matrices(x, self.ksize, self.pad)):
+                np.matmul(g_mat[i], mat.T, out=dw[i])
+            self.weight.grad += dw.sum(axis=0).reshape(self.weight.shape)
+        if not self.bias.frozen:
+            self.bias.grad += grad.sum(axis=(0, 2, 3))
+        if not input_grad:
+            return None
         # input gradient as a correlation with the spatially flipped,
         # channel-swapped kernel
         w_flip = self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
@@ -379,20 +397,23 @@ class MaxUnpool2x2:
 
 
 class MaxFeatureMap:
-    """Channel-halving activation: elementwise max of the two channel halves."""
+    """Channel-halving activation: elementwise max of the two channel
+    halves. It keeps one bit per output, where the first half won."""
 
     def __init__(self):
-        self._x: Array | None = None
+        self._first_wins: Array | None = None
 
     def params(self) -> list[Param]:
         return []
 
     def forward(self, x: Array, *, keep: bool = True) -> Array:
-        self._x = x if keep else None
-        return mfm(x)
+        out = mfm(x)
+        half = out.shape[1]
+        self._first_wins = x[:, :half] >= x[:, half:] if keep else None
+        return out
 
     def backward(self, grad: Array) -> Array:
-        return mfm_backward(grad, _recorded(self._x, self))
+        return mfm_backward(grad, _recorded(self._first_wins, self))
 
 
 class ReLU:
@@ -467,8 +488,11 @@ class Dense:
         return xf @ self.weight.value.T + self.bias.value
 
     def backward(self, grad: Array) -> Array:
-        self.weight.grad += grad.T @ _recorded(self._xf, self)
-        self.bias.grad += grad.sum(axis=0)
+        xf = _recorded(self._xf, self)
+        if not self.weight.frozen:
+            self.weight.grad += grad.T @ xf
+        if not self.bias.frozen:
+            self.bias.grad += grad.sum(axis=0)
         return (grad @ self.weight.value).reshape(self._in_shape)
 
 
@@ -490,10 +514,11 @@ def softmax_cross_entropy(logits: Array, labels: Array) -> tuple[float, Array]:
 INFERENCE_CHUNK = 64  # most rows in one inference chunk, by default
 
 # ψ's inference block: at 8 rows the largest activation, (8, 16, 64, 48),
-# is 3.1 MB and every layer's input and output stay in a 4 MiB L2. Over 400
-# 64x48 images (one thread, 2-vCPU Xeon, medians of 10 interleaved runs)
-# bounds of 4, 8, 16, 32 and 64 rows took 1.66, 1.65, 1.85, 1.91 and
-# 2.00 s. ψ has no matrix product across rows, so any block gives the
+# is 3.1 MB, against 25 MB at 64 rows. That is more than the 2 MiB per-core
+# L2 of the Xeon measured here, so the block is sized by measurement, not to
+# a cache level. Over 400 64x48 images (one thread, 2-vCPU Xeon, medians of
+# 10 interleaved runs) bounds of 4, 8, 16, 32 and 64 rows took 1.66, 1.65,
+# 1.85, 1.91 and 2.00 s. ψ has no matrix product across rows, so any block gives the
 # one-batch output bitwise.
 PSI_BLOCK = 8
 

@@ -22,8 +22,8 @@ from .featnet import FeatureNet, FeatureSpec, build_phi, load_phi, save_phi
 from .inpaint import InpaintNet, InpaintSpec, build_psi, save_psi
 from .losses import LossConfig, VARIANTS
 from .layers import PSI_BLOCK, adam_step, map_chunks
-from .verifier import (EvalReport, recovery_metrics, run_protocol,
-                       write_report_tsv, write_roc_tsv)
+from .verifier import (EvalReport, clear_features, recovery_metrics,
+                       run_protocol, write_report_tsv, write_roc_tsv)
 
 Array = np.ndarray
 
@@ -75,6 +75,10 @@ class TrainConfig:
             raise ValueError("total_steps must be >= 1")
         if self.lr_decay_interval < 1:
             raise ValueError("lr_decay_interval must be >= 1")
+        if self.val_interval < 1:
+            raise ValueError("val_interval must be >= 1")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
 
     def arch_spec(self) -> InpaintSpec:
         return InpaintSpec(self.height, self.width, self.arch_widths, self.kernel)
@@ -208,7 +212,7 @@ def train(cfg: TrainConfig, phi: FeatureNet | None = None
                 f"non-finite loss at step {step} (lr={lr:g}, "
                 f"batch={[data.sample[i] for i in idx]})")
         net.zero_grads()
-        net.backward(ul.grad)
+        net.backward(ul.grad, input_grad=False)
         for p in net.params():
             if cfg.weight_decay and p.name.endswith(".weight"):
                 p.grad += cfg.weight_decay * p.value
@@ -231,8 +235,9 @@ def train(cfg: TrainConfig, phi: FeatureNet | None = None
 # ---------------------------------------------------------------------------
 
 def evaluate(name: str, net: InpaintNet, data: SplitData,
-             phi: FeatureNet) -> EvalReport:
-    return run_protocol(name, lambda xs: batched_forward(net, xs), data, phi)
+             phi: FeatureNet, clear: Array | None = None) -> EvalReport:
+    return run_protocol(name, lambda xs: batched_forward(net, xs), data, phi,
+                        clear)
 
 
 def ensure_phi(cfg: TrainConfig, path: str | Path | None) -> FeatureNet:
@@ -253,14 +258,16 @@ def ensure_phi(cfg: TrainConfig, path: str | Path | None) -> FeatureNet:
 def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[EvalReport]:
     """Train and evaluate every variant plus the two analytic baselines.
 
-    All rows share the dataset, the frozen feature net and the seeds. The
-    consolidated TSV is rewritten after each completed row, so results of
-    finished variants survive a failure in a later one.
+    All rows share the dataset, the frozen feature net, the seeds and φ's
+    features of the clear test images, computed once. The consolidated TSV
+    is rewritten after each completed row, so results of finished variants
+    survive a failure in a later one.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     phi = ensure_phi(cfg, out / "phi.ckpt")
     test_data = load_split(cfg.dataset, "test")
+    clear = clear_features(test_data, phi)
 
     reports: list[EvalReport] = []
 
@@ -270,12 +277,12 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[EvalReport]:
         write_report_tsv(reports, out / "ablation.tsv")
 
     finish(run_protocol("clear", lambda xs: to_float(test_data.y), test_data,
-                        phi))
-    finish(run_protocol("corrupted", to_float, test_data, phi))
+                        phi, clear))
+    finish(run_protocol("corrupted", to_float, test_data, phi, clear))
     for variant in VARIANTS:
         vcfg = replace(cfg, variant=variant)
         net, log = train(vcfg, phi)
         save_psi(net, out / f"{variant}.ckpt")
         log.write(out / f"{variant}_log.tsv")
-        finish(evaluate(variant, net, test_data, phi))
+        finish(evaluate(variant, net, test_data, phi, clear))
     return reports

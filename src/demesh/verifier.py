@@ -140,11 +140,19 @@ def _aligned_features(phi: FeatureNet, load, eyes) -> Array:
     return map_chunks(crop_features, len(eyes))
 
 
+def clear_features(data: SplitData, phi: FeatureNet) -> Array:
+    """φ's aligned features of the split's clear images, the reference of
+    ``recovery_metrics``' feature RMSE."""
+    return _aligned_features(phi, lambda rows: to_float(data.y[rows]),
+                             data.eyes)
+
+
 def recovery_metrics(recovered: Array, data: SplitData,
-                     phi: FeatureNet | None):
+                     phi: FeatureNet | None, clear: Array | None = None):
     """Mean PSNR and feature RMSE of recovered (N, 1, H, W) float images
     against the split's clear graymaps, plus the recovered images' aligned
-    features. Without a feature net the RMSE is nan and there are no
+    features. ``clear`` is the split's ``clear_features``, computed here
+    when not given. Without a feature net the RMSE is nan and there are no
     features. PSNR runs in blocks of rows, never all clear images in float."""
     mean_psnr = float(np.mean(map_chunks(
         lambda rows: psnr(recovered[rows], to_float(data.y[rows])),
@@ -152,19 +160,20 @@ def recovery_metrics(recovered: Array, data: SplitData,
     if phi is None:
         return mean_psnr, float("nan"), None
     feats = _aligned_features(phi, lambda rows: recovered[rows], data.eyes)
-    clear = _aligned_features(phi, lambda rows: to_float(data.y[rows]),
-                              data.eyes)
+    if clear is None:
+        clear = clear_features(data, phi)
     return mean_psnr, feature_rmse(feats, clear), feats
 
 
 def run_protocol(model: str, recover_fn, data: SplitData,
-                 phi: FeatureNet) -> EvalReport:
+                 phi: FeatureNet, clear: Array | None = None) -> EvalReport:
     """Evaluate one recovery function on a test split.
 
     ``recover_fn`` maps the split's corrupted graymaps (N, 1, H, W) to
     recovered float64 images of the same shape; any other dtype raises
     TypeError. PSNR and feature RMSE are computed against the clear ground
-    truth over every row; verification scores every
+    truth over every row (``clear`` passes the split's ``clear_features``
+    to rows that share them); verification scores every
     (recovered gallery, daily probe) pair over one gallery image (the
     identity's first row) and one daily photo per identity.
     """
@@ -178,7 +187,7 @@ def run_protocol(model: str, recover_fn, data: SplitData,
         raise TypeError(f"recovery must be float64 images in [0, 1], got "
                         f"{recovered.dtype} (convert graymaps with to_float)")
 
-    mean_psnr, rmse, feats_rec = recovery_metrics(recovered, data, phi)
+    mean_psnr, rmse, feats_rec = recovery_metrics(recovered, data, phi, clear)
 
     # each identity's first row, in first-seen order
     gallery_rows = np.sort(np.unique(data.identity, return_index=True)[1])

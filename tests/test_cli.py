@@ -233,6 +233,18 @@ def test_train_reports_a_graymap_of_another_extent_on_one_line(
     assert len(err) == 1 and err[0].startswith("error: DatasetError: ")
     assert "8x12 graymap" in err[0]
 
+@pytest.mark.parametrize("override", [{"val_interval": 0}, {"lr": -1.0}])
+def test_train_rejects_a_bad_config_on_one_line_before_building_phi(
+        dataset, tmp_path, capsys, override):
+    cfg_path = tmp_path / "config.txt"
+    write_tiny_config(cfg_path, dataset, variant="demesh", **override)
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg_path), "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError: ")
+    assert next(iter(override)) in err[0]
+    assert not (out / "phi.ckpt").exists()
+
 def test_train_reports_a_missing_sample_file_on_one_line(dataset, tmp_path,
                                                          capsys):
     copy = tmp_path / "data"

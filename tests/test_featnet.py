@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from demesh import facegen, stn
 from demesh.featnet import (EARLY_CONV, FINAL_FEATURE, FeatureNet,
-                            FeatureSpec, build_phi, load_phi, save_phi)
-from demesh.layers import (FrozenParameterError, NoRecordError, ShapeError,
-                           adam_step, grad_check)
+                            FeatureSpec, build_phi, classify, load_phi,
+                            pretrain_step, save_phi)
+from demesh.layers import (Dense, FrozenParameterError, NoRecordError,
+                           ShapeError, adam_step, grad_check)
 
 SMALL_SPEC = FeatureSpec(in_h=16, in_w=16, widths=(8, 16), feature_width=32)
 
@@ -124,6 +127,39 @@ def test_two_tap_backward_matches_finite_differences():
 
     assert grad_check(fn, rng.uniform(size=(1, 1, 8, 8))).passed
 
+def test_backward_taps_without_input_gradient_gives_bitwise_the_grads():
+    rng = np.random.default_rng(11)
+    x = rng.uniform(size=(3, 1, 16, 16))
+    w_early = rng.normal(size=(3, 8, 8, 8))
+    w_final = rng.normal(size=(3, 32))
+    nets = []
+    for input_grad in (True, False):
+        phi = build_phi("fixed_random", 12, SMALL_SPEC)
+        for p in phi.params():
+            p.frozen = False
+        phi.forward_taps(x)
+        grad = phi.backward_taps({EARLY_CONV: w_early, FINAL_FEATURE: w_final},
+                                 input_grad=input_grad)
+        assert (grad is None) != input_grad
+        nets.append(phi)
+    for a, b in zip(*(phi.params() for phi in nets)):
+        assert a.grad.any() and a.grad.tobytes() == b.grad.tobytes()
+
+def test_frozen_net_leaves_its_grads_zero_and_the_crop_gradient_bitwise():
+    rng = np.random.default_rng(13)
+    x = rng.uniform(size=(2, 1, 16, 16))
+    w_final = rng.normal(size=(2, 32))
+    frozen = build_phi("fixed_random", 14, SMALL_SPEC)
+    live = build_phi("fixed_random", 14, SMALL_SPEC)
+    for p in live.params():
+        p.frozen = False
+    grads = []
+    for phi in (frozen, live):
+        phi.forward_taps(x)
+        grads.append(phi.backward_taps({FINAL_FEATURE: w_final}))
+    assert grads[0].tobytes() == grads[1].tobytes()
+    assert not any(p.grad.any() for p in frozen.params())
+
 def test_parameters_are_frozen_after_construction(pretrained):
     p = pretrained.params()[0]
     with pytest.raises(FrozenParameterError):
@@ -156,7 +192,7 @@ def test_unknown_mode_rejected():
 # record-free (inference) forward
 # ---------------------------------------------------------------------------
 
-_RECORDS = ("_x", "_xf", "indices")
+_RECORDS = ("_x", "_xf", "_first_wins", "indices")
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -188,3 +224,55 @@ def test_backward_taps_after_a_record_free_forward_raises():
     acts = phi.forward_taps(x, keep=False)
     with pytest.raises(NoRecordError):
         phi.backward_taps({FINAL_FEATURE: np.ones_like(acts[FINAL_FEATURE])})
+
+
+# ---------------------------------------------------------------------------
+# pretraining
+# ---------------------------------------------------------------------------
+
+# (seed, pretrain_accuracy) as the 64-row accuracy chunks and the full
+# backward gave them; the parameters matched bitwise too
+@pytest.mark.parametrize("seed, accuracy", [(1, 0.95), (2, 119 / 120)])
+def test_pretrain_accuracy_is_pinned(seed, accuracy):
+    phi = build_phi("pretrain", seed, SMALL_SPEC, n_identities=6,
+                    per_identity=20, steps=60, render_hw=(32, 24))
+    assert phi.pretrain_accuracy == accuracy
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def default_classifier():
+    """φ at the default spec, a 16-identity head and 256 random crops."""
+    rng = np.random.default_rng(0)
+    phi = build_phi("fixed_random", 0)
+    for p in phi.params():
+        p.frozen = False
+    head = Dense(64, 16, name="head", rng=rng)
+    crops = rng.uniform(size=(256, 1, 32, 32))
+    return phi, head, crops, np.repeat(np.arange(16), 16)
+
+
+def test_pretraining_step_peak_memory_at_batch_32(default_classifier):
+    phi, head, crops, labels = default_classifier
+    pretrain_step(phi, head, crops[:32], labels[:32], 1e-3)
+    peak = _traced_peak(lambda: pretrain_step(phi, head, crops[32:64],
+                                              labels[32:64], 1e-3))
+    # 18.1 MiB here when max-feature-map kept its input, the pool int64
+    # indices and conv1 its input gradient; 7.8 MiB without them
+    assert peak < 10 * 2 ** 20
+
+
+def test_accuracy_pass_peak_memory_in_batch_sized_chunks(default_classifier):
+    phi, head, crops, _ = default_classifier
+    preds = classify(phi, head, crops, 32)
+    assert preds.shape == (256,)
+    # 12.0 MiB here in 64-row chunks, 6.0 MiB in 32-row chunks
+    assert _traced_peak(lambda: classify(phi, head, crops, 32)) < 8 * 2 ** 20

@@ -73,6 +73,18 @@ def test_end_to_end_gradient_matches_finite_differences():
 
     assert grad_check(fn, rng.uniform(size=(1, 1, 4, 4))).passed
 
+def test_backward_without_input_gradient_gives_bitwise_the_parameter_grads():
+    rng = np.random.default_rng(4)
+    x = rng.uniform(size=(3, 1, 8, 8))
+    weights = rng.normal(size=(3, 1, 8, 8))
+    full, partial = build_psi(SMALL, seed=5), build_psi(SMALL, seed=5)
+    full.forward(x)
+    assert full.backward(weights).shape == x.shape
+    partial.forward(x)
+    assert partial.backward(weights, input_grad=False) is None
+    for a, b in zip(full.params(), partial.params()):
+        assert a.grad.any() and a.grad.tobytes() == b.grad.tobytes()
+
 def test_pooled_net_sees_farther_than_pool_free_conv_stack():
     net = build_psi(InpaintSpec(), seed=0)
     n_convs = 4

@@ -297,7 +297,7 @@ def test_pool_kernels_match_stack_argmax_reference_bitwise(case):
     out, idx = maxpool2_indices(x)
     ref_out, ref_idx = _ref_maxpool2(x)
     assert out.tobytes() == ref_out.tobytes()
-    assert idx.dtype == ref_idx.dtype and idx.tobytes() == ref_idx.tobytes()
+    assert idx.dtype == np.int8 and np.array_equal(idx, ref_idx)
     with np.errstate(invalid="ignore"):  # inf * 0 in the reference
         up, ref_up = unpool_indices(out, idx, x.shape[2:]), _ref_unpool(out, idx)
     assert up.tobytes() == ref_up.tobytes()
@@ -324,7 +324,7 @@ def test_mfm_tie_routes_gradient_to_first_half():
     x = np.ones((1, 4, 2, 2))
     out = mfm(x)
     np.testing.assert_array_equal(out, np.ones((1, 2, 2, 2)))
-    grad = mfm_backward(np.ones((1, 2, 2, 2)), x)
+    grad = mfm_backward(np.ones((1, 2, 2, 2)), x[:, :2] >= x[:, 2:])
     np.testing.assert_array_equal(grad[:, :2], np.ones((1, 2, 2, 2)))
     np.testing.assert_array_equal(grad[:, 2:], np.zeros((1, 2, 2, 2)))
 
@@ -341,6 +341,32 @@ def test_mfm_gradient_matches_finite_differences_away_from_ties():
 def test_mfm_works_on_flat_feature_vectors():
     x = np.array([[1.0, 5.0, 2.0, 0.5]])
     np.testing.assert_array_equal(mfm(x), [[2.0, 5.0]])
+
+def _ref_mfm_backward(grad, x):
+    """The two products and the concatenate the mask-record backward
+    replaced."""
+    half = x.shape[1] // 2
+    first_wins = x[:, :half] >= x[:, half:]
+    return np.concatenate([grad * first_wins, grad * ~first_wins], axis=1)
+
+_MFM_VALUES = np.array([-1.0, -0.0, 0.0, 0.5, 2.0, np.nan, -np.nan, np.inf,
+                        -np.inf])
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_mfm_mask_record_backward_is_bitwise_the_reference(n, half, flat,
+                                                           seed):
+    rng = np.random.default_rng(seed)
+    shape = (n, 2 * half) if flat else (n, 2 * half, 3, 2)
+    # few distinct values, so most pairs tie, ±0 included
+    x = rng.choice(_MFM_VALUES, size=shape)
+    grad = rng.choice(_MFM_VALUES, size=(n, half, *shape[2:]))
+    layer = MaxFeatureMap()
+    with np.errstate(invalid="ignore"):  # inf * 0 routes a NaN
+        assert layer.forward(x).tobytes() == mfm(x).tobytes()
+        expected = _ref_mfm_backward(grad, x)
+        assert layer.backward(grad).tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +432,44 @@ def test_dense_gradients_match_finite_differences():
         return float(np.sum(out * weights)), fc.weight.grad.copy()
 
     assert grad_check(fn_of_weight, fc.weight.value.copy()).passed
+
+
+# ---------------------------------------------------------------------------
+# gradients nobody reads
+# ---------------------------------------------------------------------------
+
+_PARAM_LAYERS = {
+    "conv": (lambda: Conv2d(2, 4, 3, pad=1, rng=np.random.default_rng(0)),
+             (3, 2, 5, 4)),
+    "dense": (lambda: Dense(2 * 5 * 4, 3, rng=np.random.default_rng(0)),
+              (3, 2, 5, 4)),
+}
+
+def _backward_once(layer, shape, **kwargs):
+    rng = np.random.default_rng(1)
+    out = layer.forward(rng.normal(size=shape))
+    return layer.backward(rng.normal(size=out.shape), **kwargs)
+
+@pytest.mark.parametrize("kind", sorted(_PARAM_LAYERS))
+def test_frozen_layer_leaves_its_grads_zero_and_the_input_gradient_bitwise(
+        kind):
+    make, shape = _PARAM_LAYERS[kind]
+    live, frozen = make(), make()
+    for p in frozen.params():
+        p.frozen = True
+    expected = _backward_once(live, shape)
+    got = _backward_once(frozen, shape)
+    assert got.tobytes() == expected.tobytes()
+    assert all(p.grad.any() for p in live.params())
+    assert not any(p.grad.any() for p in frozen.params())
+
+def test_conv_without_input_gradient_gives_bitwise_the_parameter_gradients():
+    make, shape = _PARAM_LAYERS["conv"]
+    full, partial = make(), make()
+    _backward_once(full, shape)
+    assert _backward_once(partial, shape, input_grad=False) is None
+    for a, b in zip(full.params(), partial.params()):
+        assert a.grad.tobytes() == b.grad.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 
 from demesh import losses, trainer
 from demesh.facegen import load_split, make_dataset, to_float
-from demesh.featnet import FeatureSpec, build_phi
+from demesh.featnet import FeatureNet, FeatureSpec, build_phi
 from demesh.inpaint import build_psi, load_psi, save_psi
+from demesh.layers import INFERENCE_CHUNK
 from demesh.losses import UnifiedLoss
 from demesh.trainer import (TrainConfig, TrainingDiverged, format_config,
                             parse_config, run_ablation, train)
@@ -59,6 +60,12 @@ def test_config_rejects_bad_values(dataset):
         tiny_config(dataset, lr_decay_factor=1.5).validate()
     with pytest.raises(ValueError, match="batch_size"):
         tiny_config(dataset, batch_size=0).validate()
+    for interval in (0, -3):
+        with pytest.raises(ValueError, match="val_interval"):
+            tiny_config(dataset, val_interval=interval).validate()
+    for lr in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="lr must be positive"):
+            tiny_config(dataset, lr=lr).validate()
 
 def test_learning_rate_schedule_is_piecewise_constant(dataset):
     cfg = tiny_config(dataset, lr=1e-4, lr_decay_factor=0.1,
@@ -203,6 +210,30 @@ def test_ablation_preserves_partial_results_on_failure(dataset, tmp_path,
     table = (tmp_path / "abl" / "ablation.tsv").read_text().splitlines()
     models = [line.split("\t")[0] for line in table[1:]]
     assert models == ["clear", "corrupted", "fcne", "fcnw"]
+
+def test_ablation_runs_phi_once_over_the_clear_test_images(dataset, tmp_path,
+                                                          monkeypatch):
+    cfg = tiny_config(dataset, total_steps=4)
+    calls = []
+    real_taps = FeatureNet.forward_taps
+
+    def counted(self, x, *args, **kwargs):
+        calls.append(len(x))
+        return real_taps(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(FeatureNet, "forward_taps", counted)
+    run_ablation(cfg, tmp_path / "shared")
+    shared = len(calls)
+    # every row computes the clear features itself, as before they were shared
+    monkeypatch.setattr(trainer, "clear_features", lambda data, phi: None)
+    run_ablation(cfg, tmp_path / "per_row")
+    test_chunks = -(-len(load_split(dataset, "test")) // INFERENCE_CHUNK)
+    assert len(calls) - shared == shared + 6 * test_chunks
+    names = sorted(p.name for p in (tmp_path / "shared").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "per_row").iterdir())
+    for name in names:
+        assert (tmp_path / "shared" / name).read_bytes() == \
+            (tmp_path / "per_row" / name).read_bytes()
 
 def test_ensure_phi_reuses_the_checkpoint(dataset, tmp_path):
     cfg = tiny_config(dataset)
