@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -503,6 +504,16 @@ def split_counts(n: int, ratios: tuple[float, float, float]) -> tuple[int, int, 
     return tuple(counts)
 
 
+def _remove_splits(root: Path) -> None:
+    """Remove each split directory under ``root``; a symlink is removed,
+    not followed."""
+    for path in (root / split for split in SPLITS):
+        if path.is_dir() and not path.is_symlink():
+            shutil.rmtree(path)
+        elif path.is_symlink() or path.exists():
+            path.unlink()
+
+
 def make_dataset(out_dir: str | Path, n_identities: int,
                  samples_per_identity: int, seed: int,
                  ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
@@ -511,10 +522,14 @@ def make_dataset(out_dir: str | Path, n_identities: int,
 
     Layout: <root>/<split>/<identity>/<sample>.{x,y,m}.pgm plus a .meta text
     file per sample, one daily render per identity, and a top-level
-    manifest.tsv listing every sample with its split label.
+    manifest.tsv listing every sample with its split label. The split
+    directories are removed before any write, and manifest.tsv is replaced
+    after the samples, so a dataset written over another is the one a fresh
+    directory gets; other files under the root stay.
     """
     out = Path(out_dir)
     counts = split_counts(n_identities, ratios)
+    _remove_splits(out)
     master = np.random.default_rng(seed)
     rows = ["split\tidentity\tsample\tkind"]
     idx = 0

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint, configio, facegen, stn
-from .layers import (Conv2d, Dense, MaxFeatureMap, MaxPool2x2, Param,
-                     ShapeError, adam_step, map_chunks,
+from .layers import (PSI_BLOCK, Conv2d, Dense, MaxFeatureMap, MaxPool2x2,
+                     Param, ShapeError, adam_step, map_chunks,
                      softmax_cross_entropy)
 
 Array = np.ndarray
@@ -151,9 +151,28 @@ class FeatureNet:
         return self.taps[tap]
 
     def features(self, x: Array, *, keep: bool = True) -> Array:
-        """Final compact features for a batch of aligned crops: (N, width)."""
-        return self.forward_taps(x, taps=(FINAL_FEATURE,),
-                                 keep=keep)[FINAL_FEATURE]
+        """Final compact features for a batch of aligned crops: (N, width).
+
+        A record-free pass (``keep=False``) runs the layers before ``fc`` in
+        blocks of ``PSI_BLOCK`` crops, then ``fc`` and its MFM over all of
+        ``x``. The convs lower one image at a time and MFM and pool act per
+        image, so the blocks give the one-batch bits; ``fc`` is the one
+        product across rows, and its rows are not split."""
+        if keep:
+            return self.forward_taps(x, taps=(FINAL_FEATURE,))[FINAL_FEATURE]
+        self._check_input(x)
+        fc = self.taps[FINAL_FEATURE] - 1  # fc, then its MFM, the tap
+
+        def block(rows: slice) -> Array:
+            h = x[rows]
+            for layer in self.layers[:fc]:
+                h = layer.forward(h, keep=False)
+            return h
+
+        h = map_chunks(block, len(x), PSI_BLOCK)
+        for layer in self.layers[fc:]:
+            h = layer.forward(h, keep=False)
+        return h
 
 
 # ---------------------------------------------------------------------------

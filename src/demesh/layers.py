@@ -513,20 +513,28 @@ def softmax_cross_entropy(logits: Array, labels: Array) -> tuple[float, Array]:
 
 INFERENCE_CHUNK = 64  # most rows in one inference chunk, by default
 
-# ψ's inference block: at 8 rows the largest activation, (8, 16, 64, 48),
-# is 3.1 MB, against 25 MB at 64 rows. That is more than the 2 MiB per-core
-# L2 of the Xeon measured here, so the block is sized by measurement, not to
-# a cache level. Over 400 64x48 images (one thread, 2-vCPU Xeon, medians of
-# 10 interleaved runs) bounds of 4, 8, 16, 32 and 64 rows took 1.66, 1.65,
-# 1.85, 1.91 and 2.00 s. ψ has no matrix product across rows, so any block gives the
-# one-batch output bitwise.
+# The inference block of every per-image stage: ψ, the PSNR, the alignment
+# crop and φ's layers before ``fc``. At 8 rows ψ's largest activation,
+# (8, 16, 64, 48), is 3.1 MB, against 25 MB at 64 rows. That is more than
+# the 2 MiB per-core L2 of the Xeon measured here, so the block is sized by
+# measurement, not to a cache level. Over 400 64x48 images (one thread,
+# 2-vCPU Xeon, medians of 10 interleaved runs) bounds of 4, 8, 16, 32 and 64
+# rows took 1.66, 1.65, 1.85, 1.91 and 2.00 s. None of these stages has a
+# matrix product across rows, so any block gives the one-batch output
+# bitwise; only φ's ``fc`` mixes rows, and it sees INFERENCE_CHUNK chunks.
 PSI_BLOCK = 8
 
 
+def chunk_slices(n: int, rows: int = INFERENCE_CHUNK) -> list[slice]:
+    """The ceil(n / rows) slices that cover range(n) in order, their
+    lengths differing by at most one."""
+    k = max(1, -(-n // rows))
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
+
+
 def map_chunks(fn, n: int, rows: int = INFERENCE_CHUNK) -> Array:
-    """``fn(chunk)`` over ceil(n / rows) slices ``chunk`` that cover
-    range(n) in order, their lengths differing by at most one, stacked
-    along the first axis.
+    """``fn(chunk)`` over the ``chunk_slices(n, rows)``, stacked along the
+    first axis.
 
     Near-equal slices, not 64 rows plus a short remainder: a matrix product
     of a few rows rounds differently (OpenBLAS switches kernels), which moved
@@ -534,14 +542,12 @@ def map_chunks(fn, n: int, rows: int = INFERENCE_CHUNK) -> Array:
     more, give φ's features bitwise as one batch does. A net without a
     matrix product across rows, like ψ, may take smaller slices.
     """
-    k = max(1, -(-n // rows))
     out = None
-    for i in range(k):
-        lo, hi = i * n // k, (i + 1) * n // k
-        part = fn(slice(lo, hi))
+    for chunk in chunk_slices(n, rows):
+        part = fn(chunk)
         if out is None:
             out = np.empty((n, *part.shape[1:]), dtype=part.dtype)
-        out[lo:hi] = part
+        out[chunk] = part
     return out
 
 

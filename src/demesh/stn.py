@@ -210,11 +210,15 @@ def bilinear_backward(grad_out: Array, grid: SampleGrid,
             f"gradient shape {grad_out.shape} does not match grid {grid.shape}")
     n, c = grad_out.shape[:2]
     h, w = input_hw
-    grad_in = np.zeros((n, c, h * w))
     g = grad_out.reshape(n, c, -1)
-    samples = np.arange(n)[:, None, None]
-    channels = np.arange(c)[None, :, None]
+    # each (sample, channel) plane's offset in the flat (N, C, H * W) result
+    planes = (np.arange(n * c) * (h * w)).reshape(n, c, 1)
+    targets, values = [], []
     for idx, wgt in _corner_weights(grid, h, w):
-        np.add.at(grad_in, (samples, channels, idx[:, None, :]),
-                  g * wgt[:, None, :])
+        targets.append((planes + idx[:, None, :]).ravel())
+        values.append((g * wgt[:, None, :]).ravel())
+    # one scatter-add, corner by corner in (sample, channel, point) order:
+    # the additions, and so the bits, of one np.add.at per corner
+    grad_in = np.bincount(np.concatenate(targets), np.concatenate(values),
+                          minlength=n * c * h * w)
     return grad_in.reshape(n, c, h, w)

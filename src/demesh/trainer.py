@@ -160,8 +160,11 @@ def _params_digest(net: FeatureNet) -> str:
 
 
 def _validation_metrics(net: InpaintNet, data: SplitData,
-                        phi: FeatureNet | None):
-    mean_psnr, rmse, _ = recovery_metrics(batched_forward(net, data.x), data, phi)
+                        phi: FeatureNet | None, clear: Array | None = None):
+    """ψ's mean PSNR and feature RMSE on ``data``, streamed block by block;
+    ``clear`` is the split's ``clear_features``, computed when not given."""
+    mean_psnr, rmse, _ = recovery_metrics(
+        lambda rows: batched_forward(net, data.x[rows]), data, phi, clear)
     return mean_psnr, rmse
 
 
@@ -189,6 +192,9 @@ def train(cfg: TrainConfig, phi: FeatureNet | None = None
         raise ValueError(f"train split has {len(data)} triplets, "
                          f"batch size is {cfg.batch_size}")
     val_data = load_split(cfg.dataset, "val")
+    # φ's features of the clear validation images, shared by every validation
+    val_clear = clear_features(val_data, phi) \
+        if phi is not None and len(val_data) else None
 
     phi_digest = _params_digest(phi) if phi is not None else None
     net = build_psi(cfg.arch_spec(), cfg.init_seed)
@@ -222,7 +228,8 @@ def train(cfg: TrainConfig, phi: FeatureNet | None = None
         last = step == cfg.total_steps - 1
         if len(val_data) and (step % cfg.val_interval == cfg.val_interval - 1
                               or last):
-            v_psnr, v_rmse = _validation_metrics(net, val_data, phi)
+            v_psnr, v_rmse = _validation_metrics(net, val_data, phi,
+                                                  val_clear)
             log.validations.append((step, v_psnr, v_rmse))
 
     if phi is not None and _params_digest(phi) != phi_digest:
@@ -236,8 +243,8 @@ def train(cfg: TrainConfig, phi: FeatureNet | None = None
 
 def evaluate(name: str, net: InpaintNet, data: SplitData,
              phi: FeatureNet, clear: Array | None = None) -> EvalReport:
-    return run_protocol(name, lambda xs: batched_forward(net, xs), data, phi,
-                        clear)
+    return run_protocol(name, lambda rows: batched_forward(net, data.x[rows]),
+                        data, phi, clear)
 
 
 def ensure_phi(cfg: TrainConfig, path: str | Path | None) -> FeatureNet:
@@ -276,9 +283,10 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[EvalReport]:
         write_roc_tsv(report, out)
         write_report_tsv(reports, out / "ablation.tsv")
 
-    finish(run_protocol("clear", lambda xs: to_float(test_data.y), test_data,
-                        phi, clear))
-    finish(run_protocol("corrupted", to_float, test_data, phi, clear))
+    finish(run_protocol("clear", lambda rows: to_float(test_data.y[rows]),
+                        test_data, phi, clear))
+    finish(run_protocol("corrupted", lambda rows: to_float(test_data.x[rows]),
+                        test_data, phi, clear))
     for variant in VARIANTS:
         vcfg = replace(cfg, variant=variant)
         net, log = train(vcfg, phi)

@@ -24,7 +24,7 @@ import numpy as np
 from . import atomic, stn
 from .facegen import SplitData, to_float
 from .featnet import FeatureNet
-from .layers import PSI_BLOCK, ShapeError, map_chunks
+from .layers import PSI_BLOCK, ShapeError, chunk_slices, map_chunks
 
 Array = np.ndarray
 
@@ -130,14 +130,23 @@ def verification_scores(gallery: Array, probes: Array) -> ScoreSet:
 # ---------------------------------------------------------------------------
 
 def _aligned_features(phi: FeatureNet, load, eyes) -> Array:
-    """φ's features of each image's eye-aligned crop, one chunk at a time;
-    ``load(rows)`` gives a slice of rows' float images (n, 1, H, W)."""
-    def crop_features(rows: slice) -> Array:
+    """φ's features of each image's eye-aligned crop. ``load(rows)`` gives
+    a slice of rows' float images (n, 1, H, W); it is called once per row,
+    one ``PSI_BLOCK`` block at a time, and each block is cropped as it is
+    loaded. Only φ's ``fc`` sees a whole chunk of crops."""
+    def crop(rows: slice) -> Array:
         images = load(rows)
         grid = stn.alignment_grid(eyes[rows], *images.shape[2:], phi.in_h,
                                   phi.in_w)
-        return phi.features(stn.bilinear_sample(images, grid), keep=False)
-    return map_chunks(crop_features, len(eyes))
+        return stn.bilinear_sample(images, grid)
+
+    def chunk_features(chunk: slice) -> Array:
+        crops = map_chunks(
+            lambda rows: crop(slice(chunk.start + rows.start,
+                                    chunk.start + rows.stop)),
+            chunk.stop - chunk.start, PSI_BLOCK)
+        return phi.features(crops, keep=False)
+    return map_chunks(chunk_features, len(eyes))
 
 
 def clear_features(data: SplitData, phi: FeatureNet) -> Array:
@@ -147,47 +156,59 @@ def clear_features(data: SplitData, phi: FeatureNet) -> Array:
                              data.eyes)
 
 
-def recovery_metrics(recovered: Array, data: SplitData,
-                     phi: FeatureNet | None, clear: Array | None = None):
-    """Mean PSNR and feature RMSE of recovered (N, 1, H, W) float images
-    against the split's clear graymaps, plus the recovered images' aligned
-    features. ``clear`` is the split's ``clear_features``, computed here
-    when not given. Without a feature net the RMSE is nan and there are no
-    features. PSNR runs in blocks of rows, never all clear images in float."""
-    mean_psnr = float(np.mean(map_chunks(
-        lambda rows: psnr(recovered[rows], to_float(data.y[rows])),
-        len(recovered), PSI_BLOCK)))
+def recovery_metrics(load, data: SplitData, phi: FeatureNet | None,
+                     clear: Array | None = None):
+    """Mean PSNR and feature RMSE of a recovery against the split's clear
+    graymaps, plus the recovered images' aligned features.
+
+    ``load(rows)`` gives the recovered float64 images (n, 1, H, W) of a
+    slice of the split's rows. It is called once per row, one ``PSI_BLOCK``
+    block at a time, and each block is scored for PSNR in the pass that
+    crops it for φ; a block of another shape raises ShapeError, of another
+    dtype TypeError. ``clear`` is the split's ``clear_features``, computed
+    here when not given. Without a feature net the RMSE is nan and there
+    are no features."""
+    dbs = np.empty(len(data))
+
+    def scored(rows: slice) -> Array:
+        images = load(rows)
+        want = data.x[rows].shape
+        if images.shape != want:
+            raise ShapeError(f"recovery changed the batch shape: "
+                             f"{images.shape} vs {want}")
+        if images.dtype != np.float64:
+            raise TypeError(f"recovery must be float64 images in [0, 1], got "
+                            f"{images.dtype} (convert graymaps with to_float)")
+        dbs[rows] = psnr(images, to_float(data.y[rows]))
+        return images
+
     if phi is None:
-        return mean_psnr, float("nan"), None
-    feats = _aligned_features(phi, lambda rows: recovered[rows], data.eyes)
+        for rows in chunk_slices(len(data), PSI_BLOCK):
+            scored(rows)
+        return float(np.mean(dbs)), float("nan"), None
+    feats = _aligned_features(phi, scored, data.eyes)
     if clear is None:
         clear = clear_features(data, phi)
-    return mean_psnr, feature_rmse(feats, clear), feats
+    return float(np.mean(dbs)), feature_rmse(feats, clear), feats
 
 
 def run_protocol(model: str, recover_fn, data: SplitData,
                  phi: FeatureNet, clear: Array | None = None) -> EvalReport:
     """Evaluate one recovery function on a test split.
 
-    ``recover_fn`` maps the split's corrupted graymaps (N, 1, H, W) to
-    recovered float64 images of the same shape; any other dtype raises
-    TypeError. PSNR and feature RMSE are computed against the clear ground
-    truth over every row (``clear`` passes the split's ``clear_features``
-    to rows that share them); verification scores every
-    (recovered gallery, daily probe) pair over one gallery image (the
-    identity's first row) and one daily photo per identity.
+    ``recover_fn(rows)`` gives the recovered float64 images of a slice of
+    the split's rows, from their corrupted graymaps ``data.x[rows]``; it is
+    called once per row, in blocks (see ``recovery_metrics``), so no stack
+    of all N recoveries is ever built. PSNR and feature RMSE are computed
+    against the clear ground truth over every row (``clear`` passes the
+    split's ``clear_features`` to rows that share them); verification
+    scores every (recovered gallery, daily probe) pair over one gallery
+    image (the identity's first row) and one daily photo per identity.
     """
     if not len(data):
         raise ValueError("empty test split")
-    recovered = recover_fn(data.x)
-    if recovered.shape != data.x.shape:
-        raise ShapeError(f"recovery changed the batch shape: "
-                         f"{recovered.shape} vs {data.x.shape}")
-    if recovered.dtype != np.float64:
-        raise TypeError(f"recovery must be float64 images in [0, 1], got "
-                        f"{recovered.dtype} (convert graymaps with to_float)")
-
-    mean_psnr, rmse, feats_rec = recovery_metrics(recovered, data, phi, clear)
+    mean_psnr, rmse, feats_rec = recovery_metrics(recover_fn, data, phi,
+                                                  clear)
 
     # each identity's first row, in first-seen order
     gallery_rows = np.sort(np.unique(data.identity, return_index=True)[1])

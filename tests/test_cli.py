@@ -72,6 +72,32 @@ def test_gen_data_refuses_nonempty_dir_without_force(tmp_path, capsys):
     assert run_cli("gen-data", "--out", str(target), "--identities", "2",
                    "--per-id", "1", "--force") == 0
 
+def layout_digest(root):
+    """sha256 over the relative path and bytes of every file the dataset
+    layout owns under ``root``."""
+    h = hashlib.sha256()
+    owned = [root / "manifest.tsv"]
+    owned += sorted(p for split in ("train", "val", "test")
+                    for p in (root / split).rglob("*") if p.is_file())
+    for path in owned:
+        h.update(str(path.relative_to(root)).encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+def test_gen_data_force_leaves_nothing_of_the_old_dataset(tmp_path):
+    target, fresh = tmp_path / "d", tmp_path / "fresh"
+    assert run_cli("gen-data", "--out", str(target), "--identities", "4",
+                   "--per-id", "3", "--split", "0.5,0.25,0.25") == 0
+    (target / "notes.txt").write_text("kept")
+    for out, extra in ((target, ["--force"]), (fresh, [])):
+        assert run_cli("gen-data", "--out", str(out), "--identities", "2",
+                       "--per-id", "2", *extra) == 0
+    assert layout_digest(target) == layout_digest(fresh)
+    files = sorted(p.relative_to(target) for p in target.rglob("*")
+                   if p.is_file())
+    assert len(files) == 21 + 1  # the fresh layout, plus the unrelated file
+    assert (target / "notes.txt").read_text() == "kept"
+
 def test_gen_data_reports_a_truncated_daily_photo_on_one_line(
         tmp_path, capsys, monkeypatch):
     def make_then_truncate(out, *args):

@@ -498,3 +498,17 @@ def test_dataset_file_byte_flips_and_truncations_read_or_raise_dataset_error(
         _FUZZED_FILES[rel](path)
     except DatasetError:
         pass
+
+
+def test_make_dataset_removes_a_split_symlink_without_following_it(tmp_path):
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "keep.txt").write_text("kept")
+    root = tmp_path / "d"
+    root.mkdir()
+    (root / "train").symlink_to(outside, target_is_directory=True)
+    make_dataset(root, 2, 1, seed=0, ratios=(1.0, 0.0, 0.0))
+    assert (outside / "keep.txt").read_text() == "kept"
+    assert not (root / "train").is_symlink()
+    assert sorted(p.name for p in (root / "train").iterdir()) == \
+        ["id0000", "id0001"]

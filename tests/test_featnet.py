@@ -2,14 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from demesh import facegen, stn
 from demesh.featnet import (EARLY_CONV, FINAL_FEATURE, FeatureNet,
                             FeatureSpec, build_phi, classify, load_phi,
                             pretrain_step, save_phi)
-from demesh.layers import (Dense, FrozenParameterError, NoRecordError,
-                           ShapeError, adam_step, grad_check)
+from demesh.layers import (PSI_BLOCK, Dense, FrozenParameterError,
+                           NoRecordError, ShapeError, adam_step, grad_check)
 
 SMALL_SPEC = FeatureSpec(in_h=16, in_w=16, widths=(8, 16), feature_width=32)
 
@@ -198,8 +198,10 @@ _RECORDS = ("_x", "_xf", "_first_wins", "indices")
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(taps=st.sampled_from([None, (EARLY_CONV,), (FINAL_FEATURE,),
                              (FINAL_FEATURE, EARLY_CONV)]),
-       n=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(1, 20), seed=st.integers(0, 2 ** 32 - 1),
        levels=st.sampled_from([0, 2]))
+@example(taps=None, n=17, seed=17, levels=2)  # three blocks before fc
+@example(taps=None, n=65, seed=65, levels=0)
 def test_record_free_taps_are_bitwise_the_recording_taps(taps, n, seed,
                                                          levels):
     phi = build_phi("fixed_random", seed % 1000, SMALL_SPEC)
@@ -215,6 +217,21 @@ def test_record_free_taps_are_bitwise_the_recording_taps(taps, n, seed,
                for name in _RECORDS if hasattr(layer, name))
     assert phi.features(x, keep=False).tobytes() == \
         phi.features(x).tobytes()
+
+
+def test_record_free_features_run_only_fc_over_all_rows():
+    phi = build_phi("fixed_random", 4, SMALL_SPEC)
+    rows = {}
+    for layer in phi.layers:
+        def spy(x, *, keep=True, layer=layer, forward=layer.forward):
+            rows.setdefault(getattr(layer, "name", type(layer).__name__),
+                            []).append(len(x))
+            return forward(x, keep=keep)
+        layer.forward = spy
+    phi.features(np.zeros((20, 1, 16, 16)), keep=False)
+    # 20 crops in near-equal blocks of at most PSI_BLOCK, one fc product
+    assert rows["conv1"] == rows["conv2"] == [6, 7, 7]
+    assert max(rows["conv1"]) <= PSI_BLOCK and rows["fc"] == [20]
 
 
 def test_backward_taps_after_a_record_free_forward_raises():

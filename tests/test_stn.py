@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from demesh.layers import grad_check
 from demesh.stn import (DegenerateLandmarksError, Landmarks, SampleGrid,
-                        SimilarityParams, TARGET_EYES, alignment_grid,
-                        bilinear_backward, bilinear_sample,
+                        SimilarityParams, TARGET_EYES, _corner_weights,
+                        alignment_grid, bilinear_backward, bilinear_sample,
                         denormalize_coords, generate_grid, normalize_coords,
                         resize_grid, solve_similarity)
 
@@ -301,3 +301,29 @@ def test_batched_sampler_matches_per_image_reference_bitwise(batch):
         np.testing.assert_array_equal(crops[i], _reference_sample(images[i], xs, ys))
         np.testing.assert_array_equal(back[i],
                                       _reference_backward(grads[i], xs, ys, h, w))
+
+
+def _add_at_backward(grad_out, grid, input_hw):
+    """The batched adjoint as one ``np.add.at`` per bilinear corner, the
+    form ``bilinear_backward`` had before its single ``np.bincount``."""
+    n, c = grad_out.shape[:2]
+    h, w = input_hw
+    grad_in = np.zeros((n, c, h * w))
+    g = grad_out.reshape(n, c, -1)
+    samples = np.arange(n)[:, None, None]
+    channels = np.arange(c)[None, :, None]
+    for idx, wgt in _corner_weights(grid, h, w):
+        np.add.at(grad_in, (samples, channels, idx[:, None, :]),
+                  g * wgt[:, None, :])
+    return grad_in.reshape(n, c, h, w)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sampler_batches())
+def test_bincount_backward_is_bitwise_the_add_at_scatter(batch):
+    eyes, images, grads = batch
+    h, w = images.shape[2:]
+    grid = alignment_grid(eyes, h, w, *grads.shape[2:])
+    assert bilinear_backward(grads, grid, (h, w)).tobytes() == \
+        _add_at_backward(grads, grid, (h, w)).tobytes()
+

@@ -211,17 +211,40 @@ def test_ablation_preserves_partial_results_on_failure(dataset, tmp_path,
     models = [line.split("\t")[0] for line in table[1:]]
     assert models == ["clear", "corrupted", "fcne", "fcnw"]
 
-def test_ablation_runs_phi_once_over_the_clear_test_images(dataset, tmp_path,
-                                                          monkeypatch):
-    cfg = tiny_config(dataset, total_steps=4)
+def count_phi_calls(monkeypatch) -> list[int]:
+    """The row count of every ``FeatureNet.features`` call from now on."""
     calls = []
-    real_taps = FeatureNet.forward_taps
+    real_features = FeatureNet.features
 
     def counted(self, x, *args, **kwargs):
         calls.append(len(x))
-        return real_taps(self, x, *args, **kwargs)
+        return real_features(self, x, *args, **kwargs)
 
-    monkeypatch.setattr(FeatureNet, "forward_taps", counted)
+    monkeypatch.setattr(FeatureNet, "features", counted)
+    return calls
+
+def test_train_runs_phi_once_over_the_clear_validation_images(
+        dataset, phi, tmp_path, monkeypatch):
+    cfg = tiny_config(dataset, total_steps=30, val_interval=10)
+    calls = count_phi_calls(monkeypatch)
+    _, shared_log = train(cfg, phi)
+    shared = len(calls)
+    val_chunks = -(-len(load_split(dataset, "val")) // INFERENCE_CHUNK)
+    # the clear validation images once, then each of 3 validations' recovery
+    assert shared == (1 + 3) * val_chunks
+    # every validation computes the clear features itself, as before
+    monkeypatch.setattr(trainer, "clear_features", lambda data, phi: None)
+    _, per_validation_log = train(cfg, phi)
+    assert len(calls) - shared == shared + 2 * val_chunks
+    shared_log.write(tmp_path / "shared.tsv")
+    per_validation_log.write(tmp_path / "per_validation.tsv")
+    assert (tmp_path / "shared.tsv").read_bytes() == \
+        (tmp_path / "per_validation.tsv").read_bytes()
+
+def test_ablation_runs_phi_once_over_the_clear_test_images(dataset, tmp_path,
+                                                          monkeypatch):
+    cfg = tiny_config(dataset, total_steps=4)
+    calls = count_phi_calls(monkeypatch)
     run_ablation(cfg, tmp_path / "shared")
     shared = len(calls)
     # every row computes the clear features itself, as before they were shared

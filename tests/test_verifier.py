@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from demesh import stn
 from demesh.facegen import SplitData, load_split, make_dataset, to_float
-from demesh.featnet import FeatureSpec, build_phi
+from demesh.featnet import FINAL_FEATURE, FeatureSpec, build_phi
 from demesh.inpaint import InpaintSpec, build_psi
-from demesh.layers import ShapeError
-from demesh.trainer import batched_forward
+from demesh.layers import PSI_BLOCK, ShapeError, map_chunks
+from demesh.trainer import batched_forward, evaluate
 from demesh.verifier import (EvalReport, FPR_TARGETS, ScoreSet,
                              _aligned_features, feature_rmse, psnr,
                              read_roc_tsv, recovery_metrics, roc,
@@ -306,9 +306,18 @@ def test_blocked_psnr_is_bitwise_the_per_image_loop(n, seed):
     recovered = rng.uniform(size=clear.shape)
     data = SplitData(x=clear, y=clear, m=clear > 127, eyes=[], identity=[],
                      sample=[str(i) for i in range(n)], dailies={})
-    mean_psnr, rmse, feats = recovery_metrics(recovered, data, None)
+    loaded = []
+
+    def load(rows):
+        loaded.append(rows)
+        return recovered[rows]
+
+    mean_psnr, rmse, feats = recovery_metrics(load, data, None)
     assert mean_psnr == loop_mean_psnr(recovered, clear)
     assert math.isnan(rmse) and feats is None
+    # one call per row, in order, in blocks of at most PSI_BLOCK rows
+    assert [i for rows in loaded for i in range(n)[rows]] == list(range(n))
+    assert max(rows.stop - rows.start for rows in loaded) <= PSI_BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +337,17 @@ def protocol_setup(tmp_path_factory):
 
 def test_identity_recovery_equals_corrupted_baseline(protocol_setup):
     data, phi = protocol_setup
-    a = run_protocol("model", to_float, data, phi)
-    b = run_protocol("corrupted", lambda xs: to_float(xs.copy()), data, phi)
+    a = run_protocol("model", lambda rows: to_float(data.x[rows]), data, phi)
+    b = run_protocol("corrupted", lambda rows: to_float(data.x[rows].copy()),
+                     data, phi)
     assert a.psnr_db == b.psnr_db
     assert a.feature_rmse == b.feature_rmse
     assert a.tpr_at == b.tpr_at
 
 def test_truth_oracle_recovery_equals_clear_baseline(protocol_setup):
     data, phi = protocol_setup
-    report = run_protocol("oracle", lambda xs: to_float(data.y), data, phi)
+    report = run_protocol("oracle", lambda rows: to_float(data.y[rows]),
+                          data, phi)
     assert math.isinf(report.psnr_db)
     assert report.feature_rmse == 0.0
 
@@ -347,7 +358,12 @@ def test_truth_oracle_recovery_equals_clear_baseline(protocol_setup):
 def test_a_recovery_that_is_not_float64_is_refused(protocol_setup, recover):
     data, phi = protocol_setup
     with pytest.raises(TypeError, match="float64"):
-        run_protocol("raw", recover, data, phi)
+        run_protocol("raw", lambda rows: recover(data.x[rows]), data, phi)
+
+def test_a_recovery_of_other_rows_is_refused(protocol_setup):
+    data, phi = protocol_setup
+    with pytest.raises(ShapeError, match="batch shape"):
+        run_protocol("all", lambda rows: to_float(data.x), data, phi)
 
 def test_handcrafted_feature_sets_match_brute_force_exactly():
     rng = np.random.default_rng(50)
@@ -363,7 +379,7 @@ def test_handcrafted_feature_sets_match_brute_force_exactly():
 
 def test_protocol_scoreset_counts_follow_identity_count(protocol_setup):
     data, phi = protocol_setup
-    report = run_protocol("m", to_float, data, phi)
+    report = run_protocol("m", lambda rows: to_float(data.x[rows]), data, phi)
     n = len(set(data.identity))
     assert len(report.roc) >= 2
     # N genuine + N(N-1) impostor scores swept over distinct thresholds
@@ -407,8 +423,10 @@ def faces(n, seed, h=64, w=48):
 def test_chunked_phi_features_are_bitwise_the_one_batch_features(n, seed):
     images, eyes = faces(n, seed)
     grid = stn.alignment_grid(eyes, 64, 48, CHUNK_PHI.in_h, CHUNK_PHI.in_w)
-    one_batch = CHUNK_PHI.features(stn.bilinear_sample(images, grid),
-                                   keep=False)
+    # φ's whole stack over all crops at once, with no block of any stage
+    one_batch = CHUNK_PHI.forward_taps(stn.bilinear_sample(images, grid),
+                                       taps=(FINAL_FEATURE,),
+                                       keep=False)[FINAL_FEATURE]
     assert _aligned_features(CHUNK_PHI, lambda rows: images[rows],
                              eyes).tobytes() == one_batch.tobytes()
 
@@ -448,7 +466,109 @@ def test_aligned_features_hold_one_chunk_at_a_time():
     finally:
         tracemalloc.stop()
     assert feats.shape == (400, FeatureSpec().feature_width)
-    assert peak < 24 * 2 ** 20
+    # one block of images and crops, and one chunk of crops for φ's fc
+    assert peak < 4 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the streamed protocol against the stacked one
+# ---------------------------------------------------------------------------
+
+def stacked_run_protocol(model, recover_all, data, phi):
+    """``run_protocol`` as it was before it streamed: ``recover_all`` maps
+    all N corrupted graymaps to one (N, 1, H, W) stack, PSNR runs in ψ's
+    blocks over that stack, and φ's whole stack runs on each 64-row chunk
+    of crops."""
+    recovered = recover_all(data.x)
+    dbs = map_chunks(lambda rows: psnr(recovered[rows],
+                                       to_float(data.y[rows])),
+                     len(recovered), PSI_BLOCK)
+
+    def features(load, eyes):
+        def crop_features(rows):
+            images = load(rows)
+            grid = stn.alignment_grid(eyes[rows], *images.shape[2:],
+                                      phi.in_h, phi.in_w)
+            return phi.forward_taps(stn.bilinear_sample(images, grid),
+                                    taps=(FINAL_FEATURE,),
+                                    keep=False)[FINAL_FEATURE]
+        return map_chunks(crop_features, len(eyes))
+
+    feats = features(lambda rows: recovered[rows], data.eyes)
+    clear = features(lambda rows: to_float(data.y[rows]), data.eyes)
+    gallery_rows = np.sort(np.unique(data.identity, return_index=True)[1])
+    idents = [data.identity[i] for i in gallery_rows]
+    probe_imgs, probe_eyes = zip(*(data.dailies[ident] for ident in idents))
+    probes = features(lambda rows: to_float(np.stack(probe_imgs[rows])),
+                      probe_eyes)
+    table = roc(verification_scores(feats[gallery_rows], probes))
+    return EvalReport(model, float(np.mean(dbs)), feature_rmse(feats, clear),
+                      {t: tpr_at_fpr(table, t) for t in FPR_TARGETS}, table)
+
+
+def gallery_split(n, seed, h=16, w=12):
+    """A test split of n rows, two per identity, each identity with a daily
+    photo; random graymaps with jittered eyes."""
+    images, eyes = faces(n, seed, h, w)
+    clear, _ = faces(n, seed + 1, h, w)
+    n_ids = -(-n // 2)
+    daily, daily_eyes = faces(n_ids, seed + 2, h, w)
+    graymap = lambda a: (a * 255.0).astype(np.uint8)
+    x = graymap(images)
+    return SplitData(
+        x=x, y=graymap(clear), m=x > 127, eyes=eyes,
+        identity=[f"id{i // 2:03d}" for i in range(n)],
+        sample=[f"s{i:03d}" for i in range(n)],
+        dailies={f"id{i:03d}": (graymap(daily[i]), daily_eyes[i])
+                 for i in range(n_ids)})
+
+
+STREAM_PHI = build_phi("fixed_random", seed=5,
+                       spec=FeatureSpec(in_h=16, in_w=16, widths=(8, 16),
+                                        feature_width=32))
+
+
+def outcome(tmp_path, protocol):
+    """A protocol run's report row and ROC TSV bytes, or its error."""
+    try:
+        report = protocol()
+    except ValueError as err:
+        return repr(err)
+    return report.row(), write_roc_tsv(report, tmp_path).read_bytes()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(n=st.integers(1, 200), seed=st.integers(0, 2 ** 16))
+@with_rows((*range(7, 10), *range(63, 66), *range(129, 136)))
+def test_streamed_protocol_is_bitwise_the_stacked_protocol(
+        tmp_path_factory, n, seed):
+    data = gallery_split(n, seed)
+    streamed = outcome(tmp_path_factory.mktemp("streamed"), lambda: evaluate(
+        "m", CHUNK_PSI, data, STREAM_PHI))
+    stacked = outcome(tmp_path_factory.mktemp("stacked"), lambda:
+                      stacked_run_protocol("m",
+                                           lambda xs: batched_forward(
+                                               CHUNK_PSI, xs),
+                                           data, STREAM_PHI))
+    assert streamed == stacked
+    if n == 1:  # one identity has no impostor pairs
+        assert "impostor" in streamed
+
+
+def test_protocol_holds_no_stack_of_recoveries():
+    data = gallery_split(400, seed=9, h=64, w=48)
+    psi = build_psi(InpaintSpec(), seed=8)
+    evaluate("warm", psi, gallery_split(3, seed=10, h=64, w=48), CHUNK_PHI)
+    tracemalloc.start()
+    try:
+        report = evaluate("m", psi, data, CHUNK_PHI)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(report.psnr_db)
+    # above the split's own bytes: the 400 recoveries alone would take 9.4
+    # MiB as one stack; the stacked protocol peaked at 23.4 MiB here
+    assert peak < 10 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
