@@ -93,9 +93,10 @@ def _build_layers(spec: FeatureSpec, rng: np.random.Generator):
 class FeatureNet:
     """Layer stack with named activation taps.
 
-    ``backward_taps`` differentiates the most recent forward pass, injecting
-    per-tap gradients where the taps sit and returning the gradient with
-    respect to the input crop (None with ``input_grad=False``). A forward
+    ``backward_taps`` differentiates the most recent forward pass once,
+    injecting per-tap gradients where the taps sit and returning the
+    gradient with respect to the input crop (None with
+    ``input_grad=False``); each layer it walks drops its record. A forward
     pass with ``keep=False`` (inference) gives the same activations but
     keeps nothing for ``backward_taps``.
     """

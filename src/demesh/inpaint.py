@@ -108,9 +108,10 @@ class InpaintNet:
 
     def backward(self, grad: Array, *, input_grad: bool = True
                  ) -> Array | None:
-        """Gradients of the last recorded pass; returns the gradient with
-        respect to the input images, or None with ``input_grad=False``
-        (the first conv then skips it)."""
+        """Gradients of the last recorded pass, whose records each layer
+        drops once read; returns the gradient with respect to the input
+        images, or None with ``input_grad=False`` (the first conv then
+        skips it)."""
         first, *rest = self.layers
         for layer in reversed(rest):
             grad = layer.backward(grad)

@@ -10,6 +10,13 @@ indices as int8 (0..3), a max-feature-map the boolean mask of where its
 first half won, ReLU its mask and Sigmoid its output. All math is 64-bit
 so central-difference gradient checks at tight tolerances are meaningful.
 
+A record lives until its ``backward`` reads it: each ``backward`` drops its
+layer's record once it has read it, so one recording forward serves one
+backward and a second ``backward`` raises ``NoRecordError``. A conv drops
+its input after the weight gradient, so the input and its patch buffer are
+never live beside the input gradient. A pool's indices are read by its
+paired unpool's backward first and dropped by the pool's own backward.
+
 A backward pass computes only what is read. ``Conv2d`` and ``Dense`` skip
 the gradient of a frozen parameter, so its ``grad`` stays as it was, and
 ``Conv2d.backward(grad, input_grad=False)`` returns no input gradient: a
@@ -328,6 +335,7 @@ class Conv2d:
         """Accumulate the gradients of the parameters that are not frozen
         and return the input gradient, or None with ``input_grad=False``."""
         x = _recorded(self._x, self)
+        self._x = None
         if not self.weight.frozen:
             n, _, oh, ow = grad.shape
             g_mat = grad.reshape(n, self.out_ch, oh * ow)
@@ -337,6 +345,7 @@ class Conv2d:
             for i, mat in enumerate(_patch_matrices(x, self.ksize, self.pad)):
                 np.matmul(g_mat[i], mat.T, out=dw[i])
             self.weight.grad += dw.sum(axis=0).reshape(self.weight.shape)
+        del x  # the input is not live beside the input gradient
         if not self.bias.frozen:
             self.bias.grad += grad.sum(axis=(0, 2, 3))
         if not input_grad:
@@ -370,12 +379,15 @@ class MaxPool2x2:
         return out
 
     def backward(self, grad: Array) -> Array:
-        return unpool_indices(grad, _recorded(self.indices, self), self.in_hw)
+        indices = _recorded(self.indices, self)
+        self.indices = None
+        return unpool_indices(grad, indices, self.in_hw)
 
 
 class MaxUnpool2x2:
     """Sparse upsampling using the paired encoder pool's recorded indices.
-    A record-free forward clears them once it has read them."""
+    A record-free forward clears them once it has read them; a backward
+    leaves them for the pool's own backward."""
 
     def __init__(self, pool: MaxPool2x2):
         self.pool = pool
@@ -413,7 +425,9 @@ class MaxFeatureMap:
         return out
 
     def backward(self, grad: Array) -> Array:
-        return mfm_backward(grad, _recorded(self._first_wins, self))
+        first_wins = _recorded(self._first_wins, self)
+        self._first_wins = None
+        return mfm_backward(grad, first_wins)
 
 
 class ReLU:
@@ -429,7 +443,9 @@ class ReLU:
         return x * mask
 
     def backward(self, grad: Array) -> Array:
-        return grad * _recorded(self._mask, self)
+        mask = _recorded(self._mask, self)
+        self._mask = None
+        return grad * mask
 
 
 class Sigmoid:
@@ -453,6 +469,7 @@ class Sigmoid:
 
     def backward(self, grad: Array) -> Array:
         y = _recorded(self._y, self)
+        self._y = None
         return grad * y * (1.0 - y)
 
 
@@ -489,6 +506,7 @@ class Dense:
 
     def backward(self, grad: Array) -> Array:
         xf = _recorded(self._xf, self)
+        self._xf = None
         if not self.weight.frozen:
             self.weight.grad += grad.T @ xf
         if not self.bias.frozen:

@@ -11,6 +11,7 @@ checkpoints and reports.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -79,6 +80,10 @@ class TrainConfig:
             raise ValueError("val_interval must be >= 1")
         if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and non-negative, "
+                             f"got {self.weight_decay}")
+        self.loss_config().validate()
 
     def arch_spec(self) -> InpaintSpec:
         return InpaintSpec(self.height, self.width, self.arch_widths, self.kernel)

@@ -259,7 +259,9 @@ def test_train_reports_a_graymap_of_another_extent_on_one_line(
     assert len(err) == 1 and err[0].startswith("error: DatasetError: ")
     assert "8x12 graymap" in err[0]
 
-@pytest.mark.parametrize("override", [{"val_interval": 0}, {"lr": -1.0}])
+@pytest.mark.parametrize("override", [
+    {"val_interval": 0}, {"lr": -1.0}, {"c_fraction": 0.0},
+    {"weight_decay": -1.0}, {"weight_decay": float("nan")}])
 def test_train_rejects_a_bad_config_on_one_line_before_building_phi(
         dataset, tmp_path, capsys, override):
     cfg_path = tmp_path / "config.txt"

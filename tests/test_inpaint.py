@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from demesh.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from demesh.facegen import Landmarks
+from demesh.featnet import build_phi
 from demesh.inpaint import (InpaintNet, InpaintSpec, build_psi, load_psi,
                             save_psi)
 from demesh.layers import NoRecordError, Param, ShapeError, grad_check
+from demesh.losses import LossConfig, unified_loss
 
 SMALL = InpaintSpec(height=8, width=8, widths=(4, 6), kernel=3)
 
@@ -240,6 +243,42 @@ def test_backward_after_a_record_free_forward_raises():
     out = net.forward(x, keep=False)
     with pytest.raises(NoRecordError):
         net.backward(np.ones_like(out))
+
+
+def test_backward_drops_every_record_it_reads():
+    net = build_psi(SMALL, seed=2)
+    out = net.forward(np.random.default_rng(0).uniform(size=(2, 1, 8, 8)))
+    net.backward(np.ones_like(out))
+    assert all(r is None for r in _records(net))
+    with pytest.raises(NoRecordError):
+        net.backward(np.ones_like(out))
+
+
+def test_a_default_training_step_peaks_below_12_mib():
+    """One default ψ step (forward, unified loss, backward) at batch 8:
+    each conv drops its input before its input gradient is allocated."""
+    rng = np.random.default_rng(0)
+    net = build_psi(InpaintSpec(), seed=1)
+    phi = build_phi("fixed_random", seed=2)
+    x, y = rng.uniform(size=(2, 8, 1, 64, 48))
+    mask = rng.uniform(size=x.shape) < 0.2
+    eyes = [Landmarks((16.0 + i % 3, 26.0), (32.0 - i % 2, 26.5))
+            for i in range(8)]
+
+    def step():
+        pred = net.forward(x)
+        ul = unified_loss(pred, y, mask, eyes, phi, LossConfig())
+        net.zero_grads()
+        net.backward(ul.grad, input_grad=False)
+
+    step()  # one-time allocations do not count
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2 ** 20
 
 
 def test_record_free_forward_holds_nothing_beyond_its_output():

@@ -633,6 +633,15 @@ def test_record_free_forward_matches_and_clears_the_record(kind):
     layer.backward(np.ones_like(recorded))
 
 
+@pytest.mark.parametrize("kind", sorted(_LAYERS))
+def test_a_record_serves_one_backward(kind):
+    layer = _LAYERS[kind]()
+    out = layer.forward(np.random.default_rng(4).normal(size=(3, 2, 4, 4)))
+    layer.backward(np.ones_like(out))
+    with pytest.raises(NoRecordError, match=type(layer).__name__):
+        layer.backward(np.ones_like(out))
+
+
 def test_backward_without_any_forward_raises():
     with pytest.raises(NoRecordError):
         ReLU().backward(np.ones((1, 1, 2, 2)))
@@ -661,11 +670,16 @@ def test_unpaired_pool_keeps_no_indices_in_a_record_free_pass():
 
 def test_recording_unpool_leaves_indices_for_both_backward_passes():
     pool, unpool = _pool_unpool()
-    rng = np.random.default_rng(3)
-    pooled = pool.forward(rng.normal(size=(1, 2, 4, 4)))
+    x = np.random.default_rng(3).normal(size=(1, 2, 4, 4))
+    pooled = pool.forward(x)
     unpool.forward(pooled)
     unpool.backward(np.ones((1, 2, 4, 4)))
+    # the unpool's backward reads the indices and leaves them to the pool's
+    assert pool.indices.tobytes() == maxpool2_indices(x)[1].tobytes()
     pool.backward(np.ones_like(pooled))
+    assert pool.indices is None
+    with pytest.raises(NoRecordError):
+        unpool.backward(np.ones((1, 2, 4, 4)))
 
 
 # ---------------------------------------------------------------------------

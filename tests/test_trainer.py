@@ -66,6 +66,13 @@ def test_config_rejects_bad_values(dataset):
     for lr in (0.0, -1.0, float("nan")):
         with pytest.raises(ValueError, match="lr must be positive"):
             tiny_config(dataset, lr=lr).validate()
+    for decay in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="weight_decay"):
+            tiny_config(dataset, weight_decay=decay).validate()
+    with pytest.raises(ValueError, match="c_fraction"):
+        tiny_config(dataset, c_fraction=0.0).validate()
+    with pytest.raises(ValueError, match="loss weights"):
+        tiny_config(dataset, variant="demesh", lambda_mask=-1.0).validate()
 
 def test_learning_rate_schedule_is_piecewise_constant(dataset):
     cfg = tiny_config(dataset, lr=1e-4, lr_decay_factor=0.1,
