@@ -7,9 +7,9 @@ Layout:
     per record: u32 name length | name (utf-8) | u8 frozen flag
                 | u32 ndim | u32 extents... | little-endian f64 data
 
-The arch text is the same line-oriented ``key = value`` format used by the
-experiment config files and is enough to rebuild the network before filling
-in parameters by name. Optimizer state is deliberately not stored.
+The arch text is ``configio.format_fields(spec, kind=...)``, the codec the
+experiment config files use, and is enough to rebuild the network before
+filling in parameters by name. Optimizer state is deliberately not stored.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import atomic
+from . import atomic, configio
 from .layers import Param
 
 MAGIC = b"DMSH"
@@ -52,7 +52,8 @@ def load_checkpoint(path: str | Path) -> tuple[str, list[tuple[str, bool, np.nda
     """Read a checkpoint; returns (arch_text, [(name, frozen, value), ...]).
 
     Every length and count is checked against the bytes that remain, so a
-    truncated or corrupted file raises ``CheckpointError``."""
+    truncated or corrupted file raises ``CheckpointError``, as does a
+    parameter holding a NaN or an infinity."""
     blob = Path(path).read_bytes()
     view = memoryview(blob)
     if blob[:4] != MAGIC:
@@ -93,10 +94,35 @@ def load_checkpoint(path: str | Path) -> tuple[str, list[tuple[str, bool, np.nda
         shape = take(f"<{ndim}I", f"'{name}' shape")
         n_elems = math.prod(shape)
         data = np.frombuffer(take_bytes(8 * n_elems, f"'{name}' data"), dtype="<f8")
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: parameter '{name}' holds non-finite values")
         records.append((name, bool(frozen), data.astype(np.float64).reshape(shape)))
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
     return arch_text, records
+
+
+def load_arch(path: str | Path, cls, kind: str
+              ) -> tuple[object, list[tuple[str, bool, np.ndarray]]]:
+    """Read a checkpoint of a ``kind`` net whose arch text is
+    ``format_fields(spec, kind=kind)``; returns (spec, records). Every fault
+    of the arch text, a key missing or out of order included, and every
+    spec that fails its own ``validate`` raises ``CheckpointError``."""
+    arch_text, records = load_checkpoint(path)
+    try:
+        kv = configio.parse_kv(arch_text)
+        found = kv.pop("kind", None)
+        if found != kind:
+            raise configio.ConfigError(f"names a {found!r} net, expected {kind}")
+        spec = configio.parse_fields(cls, kv)
+        if configio.format_fields(spec, kind=kind) != arch_text:
+            raise configio.ConfigError(
+                f"not the text a {kind} spec writes (a key is missing, "
+                f"reordered or not in canonical form)")
+        spec.validate()
+    except ValueError as exc:  # ConfigError, or the spec's own validation
+        raise CheckpointError(f"{path}: bad arch text: {exc}") from None
+    return spec, records
 
 
 def fill_params(params: list[Param], records: list[tuple[str, bool, np.ndarray]],

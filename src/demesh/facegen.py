@@ -629,8 +629,14 @@ def load_split(root: str | Path, split: str) -> SplitData:
             return np.empty((0, 1, 0, 0), dtype=np.uint8)
         return np.stack([read(f"{stem}.{kind}.pgm") for stem in stems])
 
-    # a mask byte above 127 is exactly a pixel above 0.5 after to_float
-    return SplitData(stack("x"), stack("y"), stack("m") > 127,
+    x, y, m = stack("x"), stack("y"), stack("m")
+    # a mask holds 0 and 255 only, so its byte sum is 255 per nonzero byte
+    bad = m.sum(axis=(1, 2, 3), dtype=np.int64) != \
+        255 * np.count_nonzero(m, axis=(1, 2, 3))
+    if bad.any():
+        raise DatasetError(f"{stems[bad.argmax()]}.m.pgm: mask is not binary "
+                           f"(a byte other than 0 or 255)")
+    return SplitData(x, y, m != 0,
                      [_read_meta(f"{stem}.meta")[0] for stem in stems],
                      [ident for ident, _ in rows],
                      [sample for _, sample in rows], dailies)
@@ -638,47 +644,31 @@ def load_split(root: str | Path, split: str) -> SplitData:
 
 def validate_dataset(root: str | Path) -> int:
     """Full-scan check of every persisted triplet's and daily photo's
-    invariants.
+    invariants, on each split as ``load_split`` reads it (which checks the
+    files, their extents and the masks' bytes): each triplet's mask
+    density, corruption support and eyes, and each daily photo's eyes.
 
     Returns the number of triplets checked; raises DatasetError on the first
     violation.
     """
-    root = Path(root)
     checked = 0
-    first_masks: dict[tuple[str, str], Array] = {}  # per (split, identity)
-    dailies = []
-    for split, ident, sample, kind in read_manifest(root):
-        if kind == "daily":
-            dailies.append((split, ident))
-            continue
-        where = f"{split}/{ident}/{sample}"
-        x, y, m = (read_graymap(f"{root}/{where}.{kind}.pgm")
-                   for kind in ("x", "y", "m"))
-        for kind, img in (("x", x), ("y", y)):
-            if img.shape != m.shape:
-                raise DatasetError(f"{where}.{kind}.pgm: {_extent(img)} "
-                                   f"graymap, its mask is {_extent(m)}")
-        if not np.all(np.isin(m, (0, 255))):
-            raise DatasetError(f"{where}: mask is not binary")
-        density = np.count_nonzero(m) / m.size
-        if not (MASK_DENSITY_MIN <= density <= MASK_DENSITY_MAX):
-            raise DatasetError(f"{where}: mask density {density:.4f} out of bounds")
-        off = m == 0
-        if not np.array_equal(x[off], y[off]):
-            raise DatasetError(f"{where}: corrupted image differs off-mask")
-        eyes, _, _ = _read_meta(f"{root}/{where}.meta")
-        if not _eyes_in_frame(eyes, x.shape[1], x.shape[2]):
-            raise DatasetError(f"{where}: eyes out of frame")
-        first_masks.setdefault((split, ident), m)
-        checked += 1
-    for split, ident in dailies:
-        where = f"{split}/{ident}/daily"
-        img = read_graymap(f"{root}/{where}.y.pgm")
-        eyes, _, _ = _read_meta(f"{root}/{where}.meta")
-        first = first_masks.get((split, ident), img)
-        if img.shape != first.shape:
-            raise DatasetError(f"{where}.y.pgm: {_extent(img)} graymap, its "
-                               f"identity's triplets are {_extent(first)}")
-        if not _eyes_in_frame(eyes, img.shape[1], img.shape[2]):
-            raise DatasetError(f"{where}.meta: eyes out of frame")
+    for split in SPLITS:
+        data = load_split(root, split)
+        density = np.count_nonzero(data.m, axis=(1, 2, 3)) / \
+            (data.m.shape[2] * data.m.shape[3])
+        off_mask_differs = ((data.x != data.y) & ~data.m).any(axis=(1, 2, 3))
+        extent = data.x.shape[2:]
+        for i, eyes in enumerate(data.eyes):
+            where = f"{split}/{data.identity[i]}/{data.sample[i]}"
+            if not (MASK_DENSITY_MIN <= density[i] <= MASK_DENSITY_MAX):
+                raise DatasetError(
+                    f"{where}: mask density {density[i]:.4f} out of bounds")
+            if off_mask_differs[i]:
+                raise DatasetError(f"{where}: corrupted image differs off-mask")
+            if not _eyes_in_frame(eyes, *extent):
+                raise DatasetError(f"{where}: eyes out of frame")
+        for ident, (img, eyes) in data.dailies.items():
+            if not _eyes_in_frame(eyes, *img.shape[1:]):
+                raise DatasetError(f"{split}/{ident}/daily.meta: eyes out of frame")
+        checked += len(data)
     return checked

@@ -41,6 +41,10 @@ class FeatureSpec:
     feature_width: int = 64
 
     def validate(self) -> None:
+        if min(self.in_h, self.in_w, self.kernel, self.feature_width,
+               *self.widths) < 1 or self.kernel % 2 == 0:
+            raise ValueError(f"extents, widths and the kernel must be positive "
+                             f"and the kernel odd, got {self}")
         if any(w % 2 for w in self.widths):
             raise ValueError(f"conv widths must be even (max-feature-map halves "
                              f"them), got {self.widths}")
@@ -49,23 +53,6 @@ class FeatureSpec:
             raise ShapeError(
                 f"crop extents {self.in_h}x{self.in_w} not divisible by 2^"
                 f"{len(self.widths)}")
-
-    def to_kv(self) -> dict[str, object]:
-        return {
-            "kind": "feature",
-            "in_h": self.in_h,
-            "in_w": self.in_w,
-            "widths": configio.format_tuple(self.widths),
-            "kernel": self.kernel,
-            "feature_width": self.feature_width,
-        }
-
-    @classmethod
-    def from_kv(cls, kv: dict[str, str]) -> "FeatureSpec":
-        return cls(in_h=int(kv["in_h"]), in_w=int(kv["in_w"]),
-                   widths=configio.parse_int_tuple(kv["widths"]),
-                   kernel=int(kv["kernel"]),
-                   feature_width=int(kv["feature_width"]))
 
 
 def _build_layers(spec: FeatureSpec, rng: np.random.Generator):
@@ -272,17 +259,12 @@ def classify(net: FeatureNet, head: Dense, crops: Array, rows: int) -> Array:
 
 
 def save_phi(net: FeatureNet, path) -> None:
-    checkpoint.save_checkpoint(path, configio.format_kv(net.spec.to_kv()),
+    checkpoint.save_checkpoint(path, configio.format_fields(net.spec, kind="feature"),
                                net.params())
 
 
 def load_phi(path) -> FeatureNet:
-    arch_text, records = checkpoint.load_checkpoint(path)
-    kv = configio.parse_kv(arch_text)
-    if kv.get("kind") != "feature":
-        raise checkpoint.CheckpointError(
-            f"{path}: checkpoint holds a {kv.get('kind')!r} net, expected feature")
-    spec = FeatureSpec.from_kv(kv)
+    spec, records = checkpoint.load_arch(path, FeatureSpec, "feature")
     layers, taps = _build_layers(spec, rng=np.random.default_rng(0))
     net = FeatureNet(layers, taps, spec)
     checkpoint.fill_params(net.params(), records, path)

@@ -33,6 +33,8 @@ class InpaintSpec:
     def validate(self) -> None:
         if not self.widths:
             raise ValueError("at least one encoder stage is required")
+        if min(self.height, self.width, *self.widths) < 1:
+            raise ValueError(f"extents and widths must be positive, got {self}")
         if self.kernel % 2 == 0 or self.kernel < 1:
             raise ValueError(f"kernel must be odd and positive, got {self.kernel}")
         factor = 2 ** len(self.widths)
@@ -40,21 +42,6 @@ class InpaintSpec:
             raise ShapeError(
                 f"extents {self.height}x{self.width} not divisible by "
                 f"2^{len(self.widths)} (pooling stages)")
-
-    def to_kv(self) -> dict[str, object]:
-        return {
-            "kind": "inpaint",
-            "height": self.height,
-            "width": self.width,
-            "widths": configio.format_tuple(self.widths),
-            "kernel": self.kernel,
-        }
-
-    @classmethod
-    def from_kv(cls, kv: dict[str, str]) -> "InpaintSpec":
-        return cls(height=int(kv["height"]), width=int(kv["width"]),
-                   widths=configio.parse_int_tuple(kv["widths"]),
-                   kernel=int(kv["kernel"]))
 
 
 class InpaintNet:
@@ -143,16 +130,12 @@ def build_psi(spec: InpaintSpec = InpaintSpec(), seed: int = 0) -> InpaintNet:
 
 
 def save_psi(net: InpaintNet, path) -> None:
-    arch = configio.format_kv(net.spec.to_kv())
-    checkpoint.save_checkpoint(path, arch, net.params())
+    checkpoint.save_checkpoint(path, configio.format_fields(net.spec, kind="inpaint"),
+                               net.params())
 
 
 def load_psi(path) -> InpaintNet:
-    arch_text, records = checkpoint.load_checkpoint(path)
-    kv = configio.parse_kv(arch_text)
-    if kv.get("kind") != "inpaint":
-        raise checkpoint.CheckpointError(
-            f"{path}: checkpoint holds a {kv.get('kind')!r} net, expected inpaint")
-    net = InpaintNet(InpaintSpec.from_kv(kv), seed=0)
+    spec, records = checkpoint.load_arch(path, InpaintSpec, "inpaint")
+    net = InpaintNet(spec, seed=0)
     checkpoint.fill_params(net.params(), records, path)
     return net

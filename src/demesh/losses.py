@@ -11,6 +11,7 @@ finite-difference checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,8 +56,11 @@ class LossConfig:
     align: bool = True
 
     def validate(self) -> None:
-        if self.lambda_mask < 0 or self.lambda_feature < 0:
-            raise ValueError("loss weights must be non-negative")
+        for name in ("lambda_mask", "lambda_feature"):
+            weight = getattr(self, name)
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(f"loss weights must be finite and non-negative, "
+                                 f"got {name} = {weight}")
         if not (0.0 < self.c_fraction <= 1.0):
             raise ValueError(f"c_fraction must be in (0, 1], got {self.c_fraction}")
         if self.feature_penalty not in ("berhu", "squared"):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +83,9 @@ class TrainConfig:
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ValueError(f"weight_decay must be finite and non-negative, "
                              f"got {self.weight_decay}")
-        self.loss_config().validate()
+        # the weights every variant of an ablation shares, used or not
+        LossConfig(self.lambda_mask, self.lambda_feature,
+                   self.c_fraction).validate()
 
     def arch_spec(self) -> InpaintSpec:
         return InpaintSpec(self.height, self.width, self.arch_widths, self.kernel)
@@ -100,43 +102,24 @@ class TrainConfig:
         return self.lr * self.lr_decay_factor ** (step // self.lr_decay_interval)
 
 
-_TUPLE_FIELDS = {"arch_widths", "phi_widths"}
-
-
 def format_config(cfg: TrainConfig) -> str:
-    pairs = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        pairs[f.name] = configio.format_tuple(value) if f.name in _TUPLE_FIELDS \
-            else value
-    return configio.format_kv(pairs)
+    return configio.format_fields(cfg)
 
 
 def parse_config(text: str) -> TrainConfig:
-    kv = configio.parse_kv(text)
-    kwargs = {}
-    known = {f.name: f for f in fields(TrainConfig)}
-    for key, raw in kv.items():
-        if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = configio.parse_int_tuple(raw) if key in _TUPLE_FIELDS \
-            else _convert(known[key].default, raw)
-    cfg = TrainConfig(**kwargs)
-    cfg.validate()
-    return cfg
-
-
-def _convert(default, raw: str):
-    # field types are inferred from the defaults; every field has one
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+    """The config the text names; keys left out keep their defaults."""
+    return configio.parse_fields(TrainConfig, configio.parse_kv(text))
 
 
 def load_config(path: str | Path) -> TrainConfig:
-    return parse_config(Path(path).read_text())
+    """Read and validate a config file; every fault of its text or values
+    raises ``configio.ConfigError`` naming the path."""
+    try:
+        cfg = parse_config(Path(path).read_bytes().decode("utf-8"))
+        cfg.validate()
+    except ValueError as exc:  # UnicodeDecodeError, ConfigError or validate's
+        raise configio.ConfigError(f"{path}: {exc}") from None
+    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ import demesh
 from demesh import cli
 from demesh.cli import main
 from demesh.facegen import make_dataset, read_pgm, write_pgm
+from demesh.featnet import FeatureSpec, build_phi, load_phi, save_phi
+from demesh.inpaint import load_psi, save_psi
 from demesh.trainer import TrainConfig, format_config
 
 
@@ -234,6 +236,25 @@ def test_inpaint_reports_a_truncated_checkpoint_on_one_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: CheckpointError: ")
 
+@pytest.mark.parametrize("net, name", [("psi", "enc1.weight"),
+                                       ("phi", "fc.weight")])
+def test_eval_reports_a_non_finite_parameter_on_one_line(
+        trained_checkpoint, dataset, tmp_path, capsys, net, name):
+    psi, phi = tmp_path / "psi.ckpt", tmp_path / "phi.ckpt"
+    shutil.copyfile(trained_checkpoint, psi)
+    save_phi(build_phi("fixed_random", seed=9, spec=FeatureSpec(
+        in_h=16, in_w=16, widths=(8, 16), feature_width=32)), phi)
+    path, load, save = (psi, load_psi, save_psi) if net == "psi" \
+        else (phi, load_phi, save_phi)
+    loaded = load(path)
+    next(p for p in loaded.params() if p.name == name).value[0] = np.nan
+    save(loaded, path)
+    assert run_cli("eval", "--checkpoint", str(psi), "--data", str(dataset),
+                   "--phi", str(phi), "--out", str(tmp_path / "eval")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: CheckpointError: {path}: parameter '{name}' "
+                   f"holds non-finite values"]
+
 def test_inpaint_reports_a_truncated_graymap_on_one_line(
         trained_checkpoint, dataset, tmp_path, capsys):
     sample_dir = next((Path(dataset) / "test").glob("id*"))
@@ -261,7 +282,9 @@ def test_train_reports_a_graymap_of_another_extent_on_one_line(
 
 @pytest.mark.parametrize("override", [
     {"val_interval": 0}, {"lr": -1.0}, {"c_fraction": 0.0},
-    {"weight_decay": -1.0}, {"weight_decay": float("nan")}])
+    {"weight_decay": -1.0}, {"weight_decay": float("nan")},
+    {"lambda_mask": float("nan")}, {"lambda_feature": float("inf")},
+    {"lambda_feature": float("nan")}])
 def test_train_rejects_a_bad_config_on_one_line_before_building_phi(
         dataset, tmp_path, capsys, override):
     cfg_path = tmp_path / "config.txt"
@@ -269,9 +292,24 @@ def test_train_rejects_a_bad_config_on_one_line_before_building_phi(
     out = tmp_path / "run"
     assert run_cli("train", "--config", str(cfg_path), "--out", str(out)) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ValueError: ")
+    assert len(err) == 1 and err[0].startswith("error: ConfigError: ")
     assert next(iter(override)) in err[0]
     assert not (out / "phi.ckpt").exists()
+
+@pytest.mark.parametrize("text, match", [
+    (b"total_steps = 2\nvariant = fcn\xe9\n", "can't decode byte 0xe9"),
+    (b"batch_size = 8x\n", "'batch_size' in 'batch_size = 8x'"),
+], ids=["non-utf8", "bad-int"])
+def test_train_reports_an_unreadable_config_on_one_line(tmp_path, capsys,
+                                                        text, match):
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_bytes(text)
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg_path), "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: ConfigError: {cfg_path}: ")
+    assert match in err[0]
+    assert not out.exists()
 
 def test_train_reports_a_missing_sample_file_on_one_line(dataset, tmp_path,
                                                          capsys):

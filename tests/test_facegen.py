@@ -456,13 +456,25 @@ def test_a_graymap_of_another_extent_raises_dataset_error(tmp_path, name):
                  width=16)
     victim = root / "train" / "id0001" / f"{name}.pgm"
     write_pgm(victim, np.zeros((12, 8)))
-    match = "id0001/daily.y.pgm: 8x12 graymap, its identity's triplets" \
-        if name.startswith("daily") else "id0001/s001.* graymap, its mask"
+    match = re.escape(f"{victim}: 8x12 graymap, the split's first image is 16x16")
     with pytest.raises(DatasetError, match=match):
         validate_dataset(root)
-    with pytest.raises(DatasetError, match=re.escape(
-            f"{victim}: 8x12 graymap, the split's first image is 16x16")):
+    with pytest.raises(DatasetError, match=match):
         load_split(root, "train")
+
+
+def test_a_mask_byte_other_than_0_or_255_raises_dataset_error(tmp_path):
+    root = tmp_path / "data"
+    make_dataset(root, 2, 2, seed=1, ratios=(1.0, 0.0, 0.0), height=16,
+                 width=16)
+    victim = root / "train" / "id0001" / "s001.m.pgm"
+    blob = bytearray(victim.read_bytes())
+    blob[-1] = 128
+    victim.write_bytes(bytes(blob))
+    for scan in (validate_dataset, lambda r: load_split(r, "train")):
+        with pytest.raises(DatasetError, match=re.escape(
+                f"{victim}: mask is not binary")):
+            scan(root)
 
 
 @pytest.fixture(scope="module")

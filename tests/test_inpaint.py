@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from demesh.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from demesh.facegen import Landmarks
-from demesh.featnet import build_phi
+from demesh.featnet import FeatureSpec, build_phi, load_phi, save_phi
 from demesh.inpaint import (InpaintNet, InpaintSpec, build_psi, load_psi,
                             save_psi)
 from demesh.layers import NoRecordError, Param, ShapeError, grad_check
@@ -196,6 +197,93 @@ def test_checkpoint_byte_flips_load_or_raise_checkpoint_error(blob, tmp_path_fac
         load_checkpoint(path)
     except CheckpointError:
         pass
+
+def test_default_arch_texts_are_pinned(tmp_path):
+    save_phi(build_phi("fixed_random", seed=0), tmp_path / "phi.ckpt")
+    save_psi(build_psi(InpaintSpec(), seed=0), tmp_path / "psi.ckpt")
+    assert load_checkpoint(tmp_path / "phi.ckpt")[0] == (
+        "kind = feature\nin_h = 32\nin_w = 32\nwidths = 16,32\nkernel = 3\n"
+        "feature_width = 64\n")
+    assert load_checkpoint(tmp_path / "psi.ckpt")[0] == (
+        "kind = inpaint\nheight = 64\nwidth = 48\nwidths = 16,32\nkernel = 3\n")
+
+
+PHI_SMALL = FeatureSpec(in_h=8, in_w=8, widths=(4,), feature_width=8)
+
+
+@pytest.fixture(scope="module")
+def net_blobs(tmp_path_factory):
+    """A real ψ and φ checkpoint's bytes, with the loader of each."""
+    d = tmp_path_factory.mktemp("nets")
+    save_psi(build_psi(SMALL, seed=3), d / "psi.ckpt")
+    save_phi(build_phi("fixed_random", seed=4, spec=PHI_SMALL), d / "phi.ckpt")
+    return {"psi": (load_psi, (d / "psi.ckpt").read_bytes()),
+            "phi": (load_phi, (d / "phi.ckpt").read_bytes())}
+
+
+def _arch(blob: bytes) -> bytes:
+    return blob[12:12 + int.from_bytes(blob[8:12], "little")]
+
+
+def _with_arch(blob: bytes, arch: bytes) -> bytes:
+    return blob[:8] + struct.pack("<I", len(arch)) + arch + blob[12 + len(_arch(blob)):]
+
+
+@pytest.mark.parametrize("net, old, new, match", [
+    ("phi", b"kernel = 3", b"kernxl = 3", "unknown config key 'kernxl'"),
+    ("phi", b"in_h = 8", b"in_h = 3x", "in_h = 3x"),
+    ("phi", b"kernel = 3\n", b"", "key is missing"),
+    ("phi", b"kind = feature", b"kind = inpaint", "names a 'inpaint' net"),
+    ("psi", b"kind = inpaint\n", b"", "names a None net"),
+    ("psi", b"kernel = 3", b"kernel = 4", "kernel must be odd"),
+    ("psi", b"widths = 4,6", b"widths = 4, 6", "canonical"),
+], ids=["unknown-key", "bad-int", "missing-key", "wrong-kind", "no-kind",
+        "invalid-spec", "non-canonical"])
+def test_a_bad_arch_text_raises_checkpoint_error_naming_the_path(
+        net_blobs, tmp_path, net, old, new, match):
+    load, blob = net_blobs[net]
+    assert old in _arch(blob)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_with_arch(blob, _arch(blob).replace(old, new)))
+    with pytest.raises(CheckpointError, match=match) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["phi", "psi"]), st.data())
+def test_arch_text_byte_flips_and_truncations_load_or_raise_checkpoint_error(
+        net_blobs, tmp_path_factory, net, data):
+    load, blob = net_blobs[net]
+    arch = bytearray(_arch(blob))
+    if data.draw(st.booleans()):
+        arch = arch[:data.draw(st.integers(0, len(arch) - 1))]
+    else:
+        arch[data.draw(st.integers(0, len(arch) - 1))] ^= data.draw(st.integers(1, 255))
+    path = tmp_path_factory.getbasetemp() / f"arch_{net}.ckpt"
+    path.write_bytes(_with_arch(blob, bytes(arch)))
+    try:
+        load(path)
+    except CheckpointError:
+        pass
+
+
+@pytest.mark.parametrize("net, name", [("psi", "enc1.weight"),
+                                       ("phi", "conv1.bias")])
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+def test_a_non_finite_parameter_raises_checkpoint_error_naming_it(
+        net_blobs, tmp_path, net, name, bad):
+    load, blob = net_blobs[net]
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob)
+    loaded = load(path)
+    param = next(p for p in loaded.params() if p.name == name)
+    param.value.flat[-1] = bad
+    (save_psi if net == "psi" else save_phi)(loaded, path)
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: parameter '{name}' holds non-finite values")):
+        load(path)
+
 
 def test_save_is_deterministic(tmp_path):
     net = build_psi(SMALL, seed=9)

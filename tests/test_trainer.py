@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demesh import losses, trainer
 from demesh.facegen import load_split, make_dataset, to_float
@@ -9,8 +10,9 @@ from demesh.featnet import FeatureNet, FeatureSpec, build_phi
 from demesh.inpaint import build_psi, load_psi, save_psi
 from demesh.layers import INFERENCE_CHUNK
 from demesh.losses import UnifiedLoss
+from demesh.configio import ConfigError
 from demesh.trainer import (TrainConfig, TrainingDiverged, format_config,
-                            parse_config, run_ablation, train)
+                            load_config, parse_config, run_ablation, train)
 
 PHI_SPEC = FeatureSpec(in_h=16, in_w=16, widths=(8, 16), feature_width=32)
 
@@ -53,6 +55,66 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config key"):
         parse_config("bogus = 1\n")
 
+def test_default_config_text_is_pinned():
+    assert format_config(TrainConfig()) == (
+        "variant = demesh\ndataset = \nbatch_size = 8\nlr = 0.0001\n"
+        "lr_decay_factor = 0.1\nlr_decay_interval = 2000\n"
+        "total_steps = 3000\nweight_decay = 1e-05\ninit_seed = 1\n"
+        "data_seed = 2\nval_interval = 500\nheight = 64\nwidth = 48\n"
+        "arch_widths = 16,32\nkernel = 3\ncrop = 32\nphi_mode = pretrain\n"
+        "phi_seed = 71\nphi_widths = 16,32\nphi_feature_width = 64\n"
+        "phi_identities = 32\nphi_per_identity = 200\nphi_steps = 600\n"
+        "lambda_mask = 1.0\nlambda_feature = 1.0\nc_fraction = 0.2\n")
+
+def test_config_keys_left_out_keep_their_defaults():
+    assert parse_config("# a comment\n\nlr = 1e-3  # inline\n") == \
+        TrainConfig(lr=1e-3)
+
+@pytest.mark.parametrize("text, match", [
+    ("batch_size = 8x\n", "'batch_size' in 'batch_size = 8x': expected int"),
+    ("lr = fast\n", "'lr' in 'lr = fast': expected float"),
+    ("arch_widths = 16,x\n", "'arch_widths' in 'arch_widths = 16,x'"),
+    ("total_steps\n", "line 1: expected 'key = value'"),
+    ("lr = 1\nlr = 2\n", "line 2: duplicate key 'lr'"),
+    ("bogus = 1\n", "unknown config key 'bogus' in 'bogus = 1'"),
+], ids=["bad-int", "bad-float", "bad-tuple", "no-equals", "duplicate",
+        "unknown-key"])
+def test_a_config_fault_raises_config_error_naming_the_key_and_line(
+        tmp_path, text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+    path = tmp_path / "config.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=match):
+        load_config(path)
+
+def test_load_config_raises_config_error_for_text_and_values(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_bytes(b"variant = fcn\xe9\n")
+    with pytest.raises(ConfigError, match="can't decode byte 0xe9"):
+        load_config(path)
+    path.write_text("lambda_mask = nan\n")
+    with pytest.raises(ConfigError, match=f"{path}: loss weights .*lambda_mask"):
+        load_config(path)
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_config_byte_flips_and_truncations_load_or_raise_config_error(
+        tmp_path_factory, data):
+    blob = bytearray(format_config(TrainConfig(dataset="data")).encode())
+    if data.draw(st.booleans()):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        for _ in range(data.draw(st.integers(1, 3))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= \
+                data.draw(st.integers(1, 255))
+    path = tmp_path_factory.getbasetemp() / "fuzzed.cfg"
+    path.write_bytes(bytes(blob))
+    try:
+        load_config(path)
+    except ConfigError:
+        pass
+
 def test_config_rejects_bad_values(dataset):
     with pytest.raises(ValueError, match="variant"):
         tiny_config(dataset, variant="mtnet").validate()
@@ -73,6 +135,11 @@ def test_config_rejects_bad_values(dataset):
         tiny_config(dataset, c_fraction=0.0).validate()
     with pytest.raises(ValueError, match="loss weights"):
         tiny_config(dataset, variant="demesh", lambda_mask=-1.0).validate()
+    # weights a variant drops are checked too: an ablation runs them all
+    for weight in ("lambda_mask", "lambda_feature"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"loss weights.*{weight}"):
+                tiny_config(dataset, variant="fcne", **{weight: bad}).validate()
 
 def test_learning_rate_schedule_is_piecewise_constant(dataset):
     cfg = tiny_config(dataset, lr=1e-4, lr_decay_factor=0.1,
