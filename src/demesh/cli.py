@@ -16,8 +16,7 @@ import sys
 from pathlib import Path
 
 from . import atomic, gradsuite, thread_cap, trainer, verifier
-from .facegen import load_split, make_dataset, read_pgm, validate_dataset, \
-    write_pgm
+from .facegen import make_dataset, read_pgm, validate_dataset, write_pgm
 from .featnet import load_phi
 from .inpaint import load_psi, save_psi
 
@@ -67,9 +66,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    data = trainer.load_eval_split(args.data, args.split)
     net = load_psi(args.checkpoint)
     phi = load_phi(args.phi)
-    data = load_split(args.data, args.split)
     name = args.model or Path(args.checkpoint).stem
     report = trainer.evaluate(name, net, data, phi)
     out = Path(args.out)

@@ -21,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import atomic
-from .stn import Landmarks
+from . import atomic, configio
 
 Array = np.ndarray
 
@@ -72,10 +71,11 @@ class Identity:
     def center(self) -> tuple[float, float]:
         return (self.width / 2.0, self.height / 2.0)
 
-    def canonical_eyes(self) -> Landmarks:
+    def canonical_eyes(self) -> Array:
+        """Unjittered eye centers, ``[[left_x, left_y], [right_x, right_y]]``."""
         cx, cy = self.center
-        return Landmarks((cx - self.eye_dx, cy - self.eye_dy),
-                         (cx + self.eye_dx, cy - self.eye_dy))
+        return np.array([[cx - self.eye_dx, cy - self.eye_dy],
+                         [cx + self.eye_dx, cy - self.eye_dy]])
 
 
 def sample_identity(ident: str, seed: int, height: int = 64,
@@ -145,17 +145,19 @@ DAILY_PROFILE = JitterProfile(max_shift=5.0, max_rot_deg=15.0, max_scale=0.15,
                               noise_sigma=0.03)
 
 
-def _transform_point(p, jitter: Jitter, center) -> tuple[float, float]:
+def _transform_point(p: Array, jitter: Jitter, center) -> Array:
+    """The jittered positions of the (..., 2) points ``p``."""
     cx, cy = center
     ca, sa = math.cos(jitter.angle), math.sin(jitter.angle)
-    px, py = p[0] - cx, p[1] - cy
-    return (cx + jitter.scale * (ca * px - sa * py) + jitter.dx,
-            cy + jitter.scale * (sa * px + ca * py) + jitter.dy)
+    px, py = p[..., 0] - cx, p[..., 1] - cy
+    return np.stack([cx + jitter.scale * (ca * px - sa * py) + jitter.dx,
+                     cy + jitter.scale * (sa * px + ca * py) + jitter.dy],
+                    axis=-1)
 
 
 def render_with_jitter(identity: Identity, jitter: Jitter,
                        noise_rng: np.random.Generator | None = None
-                       ) -> tuple[Array, Landmarks]:
+                       ) -> tuple[Array, Array]:
     """Render one face under an explicit jitter; landmarks are exact.
 
     All shapes are tested in the canonical (unjittered) frame by inverse
@@ -183,7 +185,7 @@ def render_with_jitter(identity: Identity, jitter: Jitter,
     img[hair] = identity.hair_gray
 
     eyes = identity.canonical_eyes()
-    for ex, ey in (eyes.left, eyes.right):
+    for ex, ey in eyes:
         disk = (qx - ex) ** 2 + (qy - ey) ** 2 <= identity.eye_r ** 2
         img[disk] = identity.eye_gray
 
@@ -198,28 +200,24 @@ def render_with_jitter(identity: Identity, jitter: Jitter,
         img = img + noise_rng.normal(0.0, jitter.noise_sigma, size=img.shape)
     img = np.clip(img, 0.0, 1.0)
 
-    left = _transform_point(eyes.left, jitter, (cx, cy))
-    right = _transform_point(eyes.right, jitter, (cx, cy))
-    return img[None, :, :], Landmarks(left, right)
+    return img[None, :, :], _transform_point(eyes, jitter, (cx, cy))
 
 
-def _eyes_in_frame(eyes: Landmarks, height: int, width: int) -> bool:
-    for x, y in (eyes.left, eyes.right):
-        if not (EYE_MARGIN <= x <= width - 1 - EYE_MARGIN
-                and EYE_MARGIN <= y <= height - 1 - EYE_MARGIN):
-            return False
-    return True
+def _eyes_in_frame(eyes: Array, height: int, width: int) -> Array:
+    """Whether both eyes of each (..., 2, 2) pair sit at least EYE_MARGIN
+    pixels inside a height x width frame."""
+    top = np.array([width - 1 - EYE_MARGIN, height - 1 - EYE_MARGIN])
+    return ((EYE_MARGIN <= eyes) & (eyes <= top)).all(axis=(-2, -1))
 
 
 def render_face(identity: Identity, jitter_seed: int,
-                profile: JitterProfile = TRAIN_PROFILE) -> tuple[Array, Landmarks]:
+                profile: JitterProfile = TRAIN_PROFILE) -> tuple[Array, Array]:
     """Render one jittered face; resamples jitter if eyes leave the frame."""
     rng = np.random.default_rng(jitter_seed)
+    canonical = identity.canonical_eyes()
     for _ in range(100):
         jitter = profile.draw(rng)
-        eyes = Landmarks(
-            _transform_point(identity.canonical_eyes().left, jitter, identity.center),
-            _transform_point(identity.canonical_eyes().right, jitter, identity.center))
+        eyes = _transform_point(canonical, jitter, identity.center)
         if _eyes_in_frame(eyes, identity.height, identity.width):
             return render_with_jitter(identity, jitter, noise_rng=rng)
     raise RenderError(
@@ -440,56 +438,52 @@ def read_graymap(path: str | Path) -> Array:
 @dataclass
 class SplitData:
     """One split in manifest order. ``x`` and ``y`` stack the corrupted and
-    clear images as (N, 1, H, W) uint8 graymaps, as stored, and ``m`` the
-    masks as bool; ``eyes``, ``identity`` and ``sample`` hold one entry per
-    row. ``dailies`` maps each identity to its daily photo's (uint8 image,
-    eyes). Consumers take float images with ``to_float`` on the rows they
-    work on."""
+    clear images as (N, 1, H, W) uint8 graymaps, as stored, ``m`` the
+    masks as bool and ``eyes`` the eye centers as (N, 2, 2) float64
+    ``[[left_x, left_y], [right_x, right_y]]`` pixels; ``identity`` and
+    ``sample`` hold one entry per row. ``dailies`` maps each identity to its
+    daily photo's (uint8 image, (2, 2) eyes). Consumers take float images
+    with ``to_float`` on the rows they work on."""
 
     x: Array
     y: Array
     m: Array
-    eyes: list[Landmarks]
+    eyes: Array
     identity: list[str]
     sample: list[str]
-    dailies: dict[str, tuple[Array, Landmarks]]
+    dailies: dict[str, tuple[Array, Array]]
 
     def __len__(self) -> int:
         return len(self.sample)
 
 
-def _write_meta(path: Path, eyes: Landmarks, identity: str, seeds: dict[str, int]) -> None:
-    lines = [f"eyes = {eyes.left[0]:.6f} {eyes.left[1]:.6f} "
-             f"{eyes.right[0]:.6f} {eyes.right[1]:.6f}",
+def _write_meta(path: Path, eyes: Array, identity: str, seeds: dict[str, int]) -> None:
+    lines = ["eyes = " + " ".join(f"{v:.6f}" for v in eyes.ravel()),
              f"identity = {identity}"]
     lines += [f"{k} = {v}" for k, v in seeds.items()]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _read_meta(path: str | Path) -> tuple[Landmarks, str, dict[str, int]]:
-    eyes = None
-    identity = ""
-    seeds: dict[str, int] = {}
+def _read_meta(path: str | Path) -> tuple[Array, str, dict[str, int]]:
+    """A ``.meta`` file's (2, 2) eyes, identity and integer seeds; any fault
+    raises DatasetError naming the file."""
     try:
         with open(path) as f:
-            text = f.read()
-        for line in text.splitlines():
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "eyes":
-                lx, ly, rx, ry = (float(v) for v in value.split())
-                eyes = Landmarks((lx, ly), (rx, ry))
-            elif key == "identity":
-                identity = value
-            elif key:
-                seeds[key] = int(value)
-    except ValueError as exc:  # bad numbers, field counts or UTF-8
+            kv = configio.parse_kv(f.read())
+        coords = [float(v) for v in kv.pop("eyes", "").split()]
+        identity = kv.pop("identity", "")
+        seeds = {key: int(value) for key, value in kv.items()}
+    except ValueError as exc:  # bad lines, keys, numbers or UTF-8
         raise DatasetError(f"{path}: malformed meta file: {exc}") from None
     except OSError as exc:
         raise DatasetError(f"{path}: cannot read meta file: {exc.strerror}") from None
-    if eyes is None:
+    if not coords:
         raise DatasetError(f"{path}: missing eye coordinates")
-    if not np.isfinite(eyes.as_array()).all():
+    if len(coords) != 4:
+        raise DatasetError(f"{path}: malformed meta file: {len(coords)} eye "
+                           f"coordinates, expected 4")
+    eyes = np.array(coords).reshape(2, 2)
+    if not np.isfinite(eyes).all():
         raise DatasetError(f"{path}: non-finite eye coordinates")
     return eyes, identity, seeds
 
@@ -578,8 +572,9 @@ def read_manifest(root: str | Path) -> list[tuple[str, str, str, str]]:
     rows = []
     for number, line in enumerate(lines[1:], start=2):
         row = tuple(line.split("\t"))
+        # a NUL byte cannot be in a file name
         if len(row) != 4 or row[0] not in SPLITS or \
-                row[3] not in ("triplet", "daily"):
+                row[3] not in ("triplet", "daily") or "\0" in line:
             raise DatasetError(f"{path}:{number}: expected split, identity, "
                                f"sample and kind, got {line!r}")
         rows.append(row)
@@ -593,7 +588,7 @@ def _extent(img: Array) -> str:
 
 def load_split(root: str | Path, split: str) -> SplitData:
     """Read one split back into memory, in manifest order, as graymaps; an
-    empty split stacks as (0, 1, 0, 0)."""
+    empty split stacks as (0, 1, 0, 0), its eyes as (0, 2, 2)."""
     split_dir = Path(root) / split
     first: Array | None = None
 
@@ -611,7 +606,7 @@ def load_split(root: str | Path, split: str) -> SplitData:
     # file names are plain strings: a pathlib join per file cost about a
     # third of the read
     rows: list[tuple[str, str]] = []
-    dailies: dict[str, tuple[Array, Landmarks]] = {}
+    dailies: dict[str, tuple[Array, Array]] = {}
     for row_split, ident, sample, kind in read_manifest(root):
         if row_split != split:
             continue
@@ -636,8 +631,9 @@ def load_split(root: str | Path, split: str) -> SplitData:
     if bad.any():
         raise DatasetError(f"{stems[bad.argmax()]}.m.pgm: mask is not binary "
                            f"(a byte other than 0 or 255)")
-    return SplitData(x, y, m != 0,
-                     [_read_meta(f"{stem}.meta")[0] for stem in stems],
+    eyes = np.reshape([_read_meta(f"{stem}.meta")[0] for stem in stems],
+                      (-1, 2, 2))
+    return SplitData(x, y, m != 0, eyes,
                      [ident for ident, _ in rows],
                      [sample for _, sample in rows], dailies)
 
@@ -656,17 +652,19 @@ def validate_dataset(root: str | Path) -> int:
         data = load_split(root, split)
         density = np.count_nonzero(data.m, axis=(1, 2, 3)) / \
             (data.m.shape[2] * data.m.shape[3])
-        off_mask_differs = ((data.x != data.y) & ~data.m).any(axis=(1, 2, 3))
-        extent = data.x.shape[2:]
-        for i, eyes in enumerate(data.eyes):
+        dense_ok = (MASK_DENSITY_MIN <= density) & (density <= MASK_DENSITY_MAX)
+        off_mask_ok = ~((data.x != data.y) & ~data.m).any(axis=(1, 2, 3))
+        in_frame = _eyes_in_frame(data.eyes, *data.x.shape[2:])
+        bad = ~(dense_ok & off_mask_ok & in_frame)
+        if bad.any():
+            i = int(bad.argmax())
             where = f"{split}/{data.identity[i]}/{data.sample[i]}"
-            if not (MASK_DENSITY_MIN <= density[i] <= MASK_DENSITY_MAX):
+            if not dense_ok[i]:
                 raise DatasetError(
                     f"{where}: mask density {density[i]:.4f} out of bounds")
-            if off_mask_differs[i]:
+            if not off_mask_ok[i]:
                 raise DatasetError(f"{where}: corrupted image differs off-mask")
-            if not _eyes_in_frame(eyes, *extent):
-                raise DatasetError(f"{where}: eyes out of frame")
+            raise DatasetError(f"{where}: eyes out of frame")
         for ident, (img, eyes) in data.dailies.items():
             if not _eyes_in_frame(eyes, *img.shape[1:]):
                 raise DatasetError(f"{split}/{ident}/daily.meta: eyes out of frame")

@@ -28,6 +28,10 @@ Array = np.ndarray
 EARLY_CONV = "early_conv"
 FINAL_FEATURE = "final_feature"
 
+# φ pretraining's classifier batch and Adam step size
+PRETRAIN_BATCH = 32
+PRETRAIN_LR = 1e-3
+
 
 @dataclass(frozen=True)
 class FeatureSpec:
@@ -85,7 +89,7 @@ class FeatureNet:
     gradient with respect to the input crop (None with
     ``input_grad=False``); each layer it walks drops its record. A forward
     pass with ``keep=False`` (inference) gives the same activations but
-    keeps nothing for ``backward_taps``.
+    keeps nothing for ``backward_taps``; so does ``features``.
     """
 
     def __init__(self, layers: list, taps: dict[str, int], spec: FeatureSpec):
@@ -138,16 +142,14 @@ class FeatureNet:
             raise KeyError(f"unknown tap {tap!r}; have {sorted(self.taps)}")
         return self.taps[tap]
 
-    def features(self, x: Array, *, keep: bool = True) -> Array:
+    def features(self, x: Array) -> Array:
         """Final compact features for a batch of aligned crops: (N, width).
 
-        A record-free pass (``keep=False``) runs the layers before ``fc`` in
-        blocks of ``PSI_BLOCK`` crops, then ``fc`` and its MFM over all of
-        ``x``. The convs lower one image at a time and MFM and pool act per
-        image, so the blocks give the one-batch bits; ``fc`` is the one
-        product across rows, and its rows are not split."""
-        if keep:
-            return self.forward_taps(x, taps=(FINAL_FEATURE,))[FINAL_FEATURE]
+        A record-free pass runs the layers before ``fc`` in blocks of
+        ``PSI_BLOCK`` crops, then ``fc`` and its MFM over all of ``x``. The
+        convs lower one image at a time and MFM and pool act per image, so
+        the blocks give the one-batch bits; ``fc`` is the one product across
+        rows, and its rows are not split."""
         self._check_input(x)
         fc = self.taps[FINAL_FEATURE] - 1  # fc, then its MFM, the tap
 
@@ -177,20 +179,18 @@ def _aligned_identity_crops(spec: FeatureSpec, rng: np.random.Generator,
     for i in range(n_identities):
         ident = facegen.sample_identity(
             f"phi{i:03d}", int(rng.integers(0, 2 ** 63)), h, w)
-        renders = [facegen.render_face(ident, int(rng.integers(0, 2 ** 63)))
-                   for _ in range(per_identity)]
-        grid = stn.alignment_grid([eyes for _, eyes in renders], h, w,
-                                  spec.in_h, spec.in_w)
-        crops[i] = stn.bilinear_sample(np.stack([img for img, _ in renders]),
-                                       grid)
+        images, eyes = zip(*(facegen.render_face(ident,
+                                                 int(rng.integers(0, 2 ** 63)))
+                             for _ in range(per_identity)))
+        grid = stn.alignment_grid(np.stack(eyes), h, w, spec.in_h, spec.in_w)
+        crops[i] = stn.bilinear_sample(np.stack(images), grid)
     labels = np.repeat(np.arange(n_identities, dtype=np.int64), per_identity)
     return crops.reshape(-1, 1, spec.in_h, spec.in_w), labels
 
 
 def build_phi(mode: str = "pretrain", seed: int = 0,
               spec: FeatureSpec = FeatureSpec(), *,
-              n_identities: int = 32, per_identity: int = 200,
-              steps: int = 600, batch_size: int = 32, lr: float = 1e-3,
+              n_identities: int = 32, per_identity: int = 200, steps: int = 600,
               render_hw: tuple[int, int] = (64, 48)) -> FeatureNet:
     """Construct the frozen feature net.
 
@@ -218,14 +218,15 @@ def build_phi(mode: str = "pretrain", seed: int = 0,
     order = rng.permutation(len(crops))
     cursor = 0
     for _ in range(steps):
-        if cursor + batch_size > len(order):
+        if cursor + PRETRAIN_BATCH > len(order):
             order = rng.permutation(len(crops))
             cursor = 0
-        idx = order[cursor:cursor + batch_size]
-        cursor += batch_size
-        pretrain_step(net, head, crops[idx], labels[idx], lr)
+        idx = order[cursor:cursor + PRETRAIN_BATCH]
+        cursor += PRETRAIN_BATCH
+        pretrain_step(net, head, crops[idx], labels[idx], PRETRAIN_LR)
 
-    correct = np.count_nonzero(classify(net, head, crops, batch_size) == labels)
+    correct = np.count_nonzero(classify(net, head, crops, PRETRAIN_BATCH)
+                               == labels)
     net.pretrain_accuracy = correct / len(crops)
     net.freeze()  # the head is discarded; phi serves features only
     return net
@@ -237,7 +238,8 @@ def pretrain_step(net: FeatureNet, head: Dense, crops: Array, labels: Array,
     under softmax cross-entropy. Nothing reads the crops' gradient, so
     φ's first conv skips it."""
     trainable = net.params() + head.params()
-    logits = head.forward(net.features(crops))
+    feats = net.forward_taps(crops, (FINAL_FEATURE,))[FINAL_FEATURE]
+    logits = head.forward(feats)
     _, grad_logits = softmax_cross_entropy(logits, labels)
     for p in trainable:
         p.zero_grad()
@@ -253,7 +255,7 @@ def classify(net: FeatureNet, head: Dense, crops: Array, rows: int) -> Array:
     rows per product on the OpenBLAS SkylakeX kernel, so chunks of at least
     8 rows predict as one batch does."""
     def predict(chunk: slice) -> Array:
-        feats = net.features(crops[chunk], keep=False)
+        feats = net.features(crops[chunk])
         return np.argmax(head.forward(feats, keep=False), axis=1)
     return map_chunks(predict, len(crops), rows)
 

@@ -131,9 +131,9 @@ def _check_bilinear_backward(rng):
 
 
 def _check_alignment_sample(rng):
-    eyes = [stn.Landmarks((rng.uniform(3, 5), rng.uniform(4, 6)),
-                          (rng.uniform(8, 10), rng.uniform(4, 6)))
-            for _ in range(2)]
+    eyes = np.array([[[rng.uniform(3, 5), rng.uniform(4, 6)],
+                      [rng.uniform(8, 10), rng.uniform(4, 6)]]
+                     for _ in range(2)])
     grid = stn.alignment_grid(eyes, 14, 12, 6, 6)
     w = rng.normal(size=(2, 1, 6, 6))
 
@@ -178,15 +178,15 @@ def _loss_instance(rng):
     h, w = 12, 10
     target = rng.uniform(size=(1, 1, h, w))
     pred = rng.uniform(size=(1, 1, h, w))
-    eyes = [stn.Landmarks((rng.uniform(2.5, 4), rng.uniform(3, 5)),
-                          (rng.uniform(6, 8), rng.uniform(3, 5)))]
+    eyes = np.array([[[rng.uniform(2.5, 4), rng.uniform(3, 5)],
+                      [rng.uniform(6, 8), rng.uniform(3, 5)]]])
     return phi, pred, target, eyes
 
 
 def _check_feature_loss(rng):
     phi, pred, target, eyes = _loss_instance(rng)
     cfg = losses.LossConfig()
-    fixed = losses.feature_thresholds(pred, target, eyes, phi, cfg)
+    fixed = losses.feature_loss(pred, target, eyes, phi, cfg).thresholds
 
     def fn(p):
         lv = losses.feature_loss(p, target, eyes, phi, cfg, fixed_c=fixed)
@@ -199,7 +199,7 @@ def _check_unified_loss(rng):
     phi, pred, target, eyes = _loss_instance(rng)
     mask = (rng.uniform(size=pred.shape) > 0.7).astype(float)
     cfg = losses.LossConfig()
-    fixed = losses.feature_thresholds(pred, target, eyes, phi, cfg)
+    fixed = losses.feature_loss(pred, target, eyes, phi, cfg).thresholds
 
     def fn(p):
         ul = losses.unified_loss(p, target, mask, eyes, phi, cfg, fixed_c=fixed)

@@ -12,7 +12,7 @@ finite-difference checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -31,6 +31,8 @@ VARIANTS = ("fcne", "fcnw", "fcnf", "demesh_e", "demesh")
 class LossValue:
     value: float
     grad: Array
+    # the reverse-Huber threshold c of each feature tap, when there are any
+    thresholds: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -39,6 +41,7 @@ class UnifiedLoss:
     grad: Array
     pixel: float
     feature: float
+    thresholds: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -157,33 +160,24 @@ def reverse_huber(residual: Array, c: float) -> LossValue:
 def _feature_grid(pred: Array, eyes, phi: FeatureNet, align: bool):
     n, _, h, w = pred.shape
     if align:
-        if eyes is None or len(eyes) != n:
-            raise ValueError(f"need one landmark pair per sample ({n})")
+        if np.shape(eyes) != (n, 2, 2):
+            raise ValueError(f"need ({n}, 2, 2) eyes, got {np.shape(eyes)}")
         return stn.alignment_grid(eyes, h, w, phi.in_h, phi.in_w)
     return stn.resize_grid(n, phi.in_h, phi.in_w)
 
 
 def _tap_residuals(pred: Array, target: Array, eyes, phi: FeatureNet,
-                   cfg: LossConfig, keep: bool):
+                   cfg: LossConfig):
     """Aligned crops of both branches, their per-tap residuals, and the
     batch grid. The target branch is a constant and keeps no backward
-    record; the prediction branch keeps one when ``keep`` is set. A
-    record-free pass clears φ's record, so the prediction branch runs last."""
+    record; the prediction branch keeps one. A record-free pass clears φ's
+    record, so the prediction branch runs last."""
     grid = _feature_grid(pred, eyes, phi, cfg.align)
     acts_t = phi.forward_taps(stn.bilinear_sample(target, grid), taps=cfg.taps,
                               keep=False)
-    acts_p = phi.forward_taps(stn.bilinear_sample(pred, grid), taps=cfg.taps,
-                              keep=keep)
+    acts_p = phi.forward_taps(stn.bilinear_sample(pred, grid), taps=cfg.taps)
     residuals = {tap: acts_p[tap] - acts_t[tap] for tap in cfg.taps}
     return residuals, grid
-
-
-def feature_thresholds(pred: Array, target: Array, eyes, phi: FeatureNet,
-                       cfg: LossConfig) -> dict[str, float]:
-    """Per-tap dynamic thresholds for this batch (each tap gets its own c,
-    keeping the two taps' scales comparable)."""
-    residuals, _ = _tap_residuals(pred, target, eyes, phi, cfg, keep=False)
-    return {tap: dynamic_c(r, cfg.c_fraction) for tap, r in residuals.items()}
 
 
 def feature_loss(pred: Array, target: Array, eyes, phi: FeatureNet,
@@ -193,25 +187,29 @@ def feature_loss(pred: Array, target: Array, eyes, phi: FeatureNet,
     prediction and the aligned target.
 
     The gradient flows through the feature net and the sampler into the
-    prediction only; the target branch is a constant.
+    prediction only; the target branch is a constant. Under reverse Huber
+    each tap gets its own c (keeping the two taps' scales comparable),
+    which the result's ``thresholds`` holds.
     """
     cfg.validate()
     n = pred.shape[0]
-    residuals, grid = _tap_residuals(pred, target, eyes, phi, cfg, keep=True)
+    residuals, grid = _tap_residuals(pred, target, eyes, phi, cfg)
     total = 0.0
     tap_grads: dict[str, Array] = {}
+    thresholds: dict[str, float] = {}
     for tap, r in residuals.items():
         if cfg.feature_penalty == "squared":
             lv = LossValue(float(np.sum(r * r)), 2.0 * r)
         else:
             c = fixed_c[tap] if fixed_c is not None \
                 else dynamic_c(r, cfg.c_fraction)
+            thresholds[tap] = c
             lv = reverse_huber(r, c)
         total += lv.value
         tap_grads[tap] = lv.grad
     grad_crops = phi.backward_taps(tap_grads)
     grad_pred = stn.bilinear_backward(grad_crops, grid, pred.shape[2:])
-    return LossValue(total / n, grad_pred / n)
+    return LossValue(total / n, grad_pred / n, thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -231,4 +229,5 @@ def unified_loss(pred: Array, target: Array, mask: Array, eyes,
     feat = feature_loss(pred, target, eyes, phi, cfg, fixed_c)
     value = px.value + cfg.lambda_feature * feat.value
     grad = px.grad + cfg.lambda_feature * feat.grad
-    return UnifiedLoss(float(value), grad, px.value, feat.value)
+    return UnifiedLoss(float(value), grad, px.value, feat.value,
+                       feat.thresholds)

@@ -35,21 +35,6 @@ class DegenerateLandmarksError(ValueError):
 
 
 @dataclass(frozen=True)
-class Landmarks:
-    """Eye centers in pixel coordinates (x = column, y = row)."""
-
-    left: tuple[float, float]
-    right: tuple[float, float]
-
-    def as_array(self) -> Array:
-        return np.array([self.left, self.right], dtype=np.float64)
-
-    def shifted(self, dx: float, dy: float) -> "Landmarks":
-        return Landmarks((self.left[0] + dx, self.left[1] + dy),
-                         (self.right[0] + dx, self.right[1] + dy))
-
-
-@dataclass(frozen=True)
 class SimilarityParams:
     """Scalars (a, b, tx, ty) of the transform [[a, b, tx], [-b, a, ty]];
     each is a float or an (N,) array with one entry per sample."""
@@ -145,8 +130,9 @@ def resize_grid(n: int, out_h: int, out_w: int) -> SampleGrid:
 def alignment_grid(eyes, src_h: int, src_w: int,
                    crop_h: int, crop_w: int) -> SampleGrid:
     """Grids that cut an aligned crop_h x crop_w face region from each
-    src_h x src_w source; ``eyes`` holds one Landmarks per sample."""
-    pts = np.array([(e.left, e.right) for e in eyes], dtype=np.float64)
+    src_h x src_w source; ``eyes`` is (N, 2, 2), each sample's
+    ``[[left_x, left_y], [right_x, right_y]]`` in pixels."""
+    pts = np.asarray(eyes, dtype=np.float64)
     xn, yn = normalize_coords(pts[..., 0], pts[..., 1], src_h, src_w)
     params = solve_similarity(np.stack([xn[:, 0], yn[:, 0]], axis=-1),
                               np.stack([xn[:, 1], yn[:, 1]], axis=-1))

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import atomic, configio, losses
-from .facegen import SplitData, load_split, to_float
+from .facegen import DatasetError, SplitData, load_split, to_float
 from .featnet import FeatureNet, FeatureSpec, build_phi, load_phi, save_phi
 from .inpaint import InpaintNet, InpaintSpec, build_psi, save_psi
 from .losses import LossConfig, VARIANTS
@@ -200,7 +200,7 @@ def train(cfg: TrainConfig, phi: FeatureNet | None = None
 
         pred = net.forward(to_float(data.x[idx]))
         ul = losses.unified_loss(pred, to_float(data.y[idx]), data.m[idx],
-                                 [data.eyes[i] for i in idx], phi, loss_cfg)
+                                 data.eyes[idx], phi, loss_cfg)
         if not np.isfinite(ul.value):
             raise TrainingDiverged(
                 f"non-finite loss at step {step} (lr={lr:g}, "
@@ -228,6 +228,16 @@ def train(cfg: TrainConfig, phi: FeatureNet | None = None
 # ---------------------------------------------------------------------------
 # evaluation and the comparison matrix
 # ---------------------------------------------------------------------------
+
+def load_eval_split(dataset: str | Path, split: str) -> SplitData:
+    """The split a model is evaluated on; an empty one raises DatasetError,
+    so its caller fails before any work."""
+    data = load_split(dataset, split)
+    if not len(data):
+        raise DatasetError(f"{dataset}: the {split!r} split is empty, "
+                           f"nothing to evaluate")
+    return data
+
 
 def evaluate(name: str, net: InpaintNet, data: SplitData,
              phi: FeatureNet, clear: Array | None = None) -> EvalReport:
@@ -258,10 +268,10 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[EvalReport]:
     is rewritten after each completed row, so results of finished variants
     survive a failure in a later one.
     """
+    test_data = load_eval_split(cfg.dataset, "test")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     phi = ensure_phi(cfg, out / "phi.ckpt")
-    test_data = load_split(cfg.dataset, "test")
     clear = clear_features(test_data, phi)
 
     reports: list[EvalReport] = []

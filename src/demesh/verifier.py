@@ -145,7 +145,7 @@ def _aligned_features(phi: FeatureNet, load, eyes) -> Array:
             lambda rows: crop(slice(chunk.start + rows.start,
                                     chunk.start + rows.stop)),
             chunk.stop - chunk.start, PSI_BLOCK)
-        return phi.features(crops, keep=False)
+        return phi.features(crops)
     return map_chunks(chunk_features, len(eyes))
 
 

@@ -311,6 +311,37 @@ def test_train_reports_an_unreadable_config_on_one_line(tmp_path, capsys,
     assert match in err[0]
     assert not out.exists()
 
+@pytest.fixture(scope="module")
+def train_only_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("train-only") / "data"
+    make_dataset(root, 4, 2, seed=56, ratios=(1.0, 0.0, 0.0), height=32,
+                 width=24)
+    return root
+
+def test_eval_on_an_empty_test_split_fails_on_one_line_before_loading(
+        train_only_dataset, trained_checkpoint, tmp_path, capsys):
+    # the φ checkpoint does not exist: the split is checked first
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--checkpoint", str(trained_checkpoint), "--data",
+                   str(train_only_dataset), "--phi", str(tmp_path / "phi.ckpt"),
+                   "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: DatasetError: {train_only_dataset}: the 'test' "
+                   f"split is empty, nothing to evaluate"]
+    assert not out.exists()
+
+def test_ablation_on_an_empty_test_split_fails_on_one_line_before_phi(
+        train_only_dataset, tmp_path, capsys):
+    cfg_path = tmp_path / "config.txt"
+    write_tiny_config(cfg_path, train_only_dataset)
+    out = tmp_path / "abl"
+    assert run_cli("ablation", "--config", str(cfg_path), "--out",
+                   str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: DatasetError: {train_only_dataset}: the 'test' "
+                   f"split is empty, nothing to evaluate"]
+    assert not (out / "phi.ckpt").exists()
+
 def test_train_reports_a_missing_sample_file_on_one_line(dataset, tmp_path,
                                                          capsys):
     copy = tmp_path / "data"

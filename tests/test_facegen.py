@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import shutil
 import tracemalloc
 from collections import deque
 from pathlib import Path
@@ -30,24 +31,22 @@ def identity_fixture(seed=101):
 def test_zero_jitter_lands_landmarks_at_canonical_positions():
     ident = identity_fixture()
     _, eyes = render_with_jitter(ident, Jitter())
-    canon = ident.canonical_eyes()
-    assert eyes.left == pytest.approx(canon.left, abs=1e-12)
-    assert eyes.right == pytest.approx(canon.right, abs=1e-12)
+    assert eyes.shape == (2, 2) and eyes.dtype == np.float64
+    np.testing.assert_allclose(eyes, ident.canonical_eyes(), rtol=0, atol=1e-12)
 
 def test_same_seeds_render_bitwise_identical_images():
     ident = identity_fixture()
     img1, eyes1 = render_face(ident, jitter_seed=5)
     img2, eyes2 = render_face(ident, jitter_seed=5)
     np.testing.assert_array_equal(img1, img2)
-    assert eyes1 == eyes2
+    assert eyes1.tobytes() == eyes2.tobytes()
 
 def test_rotation_only_jitter_rotates_landmarks_about_image_center():
     ident = identity_fixture()
     alpha = math.radians(7.0)
     _, eyes = render_with_jitter(ident, Jitter(angle=alpha))
     cx, cy = ident.width / 2.0, ident.height / 2.0
-    for got, canon in ((eyes.left, ident.canonical_eyes().left),
-                       (eyes.right, ident.canonical_eyes().right)):
+    for got, canon in zip(eyes, ident.canonical_eyes()):
         px, py = canon[0] - cx, canon[1] - cy
         expected = (cx + math.cos(alpha) * px - math.sin(alpha) * py,
                     cy + math.sin(alpha) * px + math.cos(alpha) * py)
@@ -307,7 +306,9 @@ def test_load_split_stacks_rows_in_manifest_order(tmp_path):
             (len(rows), 1, 64, 48)
         assert (data.x.dtype, data.y.dtype, data.m.dtype) == \
             (np.uint8, np.uint8, bool)
-        assert len(data) == len(data.eyes) == len(rows)
+        assert len(data) == len(rows)
+        assert data.eyes.shape == (len(rows), 2, 2)
+        assert data.eyes.dtype == np.float64
         for i, (ident, sample) in enumerate(rows):
             stem = root / split / ident / sample
             for stack, kind in ((data.x, "x"), (data.y, "y")):
@@ -315,20 +316,23 @@ def test_load_split_stacks_rows_in_manifest_order(tmp_path):
                     to_float(stack[i]), read_pgm(f"{stem}.{kind}.pgm"))
             np.testing.assert_array_equal(
                 data.m[i], read_pgm(f"{stem}.m.pgm") > 0.5)
-            assert data.eyes[i] == _read_meta(stem.with_suffix(".meta"))[0]
+            np.testing.assert_array_equal(
+                data.eyes[i], _read_meta(stem.with_suffix(".meta"))[0])
         assert list(data.dailies) == list(dict.fromkeys(data.identity))
         for ident, (image, eyes) in data.dailies.items():
             assert image.dtype == np.uint8
             np.testing.assert_array_equal(
                 to_float(image), read_pgm(root / split / ident / "daily.y.pgm"))
-            assert eyes == _read_meta(root / split / ident / "daily.meta")[0]
+            np.testing.assert_array_equal(
+                eyes, _read_meta(root / split / ident / "daily.meta")[0])
 
 def test_an_empty_split_loads_as_zero_rows(tmp_path):
     make_dataset(tmp_path / "data", 3, 2, seed=23, ratios=(1.0, 0.0, 0.0))
     data = load_split(tmp_path / "data", "val")
     assert len(data) == 0
     assert data.x.shape == data.y.shape == data.m.shape == (0, 1, 0, 0)
-    assert data.eyes == data.identity == data.sample == []
+    assert data.eyes.shape == (0, 2, 2)
+    assert data.identity == data.sample == []
     assert data.dailies == {}
 
 def test_load_split_of_a_200_by_2_split_holds_bytes_not_floats(tmp_path):
@@ -372,6 +376,16 @@ def test_validation_checks_every_daily_photo(tmp_path, name, content, match):
     with pytest.raises(DatasetError, match=match):
         validate_dataset(root)
 
+def test_validation_reports_the_first_row_with_eyes_out_of_frame(tmp_path):
+    root = tmp_path / "data"
+    make_dataset(root, 1, 3, seed=1, ratios=(1.0, 0.0, 0.0), height=16,
+                 width=16)
+    meta = root / "train" / "id0000" / "s002.meta"
+    meta.write_text(re.sub(r"eyes = .*", "eyes = 1 5 9 5", meta.read_text()))
+    with pytest.raises(DatasetError,
+                       match="^train/id0000/s002: eyes out of frame$"):
+        validate_dataset(root)
+
 def test_validation_flags_tampered_dataset(tmp_path):
     make_dataset(tmp_path / "data", 3, 1, seed=17, ratios=(1.0, 0.0, 0.0))
     victim = next((tmp_path / "data" / "train").rglob("s000.x.pgm"))
@@ -405,6 +419,10 @@ _PGM_2X2 = b"P5\n2 2\n255\n\x00\x01\x02\x03"
                  id="meta-nan-eye"),
     pytest.param("s.meta", b"identity = a\n", "missing eye",
                  id="meta-no-eyes"),
+    pytest.param("s.meta", b"eyes = 1 2 3 4\neyes = 5 6 7 8\n",
+                 "line 2: duplicate key 'eyes'", id="meta-duplicate-key"),
+    pytest.param("s.meta", b"eyes = 1 2 3 4\nnote\n",
+                 "line 2: expected 'key = value'", id="meta-line-without-equals"),
     pytest.param("s.pgm", _PGM_2X2[:-1], "pixel bytes", id="pgm-truncated"),
     pytest.param("s.pgm", b"P5\n2 x\n255\n\x00\x01\x02\x03", "header",
                  id="pgm-non-integer-height"),
@@ -425,6 +443,9 @@ _PGM_2X2 = b"P5\n2 2\n255\n\x00\x01\x02\x03"
     pytest.param("manifest.tsv",
                  _MANIFEST_HEAD.encode() + b"train\tid\xff\ts\tdaily\n",
                  "UTF-8", id="manifest-not-utf8"),
+    pytest.param("manifest.tsv",
+                 (_MANIFEST_HEAD + "train\tid\x00\ts000\ttriplet\n").encode(),
+                 "expected split", id="manifest-nul-in-identity"),
 ])
 def test_malformed_dataset_files_raise_dataset_error(tmp_path, name, content,
                                                      match):
@@ -434,6 +455,15 @@ def test_malformed_dataset_files_raise_dataset_error(tmp_path, name, content,
               "manifest.tsv": lambda p: read_manifest(p.parent)}[name]
     with pytest.raises(DatasetError, match=match):
         reader(path)
+
+
+def test_a_meta_file_with_comments_loads(tmp_path):
+    path = tmp_path / "s.meta"
+    path.write_bytes(b"# eye centers in pixels\neyes = 10 10 20 10  # x y x y\n"
+                     b"\nidentity = id0\njitter_seed = 3\n")
+    eyes, identity, seeds = _read_meta(path)
+    assert eyes.tolist() == [[10.0, 10.0], [20.0, 10.0]]
+    assert (identity, seeds) == ("id0", {"jitter_seed": 3})
 
 
 @pytest.mark.parametrize("missing", ["s000.x.pgm", "s000.meta"])
@@ -492,22 +522,52 @@ _FUZZED_FILES = {
 }
 
 
+def _mutated(blob: bytes, data) -> bytes:
+    """``blob`` truncated, or with one to three bytes flipped."""
+    blob = bytearray(blob)
+    if data.draw(st.booleans()):
+        return bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+    for _ in range(data.draw(st.integers(1, 3))):
+        blob[data.draw(st.integers(0, len(blob) - 1))] ^= \
+            data.draw(st.integers(1, 255))
+    return bytes(blob)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(_FUZZED_FILES)), st.data())
 def test_dataset_file_byte_flips_and_truncations_read_or_raise_dataset_error(
         small_dataset, tmp_path_factory, rel, data):
-    blob = bytearray((small_dataset / rel).read_bytes())
-    if data.draw(st.booleans()):
-        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
-    else:
-        for _ in range(data.draw(st.integers(1, 3))):
-            blob[data.draw(st.integers(0, len(blob) - 1))] ^= \
-                data.draw(st.integers(1, 255))
     path = tmp_path_factory.getbasetemp() / "fuzzed" / rel
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(bytes(blob))
+    path.write_bytes(_mutated((small_dataset / rel).read_bytes(), data))
     try:
         _FUZZED_FILES[rel](path)
+    except DatasetError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def pair_dataset(tmp_path_factory):
+    """One identity with two triplets and a daily photo."""
+    root = tmp_path_factory.mktemp("pair") / "data"
+    make_dataset(root, 1, 2, seed=29, ratios=(1.0, 0.0, 0.0), height=16,
+                 width=16)
+    return root
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_dataset_with_one_mutated_file_validates_or_raises_dataset_error(
+        pair_dataset, tmp_path_factory, data):
+    files = sorted(str(p.relative_to(pair_dataset))
+                   for p in pair_dataset.rglob("*") if p.is_file())
+    rel = data.draw(st.sampled_from(files))
+    root = tmp_path_factory.getbasetemp() / "fuzzed-pair"
+    shutil.rmtree(root, ignore_errors=True)
+    shutil.copytree(pair_dataset, root)
+    (root / rel).write_bytes(_mutated((pair_dataset / rel).read_bytes(), data))
+    try:
+        validate_dataset(root)
     except DatasetError:
         pass
 

@@ -75,7 +75,7 @@ def test_distinct_images_do_not_reach_self_similarity(pretrained):
 def _aligned_render(identity, seed, spec):
     img, eyes = facegen.render_face(identity, seed)
     _, h, w = img.shape
-    grid = stn.alignment_grid([eyes], h, w, spec.in_h, spec.in_w)
+    grid = stn.alignment_grid(eyes[None], h, w, spec.in_h, spec.in_w)
     return stn.bilinear_sample(img[None], grid)[0]
 
 def test_intra_identity_similarity_exceeds_inter_identity(pretrained):
@@ -215,8 +215,8 @@ def test_record_free_taps_are_bitwise_the_recording_taps(taps, n, seed,
         assert free[tap].tobytes() == recorded[tap].tobytes()
     assert all(getattr(layer, name) is None for layer in phi.layers
                for name in _RECORDS if hasattr(layer, name))
-    assert phi.features(x, keep=False).tobytes() == \
-        phi.features(x).tobytes()
+    assert phi.features(x).tobytes() == \
+        phi.forward_taps(x, (FINAL_FEATURE,))[FINAL_FEATURE].tobytes()
 
 
 def test_record_free_features_run_only_fc_over_all_rows():
@@ -228,7 +228,7 @@ def test_record_free_features_run_only_fc_over_all_rows():
                             []).append(len(x))
             return forward(x, keep=keep)
         layer.forward = spy
-    phi.features(np.zeros((20, 1, 16, 16)), keep=False)
+    phi.features(np.zeros((20, 1, 16, 16)))
     # 20 crops in near-equal blocks of at most PSI_BLOCK, one fc product
     assert rows["conv1"] == rows["conv2"] == [6, 7, 7]
     assert max(rows["conv1"]) <= PSI_BLOCK and rows["fc"] == [20]

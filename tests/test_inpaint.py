@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from demesh.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from demesh.facegen import Landmarks
 from demesh.featnet import FeatureSpec, build_phi, load_phi, save_phi
 from demesh.inpaint import (InpaintNet, InpaintSpec, build_psi, load_psi,
                             save_psi)
@@ -350,8 +349,8 @@ def test_a_default_training_step_peaks_below_12_mib():
     phi = build_phi("fixed_random", seed=2)
     x, y = rng.uniform(size=(2, 8, 1, 64, 48))
     mask = rng.uniform(size=x.shape) < 0.2
-    eyes = [Landmarks((16.0 + i % 3, 26.0), (32.0 - i % 2, 26.5))
-            for i in range(8)]
+    eyes = np.array([[[16.0 + i % 3, 26.0], [32.0 - i % 2, 26.5]]
+                     for i in range(8)])
 
     def step():
         pred = net.forward(x)

@@ -9,9 +9,9 @@ from demesh.featnet import (EARLY_CONV, FINAL_FEATURE, FeatureNet,
 from demesh.layers import (Conv2d, MaxFeatureMap, NoRecordError, ShapeError,
                            grad_check)
 from demesh.losses import (LossConfig, VARIANTS, dynamic_c, feature_loss,
-                           feature_thresholds, pixel_loss, reverse_huber,
-                           unified_loss, variant_config)
-from demesh.stn import Landmarks
+                           pixel_loss, reverse_huber, unified_loss,
+                           variant_config)
+from demesh.stn import alignment_grid, bilinear_sample
 
 TINY_PHI_SPEC = FeatureSpec(in_h=8, in_w=8, widths=(4,), feature_width=8)
 
@@ -26,8 +26,8 @@ def eyes_for(n, rng, h, w):
         lx = rng.uniform(0.25 * w, 0.4 * w)
         rx = rng.uniform(0.6 * w, 0.75 * w)
         y = rng.uniform(0.3 * h, 0.5 * h)
-        out.append(Landmarks((lx, y), (rx, y + rng.uniform(-1, 1))))
-    return out
+        out.append([[lx, y], [rx, y + rng.uniform(-1, 1)]])
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def test_feature_loss_gradient_matches_finite_differences():
     eyes = eyes_for(1, rng, 12, 10)
     cfg = LossConfig()
     base = rng.uniform(size=(1, 1, 12, 10))
-    fixed = feature_thresholds(base, target, eyes, phi, cfg)
+    fixed = feature_loss(base, target, eyes, phi, cfg).thresholds
 
     def fn(pred):
         lv = feature_loss(pred, target, eyes, phi, cfg, fixed_c=fixed)
@@ -214,14 +214,26 @@ def test_feature_loss_gradient_matches_finite_differences():
 
     assert grad_check(fn, base).passed
 
-def test_feature_thresholds_leave_no_record_in_phi():
+def test_feature_loss_returns_its_thresholds_and_leaves_no_record_in_phi():
     phi = tiny_phi(seed=13)
     rng = np.random.default_rng(8)
     pred, target = rng.uniform(size=(2, 2, 1, 12, 10))
     eyes = eyes_for(2, rng, 12, 10)
     cfg = LossConfig()
-    feature_loss(pred, target, eyes, phi, cfg)
-    feature_thresholds(pred, target, eyes, phi, cfg)
+    lv = feature_loss(pred, target, eyes, phi, cfg)
+    grid = alignment_grid(eyes, 12, 10, phi.in_h, phi.in_w)
+    acts_p, acts_t = (phi.forward_taps(bilinear_sample(img, grid), keep=False)
+                      for img in (pred, target))
+    assert lv.thresholds == {tap: dynamic_c(acts_p[tap] - acts_t[tap])
+                             for tap in cfg.taps}
+    # frozen at the thresholds it reports, the loss is bitwise itself
+    frozen = feature_loss(pred, target, eyes, phi, cfg, fixed_c=lv.thresholds)
+    assert (frozen.value, frozen.grad.tobytes()) == (lv.value, lv.grad.tobytes())
+    mask = np.zeros_like(pred)
+    assert unified_loss(pred, target, mask, eyes, phi, cfg).thresholds == \
+        lv.thresholds
+    squared = replace(cfg, feature_penalty="squared")
+    assert feature_loss(pred, target, eyes, phi, squared).thresholds == {}
     with pytest.raises(NoRecordError):
         phi.backward_taps({FINAL_FEATURE: np.ones((2, 8))})
 
@@ -303,7 +315,7 @@ def test_losses_are_invariant_to_batch_permutation():
     base = unified_loss(pred, target, mask, eyes, phi, cfg)
     perm = [2, 0, 1]
     shuffled = unified_loss(pred[perm], target[perm], mask[perm],
-                            [eyes[i] for i in perm], phi, cfg)
+                            eyes[perm], phi, cfg)
     assert shuffled.value == pytest.approx(base.value, rel=1e-12)
     np.testing.assert_allclose(shuffled.grad, base.grad[perm], atol=1e-14)
 

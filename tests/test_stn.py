@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from demesh.layers import grad_check
-from demesh.stn import (DegenerateLandmarksError, Landmarks, SampleGrid,
+from demesh.stn import (DegenerateLandmarksError, SampleGrid,
                         SimilarityParams, TARGET_EYES, _corner_weights,
                         alignment_grid, bilinear_backward, bilinear_sample,
                         denormalize_coords, generate_grid, normalize_coords,
@@ -182,25 +182,25 @@ def test_align_is_pixel_exact_when_eyes_already_sit_at_targets():
     # (-0.5,-0.5) / (0.5,-0.5) targets, so alignment is the identity
     rng = np.random.default_rng(28)
     img = rng.uniform(size=(1, 33, 33))
-    eyes = Landmarks((8.0, 8.0), (24.0, 8.0))
-    crop = bilinear_sample(img[None], alignment_grid([eyes], 33, 33, 33, 33))
+    eyes = np.array([[[8.0, 8.0], [24.0, 8.0]]])
+    crop = bilinear_sample(img[None], alignment_grid(eyes, 33, 33, 33, 33))
     np.testing.assert_array_equal(crop[0], img)
 
 def test_align_translation_equivariance_under_joint_integer_shifts():
     rng = np.random.default_rng(29)
     img = np.zeros((1, 40, 40))
     img[0, 12:24, 12:24] = rng.uniform(size=(12, 12))
-    eyes = Landmarks((15.0, 16.0), (21.0, 16.0))
+    eyes = np.array([[15.0, 16.0], [21.0, 16.0]])
     shifted = np.zeros_like(img)
     shifted[0, 14:26, 9:21] = img[0, 12:24, 12:24]
     # both placements in one batch, each with its own landmarks
-    grid = alignment_grid([eyes, eyes.shifted(-3.0, 2.0)], 40, 40, 12, 12)
+    grid = alignment_grid(np.stack([eyes, eyes + (-3.0, 2.0)]), 40, 40, 12, 12)
     crop, crop2 = bilinear_sample(np.stack([img, shifted]), grid)
     np.testing.assert_allclose(crop2, crop, atol=1e-12)
 
 def test_align_gradient_matches_finite_differences():
     rng = np.random.default_rng(30)
-    eyes = [Landmarks((4.2, 5.1), (9.7, 5.4)), Landmarks((3.1, 6.0), (8.8, 4.9))]
+    eyes = np.array([[[4.2, 5.1], [9.7, 5.4]], [[3.1, 6.0], [8.8, 4.9]]])
     grid = alignment_grid(eyes, 14, 12, 6, 6)
     weights = rng.normal(size=(2, 1, 6, 6))
 
@@ -211,9 +211,9 @@ def test_align_gradient_matches_finite_differences():
     assert grad_check(fn, rng.uniform(size=(2, 1, 14, 12))).passed
 
 def test_alignment_sample_differentiable_wrt_image_through_public_api():
-    eyes = Landmarks((3.0, 3.5), (8.5, 3.2))
+    eyes = np.array([[[3.0, 3.5], [8.5, 3.2]]])
     img = np.random.default_rng(31).uniform(size=(1, 1, 12, 12))
-    crop = bilinear_sample(img, alignment_grid([eyes], 12, 12, 6, 6))
+    crop = bilinear_sample(img, alignment_grid(eyes, 12, 12, 6, 6))
     assert crop.shape == (1, 1, 6, 6)
     assert np.all(np.isfinite(crop))
 
@@ -225,7 +225,7 @@ def test_alignment_sample_differentiable_wrt_image_through_public_api():
 def _reference_grid(eyes, src_h, src_w, crop_h, crop_w):
     """One sample's grid, solved and generated on its own."""
     rows, rhs = [], []
-    for (xt, yt), (x, y) in zip(TARGET_EYES, (eyes.left, eyes.right)):
+    for (xt, yt), (x, y) in zip(TARGET_EYES, eyes):
         xn, yn = normalize_coords(x, y, src_h, src_w)
         rows += [[xt, yt, 1.0, 0.0], [yt, -xt, 0.0, 1.0]]
         rhs += [float(xn), float(yn)]
@@ -276,12 +276,11 @@ def sampler_batches(draw):
         # eyes anywhere around the frame, so crops run partly off the image
         lx, ly = rng.uniform(-0.5 * w, 1.5 * w), rng.uniform(-0.5 * h, 1.5 * h)
         span, angle = rng.uniform(0.5, w), rng.uniform(-1.0, 1.0)
-        eyes.append(Landmarks((float(lx), float(ly)),
-                              (float(lx + span * np.cos(angle)),
-                               float(ly + span * np.sin(angle)))))
+        eyes.append([[lx, ly], [lx + span * np.cos(angle),
+                                ly + span * np.sin(angle)]])
     images = rng.normal(size=(n, c, h, w))
     grads = rng.normal(size=(n, c, crop_h, crop_w))
-    return eyes, images, grads
+    return np.array(eyes), images, grads
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

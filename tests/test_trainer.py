@@ -182,7 +182,7 @@ def test_single_step_replay_matches_hand_applied_adam_update(dataset, phi):
 
     net = build_psi(cfg.arch_spec(), cfg.init_seed)
     pred = net.forward(xs[idx])
-    ul = losses.unified_loss(pred, ys[idx], ms[idx], [eyes[i] for i in idx],
+    ul = losses.unified_loss(pred, ys[idx], ms[idx], eyes[idx],
                              phi, cfg.loss_config())
     net.zero_grads()
     net.backward(ul.grad)

@@ -11,7 +11,7 @@ from demesh.featnet import FINAL_FEATURE, FeatureSpec, build_phi
 from demesh.inpaint import InpaintSpec, build_psi
 from demesh.layers import PSI_BLOCK, ShapeError, map_chunks
 from demesh.trainer import batched_forward, evaluate
-from demesh.verifier import (EvalReport, FPR_TARGETS, ScoreSet,
+from demesh.verifier import (EvalReport, FPR_TARGETS, RocTableError, ScoreSet,
                              _aligned_features, feature_rmse, psnr,
                              read_roc_tsv, recovery_metrics, roc,
                              run_protocol, tpr_at_fpr, verification_scores,
@@ -413,8 +413,7 @@ def faces(n, seed, h=64, w=48):
     rng = np.random.default_rng(seed)
     left = rng.normal((0.35 * w, 0.4 * h), 1.5, size=(n, 2))
     right = rng.normal((0.65 * w, 0.4 * h), 1.5, size=(n, 2))
-    eyes = [stn.Landmarks(tuple(a), tuple(b)) for a, b in zip(left, right)]
-    return rng.uniform(size=(n, 1, h, w)), eyes
+    return rng.uniform(size=(n, 1, h, w)), np.stack([left, right], axis=1)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -588,3 +587,29 @@ def test_report_tsv_and_roc_round_trip(tmp_path):
     table = read_roc_tsv(path)
     assert table.dtype == np.float64
     assert table.tolist() == [[0.0, 0.5, 0.9], [0.5, 1.0, 0.3]]
+
+
+@pytest.fixture(scope="module")
+def roc_blob(tmp_path_factory):
+    """The bytes of a ROC table the protocol wrote for 12 gallery rows."""
+    report = evaluate("m", CHUNK_PSI, gallery_split(12, seed=3), STREAM_PHI)
+    return write_roc_tsv(report, tmp_path_factory.mktemp("roc")).read_bytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_roc_table_byte_flips_and_truncations_load_or_raise_roc_table_error(
+        roc_blob, tmp_path_factory, data):
+    blob = bytearray(roc_blob)
+    if data.draw(st.booleans()):
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        for _ in range(data.draw(st.integers(1, 3))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= \
+                data.draw(st.integers(1, 255))
+    path = tmp_path_factory.getbasetemp() / "roc_fuzzed.tsv"
+    path.write_bytes(bytes(blob))
+    try:
+        read_roc_tsv(path)
+    except RocTableError:
+        pass
