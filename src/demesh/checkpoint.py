@@ -8,8 +8,9 @@ Layout:
                 | u32 ndim | u32 extents... | little-endian f64 data
 
 The arch text is ``configio.format_fields(spec, kind=...)``, the codec the
-experiment config files use, and is enough to rebuild the network before
-filling in parameters by name. Optimizer state is deliberately not stored.
+experiment config files use, and is enough to rebuild the network, each
+parameter taking its record by name. Optimizer state is deliberately not
+stored.
 """
 
 from __future__ import annotations
@@ -102,12 +103,19 @@ def load_checkpoint(path: str | Path) -> tuple[str, list[tuple[str, bool, np.nda
     return arch_text, records
 
 
-def load_arch(path: str | Path, cls, kind: str
-              ) -> tuple[object, list[tuple[str, bool, np.ndarray]]]:
+def load_net(path: str | Path, cls, kind: str, build):
     """Read a checkpoint of a ``kind`` net whose arch text is
-    ``format_fields(spec, kind=kind)``; returns (spec, records). Every fault
-    of the arch text, a key missing or out of order included, and every
-    spec that fails its own ``validate`` raises ``CheckpointError``."""
+    ``format_fields(spec, kind=kind)`` and return ``build(spec, init)``.
+
+    ``init`` is the layers' parameter source (see ``layers``) over the
+    file's records: each parameter adopts its record's array, not a copy,
+    with its saved frozen flag, so a frozen one holds no gradient or Adam
+    state. Each record's shape is compared with the one the spec asks for
+    before anything of that shape is allocated, so a load holds little more
+    than the file whatever its arch text says. A record missing, misshapen
+    or left over raises ``CheckpointError``, as does every fault of the
+    arch text, a key missing or out of order included, and every spec that
+    fails its own ``validate``."""
     arch_text, records = load_checkpoint(path)
     try:
         kv = configio.parse_kv(arch_text)
@@ -122,23 +130,20 @@ def load_arch(path: str | Path, cls, kind: str
         spec.validate()
     except ValueError as exc:  # ConfigError, or the spec's own validation
         raise CheckpointError(f"{path}: bad arch text: {exc}") from None
-    return spec, records
-
-
-def fill_params(params: list[Param], records: list[tuple[str, bool, np.ndarray]],
-                path: str | Path = "<checkpoint>") -> None:
-    """Assign record values onto params, matching by name and shape."""
     by_name = {name: (frozen, value) for name, frozen, value in records}
-    for p in params:
-        if p.name not in by_name:
-            raise CheckpointError(f"{path}: missing parameter '{p.name}'")
-        frozen, value = by_name.pop(p.name)
-        if value.shape != p.value.shape:
+
+    def init(name: str, shape: tuple[int, ...]) -> Param:
+        if name not in by_name:
+            raise CheckpointError(f"{path}: missing parameter '{name}'")
+        frozen, value = by_name.pop(name)
+        if value.shape != shape:
             raise CheckpointError(
-                f"{path}: parameter '{p.name}' has shape {value.shape}, "
-                f"expected {p.value.shape}")
-        p.value = value.copy()
-        p.frozen = frozen
+                f"{path}: parameter '{name}' has shape {value.shape}, "
+                f"expected {shape}")
+        return Param(name, value, frozen)
+
+    net = build(spec, init)
     if by_name:
         raise CheckpointError(
             f"{path}: unexpected parameters {sorted(by_name)}")
+    return net

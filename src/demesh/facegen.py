@@ -164,6 +164,13 @@ def render_with_jitter(identity: Identity, jitter: Jitter,
     transforming the pixel grid, so the returned eye centers are simply the
     forward transform of the identity's canonical eye positions.
     """
+    eyes = _transform_point(identity.canonical_eyes(), jitter, identity.center)
+    return _render_image(identity, jitter, noise_rng), eyes
+
+
+def _render_image(identity: Identity, jitter: Jitter,
+                  noise_rng: np.random.Generator | None) -> Array:
+    """The (1, H, W) image ``render_with_jitter`` returns."""
     h, w = identity.height, identity.width
     cx, cy = identity.center
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
@@ -199,8 +206,7 @@ def render_with_jitter(identity: Identity, jitter: Jitter,
     if noise_rng is not None and jitter.noise_sigma > 0:
         img = img + noise_rng.normal(0.0, jitter.noise_sigma, size=img.shape)
     img = np.clip(img, 0.0, 1.0)
-
-    return img[None, :, :], _transform_point(eyes, jitter, (cx, cy))
+    return img[None, :, :]
 
 
 def _eyes_in_frame(eyes: Array, height: int, width: int) -> Array:
@@ -219,7 +225,7 @@ def render_face(identity: Identity, jitter_seed: int,
         jitter = profile.draw(rng)
         eyes = _transform_point(canonical, jitter, identity.center)
         if _eyes_in_frame(eyes, identity.height, identity.width):
-            return render_with_jitter(identity, jitter, noise_rng=rng)
+            return _render_image(identity, jitter, rng), eyes
     raise RenderError(
         f"could not place eyes inside the frame for {identity.ident} "
         f"after 100 jitter draws")

@@ -9,7 +9,7 @@ The real-world counterpart would be pretrained on a large face corpus; here
 ``build_phi`` either trains the stack as an identity classifier on synthetic
 faces (then drops the classifier head) or just freezes seeded random
 weights. Either way the parameters are immutable afterwards: no optimizer
-may bind to them.
+may bind to them, and they hold no gradient or optimizer state.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import checkpoint, configio, facegen, stn
 from .layers import (PSI_BLOCK, Conv2d, Dense, MaxFeatureMap, MaxPool2x2,
-                     Param, ShapeError, adam_step, map_chunks,
+                     Param, ShapeError, adam_step, he_normal, map_chunks,
                      softmax_cross_entropy)
 
 Array = np.ndarray
@@ -59,28 +59,6 @@ class FeatureSpec:
                 f"{len(self.widths)}")
 
 
-def _build_layers(spec: FeatureSpec, rng: np.random.Generator):
-    spec.validate()
-    layers: list = []
-    taps: dict[str, int] = {}
-    prev = 1
-    h, w = spec.in_h, spec.in_w
-    for i, width in enumerate(spec.widths, start=1):
-        layers.append(Conv2d(prev, width, spec.kernel, pad=spec.kernel // 2,
-                             name=f"conv{i}", rng=rng))
-        layers.append(MaxFeatureMap())
-        # the early tap reads the deepest conv activation before pooling
-        taps[EARLY_CONV] = len(layers) - 1
-        layers.append(MaxPool2x2())
-        prev = width // 2
-        h, w = h // 2, w // 2
-    layers.append(Dense(prev * h * w, 2 * spec.feature_width, name="fc",
-                        rng=rng))
-    layers.append(MaxFeatureMap())
-    taps[FINAL_FEATURE] = len(layers) - 1
-    return layers, taps
-
-
 class FeatureNet:
     """Layer stack with named activation taps.
 
@@ -99,12 +77,38 @@ class FeatureNet:
         self.in_h, self.in_w = spec.in_h, spec.in_w
         self.pretrain_accuracy: float | None = None
 
+    @classmethod
+    def from_spec(cls, spec: FeatureSpec, init) -> FeatureNet:
+        """φ's conv/max-feature-map stack under ``spec``, its parameters
+        taken from the source ``init`` (see ``layers``)."""
+        spec.validate()
+        layers: list = []
+        taps: dict[str, int] = {}
+        prev = 1
+        h, w = spec.in_h, spec.in_w
+        for i, width in enumerate(spec.widths, start=1):
+            layers.append(Conv2d(prev, width, spec.kernel,
+                                 pad=spec.kernel // 2, name=f"conv{i}",
+                                 init=init))
+            layers.append(MaxFeatureMap())
+            # the early tap reads the deepest conv activation before pooling
+            taps[EARLY_CONV] = len(layers) - 1
+            layers.append(MaxPool2x2())
+            prev = width // 2
+            h, w = h // 2, w // 2
+        layers.append(Dense(prev * h * w, 2 * spec.feature_width, name="fc",
+                            init=init))
+        layers.append(MaxFeatureMap())
+        taps[FINAL_FEATURE] = len(layers) - 1
+        return cls(layers, taps, spec)
+
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
 
     def freeze(self) -> None:
+        """Drop every parameter's gradient and Adam state for good."""
         for p in self.params():
-            p.frozen = True
+            p.freeze()
 
     def _check_input(self, x: Array) -> None:
         if x.ndim != 4 or x.shape[1:] != (1, self.in_h, self.in_w):
@@ -200,8 +204,7 @@ def build_phi(mode: str = "pretrain", seed: int = 0,
     freezes seeded random weights directly.
     """
     rng = np.random.default_rng(seed)
-    layers, taps = _build_layers(spec, rng)
-    net = FeatureNet(layers, taps, spec)
+    net = FeatureNet.from_spec(spec, he_normal(rng))
     if mode == "fixed_random":
         net.freeze()
         return net
@@ -214,7 +217,8 @@ def build_phi(mode: str = "pretrain", seed: int = 0,
 
     crops, labels = _aligned_identity_crops(spec, rng, n_identities,
                                             per_identity, render_hw)
-    head = Dense(spec.feature_width, n_identities, name="head", rng=rng)
+    head = Dense(spec.feature_width, n_identities, name="head",
+                 init=he_normal(rng))
     order = rng.permutation(len(crops))
     cursor = 0
     for _ in range(steps):
@@ -266,8 +270,7 @@ def save_phi(net: FeatureNet, path) -> None:
 
 
 def load_phi(path) -> FeatureNet:
-    spec, records = checkpoint.load_arch(path, FeatureSpec, "feature")
-    layers, taps = _build_layers(spec, rng=np.random.default_rng(0))
-    net = FeatureNet(layers, taps, spec)
-    checkpoint.fill_params(net.params(), records, path)
-    return net
+    """φ as saved at ``path``. A frozen φ comes back frozen: its
+    parameters hold their values only."""
+    return checkpoint.load_net(path, FeatureSpec, "feature",
+                               FeatureNet.from_spec)

@@ -17,7 +17,7 @@ import numpy as np
 from . import losses, stn
 from .featnet import FeatureSpec, build_phi
 from .layers import Conv2d, Dense, MaxFeatureMap, MaxPool2x2, MaxUnpool2x2, \
-    grad_check
+    grad_check, he_normal
 
 TOLERANCE = 1e-4
 MODULES = ("layers", "stn", "losses")
@@ -41,7 +41,7 @@ def _scalar_through(layer, weights):
 
 
 def _check_conv_input(rng, corrupt: bool = False):
-    conv = Conv2d(3, 4, 3, pad=1, rng=rng)
+    conv = Conv2d(3, 4, 3, pad=1, init=he_normal(rng))
     x = rng.normal(size=(1, 3, 5, 5))
     w = rng.normal(size=(1, 4, 5, 5))
     inner = _scalar_through(conv, w)
@@ -54,7 +54,7 @@ def _check_conv_input(rng, corrupt: bool = False):
 
 
 def _check_conv_weight(rng):
-    conv = Conv2d(2, 3, 3, pad=1, rng=rng)
+    conv = Conv2d(2, 3, 3, pad=1, init=he_normal(rng))
     x = rng.normal(size=(2, 2, 5, 5))
     w = rng.normal(size=(2, 3, 5, 5))
 
@@ -94,14 +94,14 @@ def _check_mfm(rng):
 
 
 def _check_dense(rng):
-    fc = Dense(8, 5, rng=rng)
+    fc = Dense(8, 5, init=he_normal(rng))
     x = rng.normal(size=(2, 8))
     w = rng.normal(size=(2, 5))
     return grad_check(_scalar_through(fc, w), x)
 
 
 def _check_dense_weight(rng):
-    fc = Dense(6, 4, rng=rng)
+    fc = Dense(6, 4, init=he_normal(rng))
     x = rng.normal(size=(2, 6))
     w = rng.normal(size=(2, 4))
 

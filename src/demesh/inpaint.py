@@ -15,7 +15,7 @@ import numpy as np
 
 from . import checkpoint, configio
 from .layers import (Conv2d, MaxPool2x2, MaxUnpool2x2, Param, ReLU, ShapeError,
-                     Sigmoid)
+                     Sigmoid, he_normal)
 
 Array = np.ndarray
 
@@ -47,17 +47,18 @@ class InpaintSpec:
 class InpaintNet:
     """Fixed sequence of layers plus the pool/unpool index pairing."""
 
-    def __init__(self, spec: InpaintSpec, seed: int):
+    def __init__(self, spec: InpaintSpec, init):
+        """ψ under ``spec``, its parameters taken from the source ``init``
+        (see ``layers``)."""
         spec.validate()
         self.spec = spec
-        rng = np.random.default_rng(seed)
         pad = spec.kernel // 2
         layers: list = []
         pools: list[MaxPool2x2] = []
         prev = 1
         for i, width in enumerate(spec.widths, start=1):
             layers.append(Conv2d(prev, width, spec.kernel, pad=pad,
-                                 name=f"enc{i}", rng=rng))
+                                 name=f"enc{i}", init=init))
             layers.append(ReLU())
             pool = MaxPool2x2()
             pools.append(pool)
@@ -67,7 +68,7 @@ class InpaintNet:
         for i, (pool, width) in enumerate(zip(reversed(pools), out_widths), start=1):
             layers.append(MaxUnpool2x2(pool))
             layers.append(Conv2d(prev, width, spec.kernel, pad=pad,
-                                 name=f"dec{i}", rng=rng))
+                                 name=f"dec{i}", init=init))
             if width != 1:
                 layers.append(ReLU())
             prev = width
@@ -126,7 +127,7 @@ class InpaintNet:
 
 def build_psi(spec: InpaintSpec = InpaintSpec(), seed: int = 0) -> InpaintNet:
     """Deterministically initialize an inpainting net from a seed."""
-    return InpaintNet(spec, seed)
+    return InpaintNet(spec, he_normal(np.random.default_rng(seed)))
 
 
 def save_psi(net: InpaintNet, path) -> None:
@@ -135,7 +136,4 @@ def save_psi(net: InpaintNet, path) -> None:
 
 
 def load_psi(path) -> InpaintNet:
-    spec, records = checkpoint.load_arch(path, InpaintSpec, "inpaint")
-    net = InpaintNet(spec, seed=0)
-    checkpoint.fill_params(net.params(), records, path)
-    return net
+    return checkpoint.load_net(path, InpaintSpec, "inpaint", InpaintNet)

@@ -17,11 +17,20 @@ its input after the weight gradient, so the input and its patch buffer are
 never live beside the input gradient. A pool's indices are read by its
 paired unpool's backward first and dropped by the pool's own backward.
 
+A trainable ``Param`` holds four arrays of one shape: its value, its
+gradient and Adam's two moments. A frozen one (``freeze``) holds its value
+alone, so a frozen net such as φ costs one array per parameter.
+
 A backward pass computes only what is read. ``Conv2d`` and ``Dense`` skip
-the gradient of a frozen parameter, so its ``grad`` stays as it was, and
+the gradient of a frozen parameter, which has none to add into, and
 ``Conv2d.backward(grad, input_grad=False)`` returns no input gradient: a
 net's first conv needs none when nothing reads the gradient with respect
 to the images.
+
+A layer takes its parameters from a parameter source, ``init(name, shape)
+-> Param``: ``zero_init`` (the default), ``he_normal(rng)`` for seeded
+draws, or a checkpoint's records (``checkpoint.load_net``), which are
+checked against each shape before anything of that shape is allocated.
 
 Every ``forward`` takes ``keep``: with ``keep=False`` (inference) it does
 the same arithmetic but keeps no record and clears the previous one, so a
@@ -42,6 +51,7 @@ Array layout is NCHW: an explicit batch extent, then channels, height, width.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +64,7 @@ class ShapeError(ValueError):
 
 
 class FrozenParameterError(RuntimeError):
-    """An optimizer step was attempted on a frozen parameter."""
+    """A frozen parameter was asked for a gradient or an optimizer step."""
 
 
 class NonFiniteGradientError(FloatingPointError):
@@ -76,28 +86,71 @@ def _recorded(record, layer):
 
 
 class Param:
-    """A learnable array together with its gradient and Adam state."""
+    """A learnable array and the state that training it needs.
 
-    __slots__ = ("name", "value", "grad", "m", "v", "step", "frozen")
+    A trainable param holds its value, the gradient a backward pass adds
+    into (``grad``) and Adam's two moment estimates (``m``, ``v``), each an
+    array of the value's shape, plus Adam's step count. A frozen param
+    holds its value only: ``grad``, ``m`` and ``v`` are None, a backward
+    pass skips its gradient, and ``zero_grad`` and ``adam_step`` refuse
+    it. ``freeze`` drops that state and nothing gives it back, so
+    ``frozen`` is whether it is gone. A float64 ``value`` is adopted, not
+    copied.
+    """
+
+    __slots__ = ("name", "value", "grad", "m", "v", "step")
 
     def __init__(self, name: str, value: Array, frozen: bool = False):
         self.name = name
-        self.value = np.array(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
-        self.m = np.zeros_like(self.value)
-        self.v = np.zeros_like(self.value)
+        self.value = np.asarray(value, dtype=np.float64)
         self.step = 0
-        self.frozen = frozen
+        self.grad = self.m = self.v = None
+        if not frozen:
+            self.grad = np.zeros_like(self.value)
+            self.m = np.zeros_like(self.value)
+            self.v = np.zeros_like(self.value)
+
+    @property
+    def frozen(self) -> bool:
+        return self.grad is None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
+    def freeze(self) -> None:
+        """Drop the gradient and the Adam moments for good."""
+        self.grad = self.m = self.v = None
+
     def zero_grad(self) -> None:
+        if self.frozen:
+            raise FrozenParameterError(f"parameter '{self.name}' is frozen")
         self.grad[...] = 0.0
 
     def __repr__(self) -> str:
         return f"Param({self.name!r}, shape={self.value.shape}, frozen={self.frozen})"
+
+
+def zero_init(name: str, shape: tuple[int, ...]) -> Param:
+    """A layer's parameter source that starts every parameter at zero."""
+    return Param(name, np.zeros(shape))
+
+
+def he_normal(rng: np.random.Generator):
+    """A layer's parameter source that draws each weight (two or more
+    axes, output first) from ``rng`` with He fan-in scaling, the usual
+    choice for conv+ReLU stacks, and starts each bias (one axis) at zero.
+
+    A parameter source is any ``init(name, shape) -> Param``; a layer asks
+    it for its weight, then its bias. ``checkpoint.load_net`` has one that
+    hands out a checkpoint's records.
+    """
+    def init(name: str, shape: tuple[int, ...]) -> Param:
+        if len(shape) == 1:
+            return Param(name, np.zeros(shape))
+        std = np.sqrt(2.0 / math.prod(shape[1:]))
+        return Param(name, rng.normal(0.0, std, size=shape))
+    return init
 
 
 def adam_step(param: Param, grad: Array, lr: float, beta1: float = 0.9,
@@ -288,7 +341,7 @@ class Conv2d:
     """
 
     def __init__(self, in_ch: int, out_ch: int, ksize: int, pad: int = 0, *,
-                 name: str = "conv", rng: np.random.Generator | None = None):
+                 name: str = "conv", init=zero_init):
         if not 0 <= pad <= ksize - 1:
             raise ValueError(f"pad must be in [0, {ksize - 1}], got {pad}")
         self.in_ch = in_ch
@@ -296,14 +349,8 @@ class Conv2d:
         self.ksize = ksize
         self.pad = pad
         self.name = name
-        if rng is None:
-            w = np.zeros((out_ch, in_ch, ksize, ksize))
-        else:
-            # He fan-in scaling, the usual choice for conv+ReLU stacks
-            std = np.sqrt(2.0 / (in_ch * ksize * ksize))
-            w = rng.normal(0.0, std, size=(out_ch, in_ch, ksize, ksize))
-        self.weight = Param(f"{name}.weight", w)
-        self.bias = Param(f"{name}.bias", np.zeros(out_ch))
+        self.weight = init(f"{name}.weight", (out_ch, in_ch, ksize, ksize))
+        self.bias = init(f"{name}.bias", (out_ch,))
         self._x: Array | None = None
 
     def params(self) -> list[Param]:
@@ -477,16 +524,12 @@ class Dense:
     """Affine map on flattened inputs: y = x @ W.T + b."""
 
     def __init__(self, in_dim: int, out_dim: int, *, name: str = "fc",
-                 rng: np.random.Generator | None = None):
+                 init=zero_init):
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.name = name
-        if rng is None:
-            w = np.zeros((out_dim, in_dim))
-        else:
-            w = rng.normal(0.0, np.sqrt(2.0 / in_dim), size=(out_dim, in_dim))
-        self.weight = Param(f"{name}.weight", w)
-        self.bias = Param(f"{name}.bias", np.zeros(out_dim))
+        self.weight = init(f"{name}.weight", (out_dim, in_dim))
+        self.bias = init(f"{name}.bias", (out_dim,))
         self._xf: Array | None = None
         self._in_shape: tuple[int, ...] | None = None
 

@@ -9,9 +9,16 @@ from demesh.featnet import (EARLY_CONV, FINAL_FEATURE, FeatureNet,
                             FeatureSpec, build_phi, classify, load_phi,
                             pretrain_step, save_phi)
 from demesh.layers import (PSI_BLOCK, Dense, FrozenParameterError,
-                           NoRecordError, ShapeError, adam_step, grad_check)
+                           NoRecordError, ShapeError, adam_step, grad_check,
+                           he_normal)
 
 SMALL_SPEC = FeatureSpec(in_h=16, in_w=16, widths=(8, 16), feature_width=32)
+
+
+def _trainable_phi(seed: int, spec: FeatureSpec = SMALL_SPEC) -> FeatureNet:
+    """The stack ``build_phi("fixed_random", seed, spec)`` freezes, left
+    trainable."""
+    return FeatureNet.from_spec(spec, he_normal(np.random.default_rng(seed)))
 
 
 @pytest.fixture(scope="module")
@@ -134,9 +141,7 @@ def test_backward_taps_without_input_gradient_gives_bitwise_the_grads():
     w_final = rng.normal(size=(3, 32))
     nets = []
     for input_grad in (True, False):
-        phi = build_phi("fixed_random", 12, SMALL_SPEC)
-        for p in phi.params():
-            p.frozen = False
+        phi = _trainable_phi(12)
         phi.forward_taps(x)
         grad = phi.backward_taps({EARLY_CONV: w_early, FINAL_FEATURE: w_final},
                                  input_grad=input_grad)
@@ -145,25 +150,38 @@ def test_backward_taps_without_input_gradient_gives_bitwise_the_grads():
     for a, b in zip(*(phi.params() for phi in nets)):
         assert a.grad.any() and a.grad.tobytes() == b.grad.tobytes()
 
-def test_frozen_net_leaves_its_grads_zero_and_the_crop_gradient_bitwise():
+def test_frozen_net_holds_no_grads_and_gives_the_crop_gradient_bitwise():
     rng = np.random.default_rng(13)
     x = rng.uniform(size=(2, 1, 16, 16))
     w_final = rng.normal(size=(2, 32))
     frozen = build_phi("fixed_random", 14, SMALL_SPEC)
-    live = build_phi("fixed_random", 14, SMALL_SPEC)
-    for p in live.params():
-        p.frozen = False
+    live = _trainable_phi(14)
+    for a, b in zip(frozen.params(), live.params()):
+        assert a.value.tobytes() == b.value.tobytes()
     grads = []
     for phi in (frozen, live):
         phi.forward_taps(x)
         grads.append(phi.backward_taps({FINAL_FEATURE: w_final}))
     assert grads[0].tobytes() == grads[1].tobytes()
-    assert not any(p.grad.any() for p in frozen.params())
+    assert all(p.grad is None for p in frozen.params())
+    assert all(p.grad.any() for p in live.params())
 
 def test_parameters_are_frozen_after_construction(pretrained):
     p = pretrained.params()[0]
     with pytest.raises(FrozenParameterError):
         adam_step(p, np.zeros_like(p.value), lr=0.1)
+
+def test_built_and_loaded_phi_hold_no_gradient_or_adam_state(tmp_path,
+                                                             pretrained):
+    fixed = build_phi("fixed_random", 5, SMALL_SPEC)
+    save_phi(fixed, tmp_path / "phi.ckpt")
+    loaded = load_phi(tmp_path / "phi.ckpt")
+    for phi in (pretrained, fixed, loaded):
+        assert all(p.frozen and p.grad is p.m is p.v is None
+                   for p in phi.params())
+    for p in loaded.params():
+        with pytest.raises(FrozenParameterError):
+            adam_step(p, np.zeros_like(p.value), lr=0.1)
 
 def test_save_load_round_trip_preserves_values_and_freeze(tmp_path, pretrained):
     path = tmp_path / "phi.ckpt"
@@ -269,10 +287,8 @@ def _traced_peak(fn) -> int:
 def default_classifier():
     """φ at the default spec, a 16-identity head and 256 random crops."""
     rng = np.random.default_rng(0)
-    phi = build_phi("fixed_random", 0)
-    for p in phi.params():
-        p.frozen = False
-    head = Dense(64, 16, name="head", rng=rng)
+    phi = _trainable_phi(0, FeatureSpec())
+    head = Dense(64, 16, name="head", init=he_normal(rng))
     crops = rng.uniform(size=(256, 1, 32, 32))
     return phi, head, crops, np.repeat(np.arange(16), 16)
 

@@ -284,6 +284,46 @@ def test_a_non_finite_parameter_raises_checkpoint_error_naming_it(
         load(path)
 
 
+@pytest.fixture(scope="module")
+def default_phi_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("phi") / "phi.ckpt"
+    save_phi(build_phi("fixed_random", 0), path)
+    return path
+
+
+def test_loading_the_default_phi_holds_less_than_three_times_the_file(
+        default_phi_path):
+    load_phi(default_phi_path)  # one-time allocations do not count
+    tracemalloc.start()
+    try:
+        load_phi(default_phi_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 6.4 MB (6.0x the 1.07 MB file) when the load built φ with random
+    # weights, gradients and Adam moments, then copied every record in;
+    # 2.0x when each parameter adopts its record and holds nothing else
+    assert peak < 3 * default_phi_path.stat().st_size
+
+
+def test_a_wider_arch_text_fails_before_allocating_its_shapes(
+        default_phi_path, tmp_path):
+    blob = default_phi_path.read_bytes()
+    path = tmp_path / "wide.ckpt"
+    path.write_bytes(_with_arch(blob, _arch(blob).replace(b"widths = 16,32",
+                                                          b"widths = 400")))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=r"'conv1\.weight' has shape "
+                           r"\(16, 1, 3, 3\), expected \(400, 1, 3, 3\)"):
+            load_phi(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 263 MB (246x the file) when the net was built at the header's widths
+    # before the first record was compared
+    assert peak < 3 * path.stat().st_size
+
 def test_save_is_deterministic(tmp_path):
     net = build_psi(SMALL, seed=9)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

@@ -8,10 +8,10 @@ from demesh.layers import (Conv2d, Dense, FrozenParameterError,
                            INFERENCE_CHUNK, MaxFeatureMap,
                            MaxPool2x2, MaxUnpool2x2, NonFiniteGradientError,
                            NoRecordError, Param, ReLU, ShapeError, Sigmoid,
-                           adam_step,
-                           gather_pool_indices, grad_check, map_chunks,
-                           maxpool2_indices, mfm, mfm_backward,
-                           softmax_cross_entropy, unpool_indices)
+                           adam_step, gather_pool_indices, grad_check,
+                           he_normal, map_chunks, maxpool2_indices, mfm,
+                           mfm_backward, softmax_cross_entropy,
+                           unpool_indices)
 from demesh.trainer import PSI_BLOCK
 
 
@@ -49,7 +49,7 @@ def test_conv_output_extent_formula():
     rng = np.random.default_rng(0)
     for h, w, k, p in [(5, 7, 3, 0), (8, 8, 3, 1), (9, 6, 5, 2), (4, 4, 1, 0),
                        (6, 5, 3, 2)]:
-        conv = Conv2d(2, 3, k, pad=p, rng=rng)
+        conv = Conv2d(2, 3, k, pad=p, init=he_normal(rng))
         out = conv.forward(rng.normal(size=(1, 2, h, w)))
         assert out.shape[2] == h + 2 * p - k + 1
         assert out.shape[3] == w + 2 * p - k + 1
@@ -66,7 +66,7 @@ def test_conv_channel_mismatch_names_dimensions():
 
 def test_conv_input_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
-    conv = Conv2d(4, 3, 3, pad=1, rng=rng)
+    conv = Conv2d(4, 3, 3, pad=1, init=he_normal(rng))
     x = rng.normal(size=(1, 4, 5, 5))
     weights = rng.normal(size=(1, 3, 5, 5))
     report = grad_check(scalar_through(conv, x, weights), x)
@@ -74,7 +74,7 @@ def test_conv_input_gradient_matches_finite_differences():
 
 def test_conv_parameter_gradients_match_finite_differences():
     rng = np.random.default_rng(8)
-    conv = Conv2d(2, 3, 3, pad=1, rng=rng)
+    conv = Conv2d(2, 3, 3, pad=1, init=he_normal(rng))
     x = rng.normal(size=(2, 2, 6, 6))
     weights = rng.normal(size=(2, 3, 6, 6))
 
@@ -168,7 +168,7 @@ def test_conv_matches_batch_im2col_reference_bitwise(case):
 def test_conv_forward_peak_memory_stays_below_twice_the_input():
     # the batch-wide patch matrix alone would be 9x the input
     x = np.random.default_rng(17).normal(size=(8, 16, 64, 48))
-    conv = Conv2d(16, 1, 3, pad=1, rng=np.random.default_rng(18))
+    conv = Conv2d(16, 1, 3, pad=1, init=he_normal(np.random.default_rng(18)))
     tracemalloc.start()
     try:
         conv.forward(x)
@@ -419,7 +419,7 @@ def test_dense_length_mismatch():
 
 def test_dense_gradients_match_finite_differences():
     rng = np.random.default_rng(10)
-    fc = Dense(6, 3, rng=rng)
+    fc = Dense(6, 3, init=he_normal(rng))
     x = rng.normal(size=(2, 6))
     weights = rng.normal(size=(2, 3))
     assert grad_check(scalar_through(fc, x, weights), x).passed
@@ -439,9 +439,11 @@ def test_dense_gradients_match_finite_differences():
 # ---------------------------------------------------------------------------
 
 _PARAM_LAYERS = {
-    "conv": (lambda: Conv2d(2, 4, 3, pad=1, rng=np.random.default_rng(0)),
+    "conv": (lambda: Conv2d(2, 4, 3, pad=1,
+                            init=he_normal(np.random.default_rng(0))),
              (3, 2, 5, 4)),
-    "dense": (lambda: Dense(2 * 5 * 4, 3, rng=np.random.default_rng(0)),
+    "dense": (lambda: Dense(2 * 5 * 4, 3,
+                            init=he_normal(np.random.default_rng(0))),
               (3, 2, 5, 4)),
 }
 
@@ -451,17 +453,18 @@ def _backward_once(layer, shape, **kwargs):
     return layer.backward(rng.normal(size=out.shape), **kwargs)
 
 @pytest.mark.parametrize("kind", sorted(_PARAM_LAYERS))
-def test_frozen_layer_leaves_its_grads_zero_and_the_input_gradient_bitwise(
+def test_frozen_layer_holds_no_grads_and_gives_the_input_gradient_bitwise(
         kind):
     make, shape = _PARAM_LAYERS[kind]
     live, frozen = make(), make()
     for p in frozen.params():
-        p.frozen = True
+        p.freeze()
     expected = _backward_once(live, shape)
     got = _backward_once(frozen, shape)
     assert got.tobytes() == expected.tobytes()
     assert all(p.grad.any() for p in live.params())
-    assert not any(p.grad.any() for p in frozen.params())
+    assert all(p.frozen and p.grad is p.m is p.v is None
+               for p in frozen.params())
 
 def test_conv_without_input_gradient_gives_bitwise_the_parameter_gradients():
     make, shape = _PARAM_LAYERS["conv"]
@@ -518,9 +521,28 @@ def test_adam_rejects_shape_mismatch_and_frozen_params():
     p = Param("w", np.zeros(2))
     with pytest.raises(ShapeError):
         adam_step(p, np.zeros(3), lr=0.1)
-    p.frozen = True
+    p.freeze()
     with pytest.raises(FrozenParameterError):
         adam_step(p, np.zeros(2), lr=0.1)
+
+def test_freeze_drops_the_gradient_and_adam_state_and_keeps_the_value():
+    p = Param("w", np.array([1.0, -2.0]))
+    adam_step(p, np.array([0.5, 0.5]), lr=0.1)
+    value = p.value
+    p.freeze()
+    assert p.frozen and p.grad is p.m is p.v is None
+    assert p.value is value
+    with pytest.raises(FrozenParameterError):
+        adam_step(p, np.zeros(2), lr=0.1)
+    with pytest.raises(FrozenParameterError, match="'w'"):
+        p.zero_grad()
+    assert p.value is value and p.step == 1
+
+def test_param_adopts_a_float64_value_and_a_frozen_one_holds_only_it():
+    value = np.zeros((2, 3))
+    assert Param("w", value).value is value
+    frozen = Param("w", value, frozen=True)
+    assert frozen.frozen and frozen.grad is frozen.m is frozen.v is None
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +559,9 @@ def test_grad_check_accepts_correct_gradient():
 
 def test_grad_check_through_conv_mfm_dense_stack():
     rng = np.random.default_rng(12)
-    conv = Conv2d(1, 4, 3, pad=1, rng=rng)
+    conv = Conv2d(1, 4, 3, pad=1, init=he_normal(rng))
     act = MaxFeatureMap()
-    fc = Dense(2 * 6 * 6, 3, rng=rng)
+    fc = Dense(2 * 6 * 6, 3, init=he_normal(rng))
     weights = rng.normal(size=(1, 3))
 
     def fn(x):
@@ -568,7 +590,7 @@ def test_grad_check_flags_corrupted_backward():
 def test_forward_and_backward_stay_finite_on_random_stacks():
     rng = np.random.default_rng(14)
     for trial in range(5):
-        conv = Conv2d(2, 8, 3, pad=1, rng=rng)
+        conv = Conv2d(2, 8, 3, pad=1, init=he_normal(rng))
         layers = [conv, MaxFeatureMap(), MaxPool2x2(), ReLU(), Sigmoid()]
         x = rng.normal(size=(2, 2, 8, 8)) * 10.0 ** trial
         out = x
@@ -583,8 +605,8 @@ def test_forward_and_backward_stay_finite_on_random_stacks():
 
 def test_forward_is_deterministic_for_identical_inputs():
     rng = np.random.default_rng(15)
-    conv1 = Conv2d(1, 4, 3, pad=1, rng=np.random.default_rng(42))
-    conv2 = Conv2d(1, 4, 3, pad=1, rng=np.random.default_rng(42))
+    conv1 = Conv2d(1, 4, 3, pad=1, init=he_normal(np.random.default_rng(42)))
+    conv2 = Conv2d(1, 4, 3, pad=1, init=he_normal(np.random.default_rng(42)))
     x = rng.normal(size=(1, 1, 6, 6))
     np.testing.assert_array_equal(conv1.forward(x), conv2.forward(x))
 
@@ -608,12 +630,12 @@ def _pool_unpool():
     return pool, MaxUnpool2x2(pool)
 
 _LAYERS = {
-    "conv": lambda: Conv2d(2, 4, 3, pad=1, rng=np.random.default_rng(0)),
+    "conv": lambda: Conv2d(2, 4, 3, pad=1, init=he_normal(np.random.default_rng(0))),
     "pool": MaxPool2x2,
     "mfm": MaxFeatureMap,
     "relu": ReLU,
     "sigmoid": Sigmoid,
-    "dense": lambda: Dense(2 * 4 * 4, 3, rng=np.random.default_rng(0)),
+    "dense": lambda: Dense(2 * 4 * 4, 3, init=he_normal(np.random.default_rng(0))),
 }
 
 
