@@ -66,10 +66,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # the label is a TSV field and part of two file names
+    name = args.model or Path(args.checkpoint).stem
+    if any(c in name for c in "\t\n\r/"):
+        raise ValueError(f"model label {name!r} holds a tab, newline, "
+                         f"carriage return or '/'")
     data = trainer.load_eval_split(args.data, args.split)
     net = load_psi(args.checkpoint)
     phi = load_phi(args.phi)
-    name = args.model or Path(args.checkpoint).stem
     report = trainer.evaluate(name, net, data, phi)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint, configio, facegen, stn
-from .layers import (PSI_BLOCK, Conv2d, Dense, MaxFeatureMap, MaxPool2x2,
-                     Param, ShapeError, adam_step, he_normal, map_chunks,
-                     softmax_cross_entropy)
+from .layers import (INFERENCE_CHUNK, PSI_BLOCK, Conv2d, Dense, MaxFeatureMap,
+                     MaxPool2x2, Param, ShapeError, adam_step, chunk_slices,
+                     he_normal, softmax_cross_entropy)
 
 Array = np.ndarray
 
@@ -146,27 +146,35 @@ class FeatureNet:
             raise KeyError(f"unknown tap {tap!r}; have {sorted(self.taps)}")
         return self.taps[tap]
 
-    def features(self, x: Array) -> Array:
-        """Final compact features for a batch of aligned crops: (N, width).
+    def features(self, crops) -> Array:
+        """Final compact features of aligned crops: (N, width).
 
-        A record-free pass runs the layers before ``fc`` in blocks of
-        ``PSI_BLOCK`` crops, then ``fc`` and its MFM over all of ``x``. The
-        convs lower one image at a time and MFM and pool act per image, so
-        the blocks give the one-batch bits; ``fc`` is the one product across
-        rows, and its rows are not split."""
-        self._check_input(x)
+        ``crops`` is an (N, 1, H, W) array or any object with ``len()``
+        whose ``crops[rows]`` gives a slice of rows' crops; each row is read
+        once, in order. This record-free pass is the one place inference is
+        blocked: N rows go in near-equal chunks of at most
+        ``INFERENCE_CHUNK`` rows, each read in near-equal blocks of at most
+        ``PSI_BLOCK`` rows. The layers before ``fc`` run per block, ``fc``
+        and its MFM per chunk. The convs lower one image at a time and MFM
+        and pool act per image, so the blocks give the one-batch bits;
+        ``fc`` is the one product across rows, and a chunk's rows are not
+        split."""
         fc = self.taps[FINAL_FEATURE] - 1  # fc, then its MFM, the tap
-
-        def block(rows: slice) -> Array:
-            h = x[rows]
-            for layer in self.layers[:fc]:
+        out = np.empty((len(crops), self.spec.feature_width))
+        for chunk in chunk_slices(len(crops), INFERENCE_CHUNK):
+            h = None
+            for block in chunk_slices(chunk.stop - chunk.start, PSI_BLOCK):
+                x = crops[chunk.start + block.start:chunk.start + block.stop]
+                self._check_input(x)
+                for layer in self.layers[:fc]:
+                    x = layer.forward(x, keep=False)
+                if h is None:
+                    h = np.empty((chunk.stop - chunk.start, *x.shape[1:]))
+                h[block] = x
+            for layer in self.layers[fc:]:
                 h = layer.forward(h, keep=False)
-            return h
-
-        h = map_chunks(block, len(x), PSI_BLOCK)
-        for layer in self.layers[fc:]:
-            h = layer.forward(h, keep=False)
-        return h
+            out[chunk] = h
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +237,7 @@ def build_phi(mode: str = "pretrain", seed: int = 0,
         cursor += PRETRAIN_BATCH
         pretrain_step(net, head, crops[idx], labels[idx], PRETRAIN_LR)
 
-    correct = np.count_nonzero(classify(net, head, crops, PRETRAIN_BATCH)
-                               == labels)
+    correct = np.count_nonzero(classify(net, head, crops) == labels)
     net.pretrain_accuracy = correct / len(crops)
     net.freeze()  # the head is discarded; phi serves features only
     return net
@@ -253,15 +260,10 @@ def pretrain_step(net: FeatureNet, head: Dense, crops: Array, labels: Array,
         adam_step(p, p.grad, lr)
 
 
-def classify(net: FeatureNet, head: Dense, crops: Array, rows: int) -> Array:
-    """The head's predicted class per crop, in record-free chunks of at
-    most ``rows`` crops. ``Dense`` gives a row the same bits at 8 or more
-    rows per product on the OpenBLAS SkylakeX kernel, so chunks of at least
-    8 rows predict as one batch does."""
-    def predict(chunk: slice) -> Array:
-        feats = net.features(crops[chunk])
-        return np.argmax(head.forward(feats, keep=False), axis=1)
-    return map_chunks(predict, len(crops), rows)
+def classify(net: FeatureNet, head: Dense, crops: Array) -> Array:
+    """The head's predicted class per crop, from φ's record-free
+    ``features`` pass."""
+    return np.argmax(head.forward(net.features(crops), keep=False), axis=1)
 
 
 def save_phi(net: FeatureNet, path) -> None:

@@ -105,25 +105,6 @@ class InpaintNet:
             grad = layer.backward(grad)
         return first.backward(grad, input_grad=input_grad)
 
-    def receptive_field(self) -> int:
-        """Theoretical receptive-field extent of one output pixel, in input
-        pixels, following the usual (kernel, jump) recurrence. Unpooling
-        reads exactly one pooled cell per output pixel, so it only halves
-        the jump."""
-        rf, jump = 1, 1
-        for layer in self.layers:
-            if isinstance(layer, Conv2d):
-                rf += (layer.ksize - 1) * jump
-            elif isinstance(layer, MaxPool2x2):
-                rf += jump
-                jump *= 2
-            elif isinstance(layer, MaxUnpool2x2):
-                jump //= 2
-        return rf
-
-    def param_count(self) -> int:
-        return sum(p.value.size for p in self.params())
-
 
 def build_psi(spec: InpaintSpec = InpaintSpec(), seed: int = 0) -> InpaintNet:
     """Deterministically initialize an inpainting net from a seed."""

@@ -169,11 +169,20 @@ def adam_step(param: Param, grad: Array, lr: float, beta1: float = 0.9,
             f"non-finite gradient for parameter '{param.name}'")
     param.step += 1
     t = param.step
-    param.m = beta1 * param.m + (1.0 - beta1) * grad
-    param.v = beta2 * param.v + (1.0 - beta2) * (grad * grad)
-    m_hat = param.m / (1.0 - beta1 ** t)
-    v_hat = param.v / (1.0 - beta2 ** t)
-    param.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    # in place, in the order of m = b1 * m + (1 - b1) * g (v alike) and
+    # value -= lr * m_hat / (sqrt(v_hat) + eps): the same bits, and at most
+    # two parameter-sized temporaries alive at once
+    param.m *= beta1
+    param.m += (1.0 - beta1) * grad
+    param.v *= beta2
+    param.v += (1.0 - beta2) * (grad * grad)
+    denom = param.v / (1.0 - beta2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    update = param.m / (1.0 - beta1 ** t)
+    update *= lr
+    update /= denom
+    param.value -= update
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +581,11 @@ def softmax_cross_entropy(logits: Array, labels: Array) -> tuple[float, Array]:
 # chunked inference
 # ---------------------------------------------------------------------------
 
-INFERENCE_CHUNK = 64  # most rows in one inference chunk, by default
+# The most rows in one of φ's ``fc`` products at inference, the one stage
+# that mixes rows; ``FeatureNet.features`` alone reads it. One chunk, or
+# chunks of 32 rows or more, give φ's features bitwise as one batch does on
+# the OpenBLAS SkylakeX kernel.
+INFERENCE_CHUNK = 64
 
 # The inference block of every per-image stage: ψ, the PSNR, the alignment
 # crop and φ's layers before ``fc``. At 8 rows ψ's largest activation,
@@ -586,30 +599,16 @@ INFERENCE_CHUNK = 64  # most rows in one inference chunk, by default
 PSI_BLOCK = 8
 
 
-def chunk_slices(n: int, rows: int = INFERENCE_CHUNK) -> list[slice]:
+def chunk_slices(n: int, rows: int) -> list[slice]:
     """The ceil(n / rows) slices that cover range(n) in order, their
-    lengths differing by at most one."""
+    lengths differing by at most one.
+
+    Near-equal slices, not ``rows`` rows plus a short remainder: a matrix
+    product of a few rows rounds differently (OpenBLAS switches kernels),
+    which moved φ's Dense output by up to 9e-15.
+    """
     k = max(1, -(-n // rows))
     return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
-
-
-def map_chunks(fn, n: int, rows: int = INFERENCE_CHUNK) -> Array:
-    """``fn(chunk)`` over the ``chunk_slices(n, rows)``, stacked along the
-    first axis.
-
-    Near-equal slices, not 64 rows plus a short remainder: a matrix product
-    of a few rows rounds differently (OpenBLAS switches kernels), which moved
-    φ's Dense output by up to 9e-15. One slice, or slices of 32 rows or
-    more, give φ's features bitwise as one batch does. A net without a
-    matrix product across rows, like ψ, may take smaller slices.
-    """
-    out = None
-    for chunk in chunk_slices(n, rows):
-        part = fn(chunk)
-        if out is None:
-            out = np.empty((n, *part.shape[1:]), dtype=part.dtype)
-        out[chunk] = part
-    return out
 
 
 # ---------------------------------------------------------------------------

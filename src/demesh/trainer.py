@@ -22,7 +22,7 @@ from .facegen import DatasetError, SplitData, load_split, to_float
 from .featnet import FeatureNet, FeatureSpec, build_phi, load_phi, save_phi
 from .inpaint import InpaintNet, InpaintSpec, build_psi, save_psi
 from .losses import LossConfig, VARIANTS
-from .layers import PSI_BLOCK, adam_step, map_chunks
+from .layers import adam_step
 from .verifier import (EvalReport, clear_features, recovery_metrics,
                        run_protocol, write_report_tsv, write_roc_tsv)
 
@@ -152,15 +152,9 @@ def _validation_metrics(net: InpaintNet, data: SplitData,
     """ψ's mean PSNR and feature RMSE on ``data``, streamed block by block;
     ``clear`` is the split's ``clear_features``, computed when not given."""
     mean_psnr, rmse, _ = recovery_metrics(
-        lambda rows: batched_forward(net, data.x[rows]), data, phi, clear)
+        lambda rows: net.forward(to_float(data.x[rows]), keep=False), data,
+        phi, clear)
     return mean_psnr, rmse
-
-
-def batched_forward(net: InpaintNet, xs: Array) -> Array:
-    """ψ's inference pass over the graymaps ``xs``, in cache-sized blocks,
-    each converted to float as it is run."""
-    return map_chunks(lambda rows: net.forward(to_float(xs[rows]), keep=False),
-                      len(xs), PSI_BLOCK)
 
 
 def train(cfg: TrainConfig, phi: FeatureNet | None = None
@@ -241,8 +235,9 @@ def load_eval_split(dataset: str | Path, split: str) -> SplitData:
 
 def evaluate(name: str, net: InpaintNet, data: SplitData,
              phi: FeatureNet, clear: Array | None = None) -> EvalReport:
-    return run_protocol(name, lambda rows: batched_forward(net, data.x[rows]),
-                        data, phi, clear)
+    return run_protocol(
+        name, lambda rows: net.forward(to_float(data.x[rows]), keep=False),
+        data, phi, clear)
 
 
 def ensure_phi(cfg: TrainConfig, path: str | Path | None) -> FeatureNet:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +25,7 @@ import numpy as np
 from . import atomic, stn
 from .facegen import SplitData, to_float
 from .featnet import FeatureNet
-from .layers import PSI_BLOCK, ShapeError, chunk_slices, map_chunks
+from .layers import PSI_BLOCK, ShapeError, chunk_slices
 
 Array = np.ndarray
 
@@ -129,24 +130,31 @@ def verification_scores(gallery: Array, probes: Array) -> ScoreSet:
 # full protocol
 # ---------------------------------------------------------------------------
 
+@dataclass
+class _AlignedCrops:
+    """The eye-aligned crops of ``load(rows)``'s images, each slice cropped
+    as φ reads it."""
+    load: Callable[[slice], Array]
+    eyes: Array
+    h: int
+    w: int
+
+    def __len__(self) -> int:
+        return len(self.eyes)
+
+    def __getitem__(self, rows: slice) -> Array:
+        images = self.load(rows)
+        grid = stn.alignment_grid(self.eyes[rows], *images.shape[2:], self.h,
+                                  self.w)
+        return stn.bilinear_sample(images, grid)
+
+
 def _aligned_features(phi: FeatureNet, load, eyes) -> Array:
     """φ's features of each image's eye-aligned crop. ``load(rows)`` gives
     a slice of rows' float images (n, 1, H, W); it is called once per row,
-    one ``PSI_BLOCK`` block at a time, and each block is cropped as it is
-    loaded. Only φ's ``fc`` sees a whole chunk of crops."""
-    def crop(rows: slice) -> Array:
-        images = load(rows)
-        grid = stn.alignment_grid(eyes[rows], *images.shape[2:], phi.in_h,
-                                  phi.in_w)
-        return stn.bilinear_sample(images, grid)
-
-    def chunk_features(chunk: slice) -> Array:
-        crops = map_chunks(
-            lambda rows: crop(slice(chunk.start + rows.start,
-                                    chunk.start + rows.stop)),
-            chunk.stop - chunk.start, PSI_BLOCK)
-        return phi.features(crops)
-    return map_chunks(chunk_features, len(eyes))
+    in the blocks ``FeatureNet.features`` reads, and each block is cropped
+    as it is loaded."""
+    return phi.features(_AlignedCrops(load, eyes, phi.in_h, phi.in_w))
 
 
 def clear_features(data: SplitData, phi: FeatureNet) -> Array:

@@ -330,6 +330,32 @@ def test_eval_on_an_empty_test_split_fails_on_one_line_before_loading(
                    f"split is empty, nothing to evaluate"]
     assert not out.exists()
 
+@pytest.mark.parametrize("label, stem", [
+    pytest.param("a\tb", None, id="model-tab"),
+    pytest.param("a\nb", None, id="model-newline"),
+    pytest.param("a\rb", None, id="model-carriage-return"),
+    pytest.param("x/y", None, id="model-slash"),
+    pytest.param(None, "a\tb", id="stem-tab"),
+    pytest.param(None, "a\nb", id="stem-newline")])
+def test_eval_rejects_a_label_that_is_no_field_or_file_name_before_loading(
+        trained_checkpoint, tmp_path, capsys, label, stem):
+    # neither the dataset nor the φ checkpoint exists: the label is checked
+    # first, from --model or else the checkpoint stem
+    ckpt = trained_checkpoint
+    if stem is not None:
+        ckpt = tmp_path / f"{stem}.ckpt"
+        shutil.copyfile(trained_checkpoint, ckpt)
+    out = tmp_path / "eval"
+    argv = ["eval", "--checkpoint", str(ckpt), "--data",
+            str(tmp_path / "no-data"), "--phi", str(tmp_path / "phi.ckpt"),
+            "--out", str(out)]
+    if label is not None:
+        argv += ["--model", label]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError: model label")
+    assert not out.exists()
+
 def test_ablation_on_an_empty_test_split_fails_on_one_line_before_phi(
         train_only_dataset, tmp_path, capsys):
     cfg_path = tmp_path / "config.txt"

@@ -8,7 +8,8 @@ from demesh import facegen, stn
 from demesh.featnet import (EARLY_CONV, FINAL_FEATURE, FeatureNet,
                             FeatureSpec, build_phi, classify, load_phi,
                             pretrain_step, save_phi)
-from demesh.layers import (PSI_BLOCK, Dense, FrozenParameterError,
+from demesh.layers import (INFERENCE_CHUNK, PSI_BLOCK, Dense,
+                           FrozenParameterError,
                            NoRecordError, ShapeError, adam_step, grad_check,
                            he_normal)
 
@@ -250,6 +251,12 @@ def test_record_free_features_run_only_fc_over_all_rows():
     # 20 crops in near-equal blocks of at most PSI_BLOCK, one fc product
     assert rows["conv1"] == rows["conv2"] == [6, 7, 7]
     assert max(rows["conv1"]) <= PSI_BLOCK and rows["fc"] == [20]
+    rows.clear()
+    phi.features(np.zeros((130, 1, 16, 16)))
+    # near-equal fc chunks of at most INFERENCE_CHUNK, each in blocks
+    assert rows["fc"] == [43, 43, 44] and max(rows["fc"]) <= INFERENCE_CHUNK
+    assert rows["conv1"] == rows["conv2"] == [7, 7, 7, 7, 7, 8] * 2 + \
+        [7, 7, 8] * 2
 
 
 def test_backward_taps_after_a_record_free_forward_raises():
@@ -305,7 +312,8 @@ def test_pretraining_step_peak_memory_at_batch_32(default_classifier):
 
 def test_accuracy_pass_peak_memory_in_batch_sized_chunks(default_classifier):
     phi, head, crops, _ = default_classifier
-    preds = classify(phi, head, crops, 32)
+    preds = classify(phi, head, crops)
     assert preds.shape == (256,)
-    # 12.0 MiB here in 64-row chunks, 6.0 MiB in 32-row chunks
-    assert _traced_peak(lambda: classify(phi, head, crops, 32)) < 8 * 2 ** 20
+    # 12.0 MiB here when each 64-row chunk ran φ's whole stack at once,
+    # 6.0 MiB in 32-row chunks, about 2.1 MiB in one blocked features pass
+    assert _traced_peak(lambda: classify(phi, head, crops)) < 8 * 2 ** 20

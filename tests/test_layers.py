@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from demesh.layers import (Conv2d, Dense, FrozenParameterError,
+from demesh.layers import (PSI_BLOCK, Conv2d, Dense, FrozenParameterError,
                            INFERENCE_CHUNK, MaxFeatureMap,
                            MaxPool2x2, MaxUnpool2x2, NonFiniteGradientError,
                            NoRecordError, Param, ReLU, ShapeError, Sigmoid,
-                           adam_step, gather_pool_indices, grad_check,
-                           he_normal, map_chunks, maxpool2_indices, mfm,
+                           adam_step, chunk_slices, gather_pool_indices,
+                           grad_check, he_normal, maxpool2_indices, mfm,
                            mfm_backward, softmax_cross_entropy,
                            unpool_indices)
-from demesh.trainer import PSI_BLOCK
 
 
 def scalar_through(layer, x, weights):
@@ -506,6 +505,40 @@ def test_adam_constant_gradient_update_magnitude_approaches_lr():
         adam_step(p, np.array([1.0]), lr=lr)
     assert abs(abs((p.value - prev)[0]) - lr) < 1e-4 * lr
 
+def expression_adam_step(p, grad, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as the textbook expressions, each a new array."""
+    p.step += 1
+    p.m = beta1 * p.m + (1.0 - beta1) * grad
+    p.v = beta2 * p.v + (1.0 - beta2) * (grad * grad)
+    m_hat = p.m / (1.0 - beta1 ** p.step)
+    v_hat = p.v / (1.0 - beta2 ** p.step)
+    p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+def test_adam_in_place_is_bitwise_the_expression_form():
+    rng = np.random.default_rng(12)
+    value = rng.normal(size=(16, 32))
+    p, q = Param("w", value.copy()), Param("w", value.copy())
+    for step in range(29):
+        grad = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=value.shape)
+        adam_step(p, grad, lr=1e-3 * 0.5 ** (step // 10))
+        expression_adam_step(q, grad, lr=1e-3 * 0.5 ** (step // 10))
+    for name in ("value", "m", "v"):
+        assert getattr(p, name).tobytes() == getattr(q, name).tobytes()
+
+def test_adam_step_peak_memory_is_two_parameter_sizes():
+    # φ's fc weight, 1 MiB of float64: the expression form peaks at 6.0 MiB
+    rng = np.random.default_rng(13)
+    p = Param("fc.weight", rng.normal(size=(128, 1024)))
+    grad = rng.normal(size=p.shape)
+    adam_step(p, grad, lr=1e-3)
+    tracemalloc.start()
+    try:
+        adam_step(p, grad, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
+
 def test_adam_step_counter_increments_by_one():
     p = Param("w", np.zeros(3))
     for expected in range(1, 5):
@@ -717,16 +750,12 @@ def test_recording_unpool_leaves_indices_for_both_backward_passes():
 @example(65)
 @example(128)
 @example(129)
-def test_map_chunks_covers_the_rows_in_order_with_near_equal_chunks(n):
-    for rows in (INFERENCE_CHUNK, PSI_BLOCK):  # φ's and ψ's bounds
-        chunks = []
-
-        def rows_of(chunk):
-            chunks.append(chunk)
-            return np.arange(n)[chunk]
-
-        np.testing.assert_array_equal(map_chunks(rows_of, n, rows),
-                                      np.arange(n))
+def test_chunk_slices_cover_the_rows_in_order_with_near_equal_chunks(n):
+    for rows in (INFERENCE_CHUNK, PSI_BLOCK):  # φ's fc chunk and its block
+        chunks = chunk_slices(n, rows)
+        covered = [i for chunk in chunks for i in range(n)[chunk]]
+        assert covered == list(range(n))
+        assert all(chunk.step is None for chunk in chunks)
         lengths = [chunk.stop - chunk.start for chunk in chunks]
         assert len(chunks) == max(1, -(-n // rows))
         assert max(lengths) - min(lengths) <= 1

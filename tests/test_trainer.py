@@ -8,7 +8,6 @@ from demesh import losses, trainer
 from demesh.facegen import load_split, make_dataset, to_float
 from demesh.featnet import FeatureNet, FeatureSpec, build_phi
 from demesh.inpaint import build_psi, load_psi, save_psi
-from demesh.layers import INFERENCE_CHUNK
 from demesh.losses import UnifiedLoss
 from demesh.configio import ConfigError
 from demesh.trainer import (TrainConfig, TrainingDiverged, format_config,
@@ -303,13 +302,13 @@ def test_train_runs_phi_once_over_the_clear_validation_images(
     calls = count_phi_calls(monkeypatch)
     _, shared_log = train(cfg, phi)
     shared = len(calls)
-    val_chunks = -(-len(load_split(dataset, "val")) // INFERENCE_CHUNK)
-    # the clear validation images once, then each of 3 validations' recovery
-    assert shared == (1 + 3) * val_chunks
+    # one φ pass over the clear validation images, then one over each of 3
+    # validations' recoveries
+    assert shared == 1 + 3
     # every validation computes the clear features itself, as before
     monkeypatch.setattr(trainer, "clear_features", lambda data, phi: None)
     _, per_validation_log = train(cfg, phi)
-    assert len(calls) - shared == shared + 2 * val_chunks
+    assert len(calls) - shared == shared + 2
     shared_log.write(tmp_path / "shared.tsv")
     per_validation_log.write(tmp_path / "per_validation.tsv")
     assert (tmp_path / "shared.tsv").read_bytes() == \
@@ -324,8 +323,7 @@ def test_ablation_runs_phi_once_over_the_clear_test_images(dataset, tmp_path,
     # every row computes the clear features itself, as before they were shared
     monkeypatch.setattr(trainer, "clear_features", lambda data, phi: None)
     run_ablation(cfg, tmp_path / "per_row")
-    test_chunks = -(-len(load_split(dataset, "test")) // INFERENCE_CHUNK)
-    assert len(calls) - shared == shared + 6 * test_chunks
+    assert len(calls) - shared == shared + 6
     names = sorted(p.name for p in (tmp_path / "shared").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "per_row").iterdir())
     for name in names:

@@ -9,8 +9,8 @@ from demesh import stn
 from demesh.facegen import SplitData, load_split, make_dataset, to_float
 from demesh.featnet import FINAL_FEATURE, FeatureSpec, build_phi
 from demesh.inpaint import InpaintSpec, build_psi
-from demesh.layers import PSI_BLOCK, ShapeError, map_chunks
-from demesh.trainer import batched_forward, evaluate
+from demesh.layers import INFERENCE_CHUNK, PSI_BLOCK, ShapeError, chunk_slices
+from demesh.trainer import evaluate
 from demesh.verifier import (EvalReport, FPR_TARGETS, RocTableError, ScoreSet,
                              _aligned_features, feature_rmse, psnr,
                              read_roc_tsv, recovery_metrics, roc,
@@ -436,23 +436,30 @@ def test_chunked_phi_features_are_bitwise_the_one_batch_features(n, seed):
 def test_chunked_psi_is_bitwise_the_one_batch_forward(n, seed):
     xs = np.random.default_rng(seed).integers(0, 256, size=(n, 1, 16, 12),
                                               dtype=np.uint8)
-    assert batched_forward(CHUNK_PSI, xs).tobytes() == \
+    blocks = [CHUNK_PSI.forward(to_float(xs[rows]), keep=False)
+              for rows in chunk_slices(n, PSI_BLOCK)]
+    assert np.concatenate(blocks).tobytes() == \
         CHUNK_PSI.forward(to_float(xs), keep=False).tobytes()
 
 
-def test_psi_blocks_hold_one_block_at_a_time():
-    psi = build_psi(InpaintSpec(), seed=8)
-    xs = np.random.default_rng(8).integers(0, 256, size=(400, 1, 64, 48),
-                                           dtype=np.uint8)
-    batched_forward(psi, xs[:2])
-    tracemalloc.start()
-    try:
-        out = batched_forward(psi, xs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.shape == xs.shape
-    assert peak < 24 * 2 ** 20
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 200), seed=st.integers(0, 2 ** 16))
+@with_rows((*range(7, 10), *range(63, 66), *range(129, 136)))
+def test_features_of_a_cropping_view_are_bitwise_those_of_the_crops(n, seed):
+    images, eyes = faces(n, seed)
+    loaded = []
+
+    def load(rows):
+        loaded.append(rows)
+        return images[rows]
+
+    grid = stn.alignment_grid(eyes, 64, 48, CHUNK_PHI.in_h, CHUNK_PHI.in_w)
+    stacked = CHUNK_PHI.features(stn.bilinear_sample(images, grid))
+    assert _aligned_features(CHUNK_PHI, load, eyes).tobytes() == \
+        stacked.tobytes()
+    # one call per row, in order, in blocks of at most PSI_BLOCK rows
+    assert [i for rows in loaded for i in range(n)[rows]] == list(range(n))
+    assert max(rows.stop - rows.start for rows in loaded) <= PSI_BLOCK
 
 
 def test_aligned_features_hold_one_chunk_at_a_time():
@@ -479,9 +486,8 @@ def stacked_run_protocol(model, recover_all, data, phi):
     blocks over that stack, and φ's whole stack runs on each 64-row chunk
     of crops."""
     recovered = recover_all(data.x)
-    dbs = map_chunks(lambda rows: psnr(recovered[rows],
-                                       to_float(data.y[rows])),
-                     len(recovered), PSI_BLOCK)
+    dbs = np.concatenate([psnr(recovered[rows], to_float(data.y[rows]))
+                          for rows in chunk_slices(len(recovered), PSI_BLOCK)])
 
     def features(load, eyes):
         def crop_features(rows):
@@ -491,7 +497,8 @@ def stacked_run_protocol(model, recover_all, data, phi):
             return phi.forward_taps(stn.bilinear_sample(images, grid),
                                     taps=(FINAL_FEATURE,),
                                     keep=False)[FINAL_FEATURE]
-        return map_chunks(crop_features, len(eyes))
+        return np.concatenate([crop_features(rows) for rows in
+                               chunk_slices(len(eyes), INFERENCE_CHUNK)])
 
     feats = features(lambda rows: recovered[rows], data.eyes)
     clear = features(lambda rows: to_float(data.y[rows]), data.eyes)
@@ -545,10 +552,8 @@ def test_streamed_protocol_is_bitwise_the_stacked_protocol(
     streamed = outcome(tmp_path_factory.mktemp("streamed"), lambda: evaluate(
         "m", CHUNK_PSI, data, STREAM_PHI))
     stacked = outcome(tmp_path_factory.mktemp("stacked"), lambda:
-                      stacked_run_protocol("m",
-                                           lambda xs: batched_forward(
-                                               CHUNK_PSI, xs),
-                                           data, STREAM_PHI))
+                      stacked_run_protocol("m", lambda xs: CHUNK_PSI.forward(
+                          to_float(xs), keep=False), data, STREAM_PHI))
     assert streamed == stacked
     if n == 1:  # one identity has no impostor pairs
         assert "impostor" in streamed
