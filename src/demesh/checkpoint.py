@@ -16,6 +16,7 @@ stored.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -52,54 +53,68 @@ def save_checkpoint(path: str | Path, arch_text: str, params: list[Param]) -> No
 def load_checkpoint(path: str | Path) -> tuple[str, list[tuple[str, bool, np.ndarray]]]:
     """Read a checkpoint; returns (arch_text, [(name, frozen, value), ...]).
 
-    Every length and count is checked against the bytes that remain, so a
-    truncated or corrupted file raises ``CheckpointError``, as does a
-    parameter holding a NaN or an infinity."""
-    blob = Path(path).read_bytes()
-    view = memoryview(blob)
-    if blob[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint)")
-    off = 4
+    Every length and count is checked against the bytes that remain before
+    anything of that size is read or allocated, so a truncated or corrupted
+    file raises ``CheckpointError``, as does a parameter holding a NaN or
+    an infinity. Each record is read straight into its own array, so a
+    load holds one copy of the file's data."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if f.read(4) != MAGIC:
+            raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint)")
 
-    def take_bytes(size: int, what: str) -> memoryview:
-        nonlocal off
-        if size > len(blob) - off:
-            raise CheckpointError(
-                f"{path}: truncated {what} at byte {off}: needs {size} "
-                f"bytes, {len(blob) - off} left")
-        off += size
-        return view[off - size:off]
+        def truncated(what: str, off: int, need: int, left: int):
+            return CheckpointError(f"{path}: truncated {what} at byte {off}: "
+                                   f"needs {need} bytes, {left} left")
 
-    def take(fmt: str, what: str):
-        return struct.unpack(fmt, take_bytes(struct.calcsize(fmt), what))
+        def check_left(need: int, what: str) -> None:
+            off = f.tell()
+            if need > size - off:
+                raise truncated(what, off, need, size - off)
 
-    def take_text(size: int, what: str) -> str:
-        raw = take_bytes(size, what)
-        try:
-            return bytes(raw).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(f"{path}: {what} is not utf-8 ({exc.reason})") from None
+        def fill(buf, what: str):
+            """Read ``buf``'s bytes, a count ``check_left`` has passed."""
+            off, need = f.tell(), memoryview(buf).nbytes
+            got = f.readinto(buf)
+            if got != need:  # the file shrank after it was opened
+                raise truncated(what, off, need, got)
+            return buf
 
-    (version,) = take("<I", "version")
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    (arch_len,) = take("<I", "arch length")
-    arch_text = take_text(arch_len, "arch text")
-    (count,) = take("<I", "record count")
-    records = []
-    for _ in range(count):
-        (name_len,) = take("<I", "name length")
-        name = take_text(name_len, "parameter name")
-        (frozen,) = take("<B", f"'{name}' frozen flag")
-        (ndim,) = take("<I", f"'{name}' ndim")
-        shape = take(f"<{ndim}I", f"'{name}' shape")
-        n_elems = math.prod(shape)
-        data = np.frombuffer(take_bytes(8 * n_elems, f"'{name}' data"), dtype="<f8")
-        if not np.isfinite(data).all():
-            raise CheckpointError(f"{path}: parameter '{name}' holds non-finite values")
-        records.append((name, bool(frozen), data.astype(np.float64).reshape(shape)))
-    if off != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")
+        def take_bytes(need: int, what: str) -> bytearray:
+            check_left(need, what)
+            return fill(bytearray(need), what)
+
+        def take(fmt: str, what: str):
+            return struct.unpack(fmt, take_bytes(struct.calcsize(fmt), what))
+
+        def take_text(need: int, what: str) -> str:
+            try:
+                return take_bytes(need, what).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(
+                    f"{path}: {what} is not utf-8 ({exc.reason})") from None
+
+        (version,) = take("<I", "version")
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported format version {version}")
+        (arch_len,) = take("<I", "arch length")
+        arch_text = take_text(arch_len, "arch text")
+        (count,) = take("<I", "record count")
+        records = []
+        for _ in range(count):
+            (name_len,) = take("<I", "name length")
+            name = take_text(name_len, "parameter name")
+            (frozen,) = take("<B", f"'{name}' frozen flag")
+            (ndim,) = take("<I", f"'{name}' ndim")
+            shape = take(f"<{ndim}I", f"'{name}' shape")
+            check_left(8 * math.prod(shape), f"'{name}' data")
+            data = fill(np.empty(shape, dtype="<f8"), f"'{name}' data")
+            if not np.isfinite(data).all():
+                raise CheckpointError(
+                    f"{path}: parameter '{name}' holds non-finite values")
+            records.append((name, bool(frozen), data.astype(np.float64, copy=False)))
+        if f.tell() != size:
+            raise CheckpointError(f"{path}: {size - f.tell()} trailing bytes")
     return arch_text, records
 
 

@@ -5,6 +5,13 @@ of a scalar-valued function against central differences at many seeded
 points. Dynamic-threshold losses are checked at a frozen per-batch
 threshold, since that is the function the implemented gradient
 differentiates (the threshold is a batch statistic, held constant per step).
+
+The suite is one table that maps each check name to its module group and a
+builder. A builder draws its instance from a seeded ``rng``, always in the
+same order, and returns ``(fn, x)``: ``fn`` maps an array to ``(scalar,
+gradient)`` and ``x`` is the point it is checked at. Three drivers make
+every builder: ``_layer`` (a layer's ``sum(out * w)``), ``_sampler`` (the
+sampler's ``sum(bilinear_sample(img, grid) * w)``) and ``_loss`` (a loss).
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 from . import losses, stn
 from .featnet import FeatureSpec, build_phi
 from .layers import Conv2d, Dense, MaxFeatureMap, MaxPool2x2, MaxUnpool2x2, \
-    grad_check, he_normal
+    ReLU, Sigmoid, grad_check, he_normal, softmax_cross_entropy
 
 TOLERANCE = 1e-4
 MODULES = ("layers", "stn", "losses")
@@ -30,234 +37,197 @@ class CheckResult:
     passed: bool
 
 
-def _scalar_through(layer, weights):
-    def fn(x):
-        out = layer.forward(x)
-        for p in layer.params():
-            p.zero_grad()
-        grad = layer.backward(weights)
-        return float(np.sum(out * weights)), grad
-    return fn
+def _layer(make, x_shape, param: str | None = None, nudge=None):
+    """``sum(layer(x) * w)`` with respect to x, or to the layer's ``param``
+    (``"weight"`` or ``"bias"``) from its initial value. ``make(rng)``
+    builds the layer; then x is drawn (and moved off any kink by ``nudge``),
+    then w of the output's shape."""
+    def build(rng):
+        layer = make(rng)
+        x = rng.normal(size=x_shape)
+        if nudge is not None:
+            x = nudge(x)
+        w = rng.normal(size=layer.forward(x).shape)
+        p = getattr(layer, param) if param else None
+
+        def fn(v):
+            if p is not None:
+                p.value = v
+            out = layer.forward(x if p is not None else v)
+            for q in layer.params():
+                q.zero_grad()
+            dx = layer.backward(w)
+            return float(np.sum(out * w)), dx if p is None else p.grad.copy()
+
+        return fn, x if p is None else p.value.copy()
+    return build
 
 
-def _check_conv_input(rng, corrupt: bool = False):
-    conv = Conv2d(3, 4, 3, pad=1, init=he_normal(rng))
-    x = rng.normal(size=(1, 3, 5, 5))
-    w = rng.normal(size=(1, 4, 5, 5))
-    inner = _scalar_through(conv, w)
-    if corrupt:
-        def flipped(inp):
-            value, grad = inner(inp)
-            return value, -grad
-        return grad_check(flipped, x)
-    return grad_check(inner, x)
+def _sampler(grid, img):
+    """``sum(bilinear_sample(img, grid) * w)`` with respect to the images:
+    ``grid(rng)`` draws the grids, then w is drawn, then ``img(rng)``."""
+    def build(rng):
+        g = grid(rng)
+        w = rng.normal(size=(g.shape[0], 1) + g.shape[1:])
+
+        def fn(v):
+            out = stn.bilinear_sample(v, g)
+            return float(np.sum(out * w)), stn.bilinear_backward(w, g, v.shape[2:])
+
+        return fn, img(rng)
+    return build
 
 
-def _check_conv_weight(rng):
-    conv = Conv2d(2, 3, 3, pad=1, init=he_normal(rng))
-    x = rng.normal(size=(2, 2, 5, 5))
-    w = rng.normal(size=(2, 3, 5, 5))
+def _loss(loss, draw, wrt: str = "pred"):
+    """``loss(**args)`` with respect to ``args[wrt]``; ``draw(rng)`` returns
+    ``args``, drawn in the order they are written. ``loss`` returns a
+    ``(value, grad)`` pair or a result with those two fields."""
+    def build(rng):
+        args = draw(rng)
+        x = args.pop(wrt)
 
-    def fn(weight):
-        conv.weight.value = weight
-        conv.weight.zero_grad()
-        conv.bias.zero_grad()
-        out = conv.forward(x)
-        conv.backward(w)
-        return float(np.sum(out * w)), conv.weight.grad.copy()
+        def fn(v):
+            out = loss(**args, **{wrt: v})
+            return out if isinstance(out, tuple) else (out.value, out.grad)
 
-    return grad_check(fn, conv.weight.value.copy())
-
-
-def _check_pool(rng):
-    pool = MaxPool2x2()
-    x = rng.normal(size=(1, 2, 6, 6))
-    w = rng.normal(size=(1, 2, 3, 3))
-    return grad_check(_scalar_through(pool, w), x)
+        return fn, x
+    return build
 
 
-def _check_unpool(rng):
+def _he(cls, *dims, **kw):
+    """A layer maker: ``cls(*dims, **kw)`` with He-normal weights."""
+    return lambda rng: cls(*dims, **kw, init=he_normal(rng))
+
+
+def _unpool(rng):
     pool = MaxPool2x2()
     pool.forward(rng.normal(size=(1, 2, 8, 8)))
-    unpool = MaxUnpool2x2(pool)
-    x = rng.normal(size=(1, 2, 4, 4))
-    w = rng.normal(size=(1, 2, 8, 8))
-    return grad_check(_scalar_through(unpool, w), x)
+    return MaxUnpool2x2(pool)
 
 
-def _check_mfm(rng):
-    x = rng.normal(size=(1, 4, 4, 4))
-    gaps = np.abs(x[:, :2] - x[:, 2:])
-    x[:, :2] += np.where(gaps < 1e-3, 0.1, 0.0)  # stay away from ties
-    w = rng.normal(size=(1, 2, 4, 4))
-    return grad_check(_scalar_through(MaxFeatureMap(), w), x)
+# Each nudge moves its input, in place, off the points where the function
+# has no derivative, and returns it.
+
+def _off_ties(x):
+    """max_feature_map's first channel half, off ties with the second."""
+    x[:, :2] += np.where(np.abs(x[:, :2] - x[:, 2:]) < 1e-3, 0.1, 0.0)
+    return x
 
 
-def _check_dense(rng):
-    fc = Dense(8, 5, init=he_normal(rng))
-    x = rng.normal(size=(2, 8))
-    w = rng.normal(size=(2, 5))
-    return grad_check(_scalar_through(fc, w), x)
+def _off_kink(x):
+    """ReLU's input, off its kink at zero."""
+    x += np.where(np.abs(x) < 1e-3, 0.1, 0.0)
+    return x
 
 
-def _check_dense_weight(rng):
-    fc = Dense(6, 4, init=he_normal(rng))
-    x = rng.normal(size=(2, 6))
-    w = rng.normal(size=(2, 4))
-
-    def fn(weight):
-        fc.weight.value = weight
-        fc.weight.zero_grad()
-        fc.bias.zero_grad()
-        out = fc.forward(x)
-        fc.backward(w)
-        return float(np.sum(out * w)), fc.weight.grad.copy()
-
-    return grad_check(fn, fc.weight.value.copy())
+def _off_knee(r, c):
+    """reverse_huber's residual, off its knees at +-c."""
+    r += np.where(np.abs(np.abs(r) - c) < 1e-3, 0.01, 0.0)
+    return r
 
 
-def _check_bilinear_backward(rng):
+def _eyes(rng, n, left_x, right_x, y):
+    """``n`` eye pairs ``[[left_x, y], [right_x, y]]`` in pixels, each
+    coordinate drawn from its own ``(low, high)`` range."""
+    low, high = np.transpose([left_x, y, right_x, y])
+    return rng.uniform(low, high, size=(n, 4)).reshape(n, 2, 2)
+
+
+def _phi_loss_args(rng, mask: bool = False):
+    """A tiny fixed-random φ, a 12x10 target and prediction, one eye pair,
+    a pixel mask when ``mask``, and each tap's threshold held at the one
+    the prediction gives."""
+    phi = build_phi("fixed_random", seed=int(rng.integers(2 ** 31)),
+                    spec=FeatureSpec(in_h=8, in_w=8, widths=(4,),
+                                     feature_width=8))
+    args = dict(target=rng.uniform(size=(1, 1, 12, 10)),
+                pred=rng.uniform(size=(1, 1, 12, 10)),
+                eyes=_eyes(rng, 1, (2.5, 4), (6, 8), (3, 5)), phi=phi,
+                cfg=losses.LossConfig())
+    if mask:
+        args["mask"] = (rng.uniform(size=(1, 1, 12, 10)) > 0.7).astype(float)
+    args["fixed_c"] = losses.feature_loss(
+        args["pred"], args["target"], args["eyes"], phi, args["cfg"]).thresholds
+    return args
+
+
+# check name -> (module group, builder), in the order the suite runs them
+_CHECKS = {
+    "conv_input": ("layers", _layer(_he(Conv2d, 3, 4, 3, pad=1), (1, 3, 5, 5))),
+    "conv_weight": ("layers", _layer(_he(Conv2d, 2, 3, 3, pad=1), (2, 2, 5, 5),
+                                     "weight")),
+    "maxpool": ("layers", _layer(lambda rng: MaxPool2x2(), (1, 2, 6, 6))),
+    "unpool": ("layers", _layer(_unpool, (1, 2, 4, 4))),
+    "max_feature_map": ("layers", _layer(lambda rng: MaxFeatureMap(),
+                                         (1, 4, 4, 4), nudge=_off_ties)),
+    "dense_input": ("layers", _layer(_he(Dense, 8, 5), (2, 8))),
+    "dense_weight": ("layers", _layer(_he(Dense, 6, 4), (2, 6), "weight")),
     # two samples with their own grids: a backward that routes one sample's
     # gradient into the other fails the check
-    grid = stn.SampleGrid(rng.uniform(-1.2, 1.2, size=(2, 4, 4)),
-                          rng.uniform(-1.2, 1.2, size=(2, 4, 4)))
-    w = rng.normal(size=(2, 1, 4, 4))
-
-    def fn(img):
-        out = stn.bilinear_sample(img, grid)
-        return float(np.sum(out * w)), stn.bilinear_backward(w, grid, (6, 6))
-
-    return grad_check(fn, rng.normal(size=(2, 1, 6, 6)))
-
-
-def _check_alignment_sample(rng):
-    eyes = np.array([[[rng.uniform(3, 5), rng.uniform(4, 6)],
-                      [rng.uniform(8, 10), rng.uniform(4, 6)]]
-                     for _ in range(2)])
-    grid = stn.alignment_grid(eyes, 14, 12, 6, 6)
-    w = rng.normal(size=(2, 1, 6, 6))
-
-    def fn(img):
-        crop = stn.bilinear_sample(img, grid)
-        return float(np.sum(crop * w)), stn.bilinear_backward(w, grid, (14, 12))
-
-    return grad_check(fn, rng.uniform(size=(2, 1, 14, 12)))
-
-
-def _check_pixel_loss(rng):
-    target = rng.uniform(size=(2, 1, 4, 4))
-    mask = (rng.uniform(size=(2, 1, 4, 4)) > 0.6).astype(float)
-
-    def fn(pred):
-        lv = losses.pixel_loss(pred, target, mask, lam=0.8)
-        return lv.value, lv.grad
-
-    return grad_check(fn, rng.uniform(size=(2, 1, 4, 4)))
-
-
-def _check_reverse_huber(rng):
-    c = 0.5
-    r = rng.normal(size=(3, 5))
-    r += np.where(np.abs(np.abs(r) - c) < 1e-3, 0.01, 0.0)  # off the knee
-
-    def fn(res):
-        lv = losses.reverse_huber(res, c)
-        return lv.value, lv.grad
-
-    return grad_check(fn, r)
-
-
-def _tiny_phi(rng):
-    return build_phi("fixed_random", seed=int(rng.integers(2 ** 31)),
-                     spec=FeatureSpec(in_h=8, in_w=8, widths=(4,),
-                                      feature_width=8))
-
-
-def _loss_instance(rng):
-    phi = _tiny_phi(rng)
-    h, w = 12, 10
-    target = rng.uniform(size=(1, 1, h, w))
-    pred = rng.uniform(size=(1, 1, h, w))
-    eyes = np.array([[[rng.uniform(2.5, 4), rng.uniform(3, 5)],
-                      [rng.uniform(6, 8), rng.uniform(3, 5)]]])
-    return phi, pred, target, eyes
-
-
-def _check_feature_loss(rng):
-    phi, pred, target, eyes = _loss_instance(rng)
-    cfg = losses.LossConfig()
-    fixed = losses.feature_loss(pred, target, eyes, phi, cfg).thresholds
-
-    def fn(p):
-        lv = losses.feature_loss(p, target, eyes, phi, cfg, fixed_c=fixed)
-        return lv.value, lv.grad
-
-    return grad_check(fn, pred)
-
-
-def _check_unified_loss(rng):
-    phi, pred, target, eyes = _loss_instance(rng)
-    mask = (rng.uniform(size=pred.shape) > 0.7).astype(float)
-    cfg = losses.LossConfig()
-    fixed = losses.feature_loss(pred, target, eyes, phi, cfg).thresholds
-
-    def fn(p):
-        ul = losses.unified_loss(p, target, mask, eyes, phi, cfg, fixed_c=fixed)
-        return ul.value, ul.grad
-
-    return grad_check(fn, pred)
-
-
-_CHECKS = {
-    "layers": [
-        ("conv_input", _check_conv_input),
-        ("conv_weight", _check_conv_weight),
-        ("maxpool", _check_pool),
-        ("unpool", _check_unpool),
-        ("max_feature_map", _check_mfm),
-        ("dense_input", _check_dense),
-        ("dense_weight", _check_dense_weight),
-    ],
-    "stn": [
-        ("bilinear_backward", _check_bilinear_backward),
-        ("alignment_sample", _check_alignment_sample),
-    ],
-    "losses": [
-        ("pixel_loss", _check_pixel_loss),
-        ("reverse_huber", _check_reverse_huber),
-        ("feature_loss", _check_feature_loss),
-        ("unified_loss", _check_unified_loss),
-    ],
+    "bilinear_backward": ("stn", _sampler(
+        lambda rng: stn.SampleGrid(rng.uniform(-1.2, 1.2, size=(2, 4, 4)),
+                                   rng.uniform(-1.2, 1.2, size=(2, 4, 4))),
+        lambda rng: rng.normal(size=(2, 1, 6, 6)))),
+    "alignment_sample": ("stn", _sampler(
+        lambda rng: stn.alignment_grid(
+            _eyes(rng, 2, (3, 5), (8, 10), (4, 6)), 14, 12, 6, 6),
+        lambda rng: rng.uniform(size=(2, 1, 14, 12)))),
+    "pixel_loss": ("losses", _loss(losses.pixel_loss, lambda rng: dict(
+        target=rng.uniform(size=(2, 1, 4, 4)),
+        mask=(rng.uniform(size=(2, 1, 4, 4)) > 0.6).astype(float),
+        pred=rng.uniform(size=(2, 1, 4, 4)), lam=0.8))),
+    "reverse_huber": ("losses", _loss(losses.reverse_huber, lambda rng: dict(
+        residual=_off_knee(rng.normal(size=(3, 5)), 0.5), c=0.5),
+        wrt="residual")),
+    "feature_loss": ("losses", _loss(losses.feature_loss, _phi_loss_args)),
+    "unified_loss": ("losses", _loss(
+        losses.unified_loss, lambda rng: _phi_loss_args(rng, mask=True))),
+    "conv_bias": ("layers", _layer(_he(Conv2d, 2, 3, 3, pad=1), (2, 2, 5, 5),
+                                   "bias")),
+    "dense_bias": ("layers", _layer(_he(Dense, 6, 4), (2, 6), "bias")),
+    "relu": ("layers", _layer(lambda rng: ReLU(), (2, 3, 4, 4),
+                              nudge=_off_kink)),
+    "sigmoid": ("layers", _layer(lambda rng: Sigmoid(), (2, 3, 4, 4))),
+    # φ's pretraining head
+    "softmax_cross_entropy": ("layers", _loss(
+        softmax_cross_entropy, lambda rng: dict(
+            logits=rng.normal(size=(4, 5)), labels=rng.integers(5, size=4)),
+        wrt="logits")),
 }
+
+
+def _negated(fn):
+    """``fn`` with the sign of its gradient flipped."""
+    def flipped(v):
+        value, grad = fn(v)
+        return value, -grad
+    return flipped
 
 
 def run_suite(module: str = "all", seed: int = 0, points: int = 20,
               sabotage: bool = False) -> list[CheckResult]:
-    """Run every check of the chosen module group at ``points`` seeded
-    instances each; a check passes when its worst relative error over all
-    points stays under TOLERANCE.
+    """Run every check of the chosen module group at ``points`` (at least
+    one) seeded instances each; a check passes when its worst relative
+    error over all points stays under TOLERANCE.
 
-    ``sabotage`` flips the sign of one analytic gradient (negative control:
-    the suite must then fail).
+    ``sabotage`` flips the sign of conv_input's analytic gradient (negative
+    control: the suite must then fail).
     """
-    if module == "all":
-        groups = list(_CHECKS)
-    elif module in _CHECKS:
-        groups = [module]
-    else:
+    if module != "all" and module not in MODULES:
         raise ValueError(f"unknown module {module!r}; "
-                         f"expected all|{'|'.join(_CHECKS)}")
+                         f"expected all|{'|'.join(MODULES)}")
+    if points < 1:
+        raise ValueError(f"points must be at least 1, got {points}")
     results = []
-    for group in groups:
-        for name, check in _CHECKS[group]:
-            worst = 0.0
-            for point in range(points):
-                rng = np.random.default_rng(
-                    (seed, zlib.crc32(name.encode()), point))
-                if sabotage and name == "conv_input":
-                    report = _check_conv_input(rng, corrupt=True)
-                else:
-                    report = check(rng)
-                worst = max(worst, report.max_rel_err)
-            results.append(CheckResult(name, worst, worst < TOLERANCE))
+    for name, (group, build) in _CHECKS.items():
+        if module not in ("all", group):
+            continue
+        worst = 0.0
+        for point in range(points):
+            fn, x = build(np.random.default_rng(
+                (seed, zlib.crc32(name.encode()), point)))
+            if sabotage and name == "conv_input":
+                fn = _negated(fn)
+            worst = max(worst, grad_check(fn, x).max_rel_err)
+        results.append(CheckResult(name, worst, worst < TOLERANCE))
     return results

@@ -139,6 +139,15 @@ def test_gradcheck_sabotage_is_detected(capsys):
     assert "conv_input: FAIL" in captured.out
     assert captured.err.startswith("error: AssertionError:")
 
+@pytest.mark.parametrize("argv", [("--points", "0"),
+                                  ("--points", "-3", "--sabotage")])
+def test_gradcheck_fails_below_one_point(capsys, argv):
+    assert run_cli("gradcheck", "--module", "layers", *argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError: ")
+
 
 # ---------------------------------------------------------------------------
 # train / eval round trip

@@ -285,8 +285,7 @@ def default_phi_path(tmp_path_factory):
     return path
 
 
-def test_loading_the_default_phi_holds_less_than_three_times_the_file(
-        default_phi_path):
+def test_loading_the_default_phi_holds_one_copy_of_the_file(default_phi_path):
     load_phi(default_phi_path)  # one-time allocations do not count
     tracemalloc.start()
     try:
@@ -296,8 +295,9 @@ def test_loading_the_default_phi_holds_less_than_three_times_the_file(
         tracemalloc.stop()
     # 6.4 MB (6.0x the 1.07 MB file) when the load built φ with random
     # weights, gradients and Adam moments, then copied every record in;
-    # 2.0x when each parameter adopts its record and holds nothing else
-    assert peak < 3 * default_phi_path.stat().st_size
+    # 2.0x when each parameter adopted its record but the whole file's
+    # bytes stayed alive while every record was copied out of them
+    assert peak < 1.3 * default_phi_path.stat().st_size
 
 
 def test_a_wider_arch_text_fails_before_allocating_its_shapes(
