@@ -51,11 +51,12 @@ def _resolve_phi(cfg, phi_path: str | None, out: Path, needed: bool):
 
 def cmd_train(args) -> int:
     cfg = trainer.load_config(args.config)
+    data = trainer.load_train_split(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     needed = cfg.loss_config().lambda_feature > 0
     phi = _resolve_phi(cfg, args.phi, out, needed)
-    net, log = trainer.train(cfg, phi)
+    net, log = trainer.train(cfg, data, phi)
     ckpt = out / f"{cfg.variant}.ckpt"
     save_psi(net, ckpt)
     log.write(out / f"{cfg.variant}_log.tsv")

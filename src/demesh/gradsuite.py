@@ -133,17 +133,18 @@ def _eyes(rng, n, left_x, right_x, y):
     return rng.uniform(low, high, size=(n, 4)).reshape(n, 2, 2)
 
 
-def _phi_loss_args(rng, mask: bool = False):
-    """A tiny fixed-random φ, a 12x10 target and prediction, one eye pair,
-    a pixel mask when ``mask``, and each tap's threshold held at the one
-    the prediction gives."""
+def _phi_loss_args(rng, mask: bool = False,
+                   cfg: losses.LossConfig = losses.LossConfig()):
+    """A tiny fixed-random φ, a 12x10 target and prediction, one eye pair
+    when ``cfg`` aligns, a pixel mask when ``mask``, and each reverse-Huber
+    tap's threshold held at the one the prediction gives."""
     phi = build_phi("fixed_random", seed=int(rng.integers(2 ** 31)),
                     spec=FeatureSpec(in_h=8, in_w=8, widths=(4,),
                                      feature_width=8))
     args = dict(target=rng.uniform(size=(1, 1, 12, 10)),
                 pred=rng.uniform(size=(1, 1, 12, 10)),
-                eyes=_eyes(rng, 1, (2.5, 4), (6, 8), (3, 5)), phi=phi,
-                cfg=losses.LossConfig())
+                eyes=_eyes(rng, 1, (2.5, 4), (6, 8), (3, 5)) if cfg.align
+                else None, phi=phi, cfg=cfg)
     if mask:
         args["mask"] = (rng.uniform(size=(1, 1, 12, 10)) > 0.7).astype(float)
     args["fixed_c"] = losses.feature_loss(
@@ -193,6 +194,15 @@ _CHECKS = {
         softmax_cross_entropy, lambda rng: dict(
             logits=rng.normal(size=(4, 5)), labels=rng.integers(5, size=4)),
         wrt="logits")),
+    # the feature losses of the variants that leave the default: fcnf's
+    # early tap on a whole-image resize, demesh_e's squared penalty
+    "feature_loss_fcnf": ("losses", _loss(
+        losses.feature_loss,
+        lambda rng: _phi_loss_args(rng, cfg=losses.variant_config("fcnf")))),
+    "feature_loss_demesh_e": ("losses", _loss(
+        losses.feature_loss,
+        lambda rng: _phi_loss_args(rng,
+                                   cfg=losses.variant_config("demesh_e")))),
 }
 
 

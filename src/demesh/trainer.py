@@ -157,9 +157,20 @@ def _validation_metrics(net: InpaintNet, data: SplitData,
     return mean_psnr, rmse
 
 
-def train(cfg: TrainConfig, phi: FeatureNet | None = None
-          ) -> tuple[InpaintNet, TrainLog]:
-    """Train one variant; deterministic given the config seeds.
+def load_train_split(cfg: TrainConfig) -> SplitData:
+    """The split ``cfg`` trains on; one that cannot fill a batch raises
+    ValueError, so its caller fails before any work."""
+    data = load_split(cfg.dataset, "train")
+    if len(data) < cfg.batch_size:
+        raise ValueError(f"train split has {len(data)} triplets, "
+                         f"batch size is {cfg.batch_size}")
+    return data
+
+
+def train(cfg: TrainConfig, data: SplitData,
+          phi: FeatureNet | None = None) -> tuple[InpaintNet, TrainLog]:
+    """Train one variant on ``data``, the train split as ``load_train_split``
+    gives it; deterministic given the config seeds.
 
     The data order walks seeded epoch permutations; a trailing partial batch
     triggers a reshuffle instead of a short step. Weight decay applies to
@@ -169,10 +180,6 @@ def train(cfg: TrainConfig, phi: FeatureNet | None = None
     loss_cfg = cfg.loss_config()
     if loss_cfg.lambda_feature > 0 and phi is None:
         raise ValueError(f"variant {cfg.variant!r} needs a frozen feature net")
-    data = load_split(cfg.dataset, "train")
-    if len(data) < cfg.batch_size:
-        raise ValueError(f"train split has {len(data)} triplets, "
-                         f"batch size is {cfg.batch_size}")
     val_data = load_split(cfg.dataset, "val")
     # φ's features of the clear validation images, shared by every validation
     val_clear = clear_features(val_data, phi) \
@@ -240,11 +247,32 @@ def evaluate(name: str, net: InpaintNet, data: SplitData,
         data, phi, clear)
 
 
+def _phi_keys(spec: FeatureSpec) -> dict[str, str]:
+    """The config keys that set ``spec``, each with its value as a config
+    writes it; φ's kernel, which no key sets, is listed too."""
+    crop = spec.in_h if spec.in_h == spec.in_w else f"{spec.in_h}x{spec.in_w}"
+    return {"crop": str(crop), "phi_widths": ",".join(map(str, spec.widths)),
+            "phi_feature_width": str(spec.feature_width),
+            "phi kernel": str(spec.kernel)}
+
+
 def ensure_phi(cfg: TrainConfig, path: str | Path | None) -> FeatureNet:
     """Load the frozen feature net from ``path`` if present, else build it
-    deterministically from the config (and persist it when a path is given)."""
+    deterministically from the config (and persist it when a path is given).
+
+    A loaded net whose architecture differs from the config's raises
+    ConfigError naming each differing key with both values.
+    """
     if path is not None and Path(path).exists():
-        return load_phi(path)
+        phi = load_phi(path)
+        want, got = _phi_keys(cfg.phi_spec()), _phi_keys(phi.spec)
+        diffs = [f"{key} = {want[key]} in the config, {got[key]} in the "
+                 f"checkpoint" for key in want if want[key] != got[key]]
+        if diffs:
+            raise configio.ConfigError(
+                f"{path}: the feature net does not match the config: "
+                + "; ".join(diffs))
+        return phi
     phi = build_phi(cfg.phi_mode, cfg.phi_seed, cfg.phi_spec(),
                     n_identities=cfg.phi_identities,
                     per_identity=cfg.phi_per_identity,
@@ -258,12 +286,13 @@ def ensure_phi(cfg: TrainConfig, path: str | Path | None) -> FeatureNet:
 def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[EvalReport]:
     """Train and evaluate every variant plus the two analytic baselines.
 
-    All rows share the dataset, the frozen feature net, the seeds and φ's
-    features of the clear test images, computed once. The consolidated TSV
-    is rewritten after each completed row, so results of finished variants
-    survive a failure in a later one.
+    All rows share the dataset (each split read once), the frozen feature
+    net, the seeds and φ's features of the clear test images, computed
+    once. The consolidated TSV is rewritten after each completed row, so
+    results of finished variants survive a failure in a later one.
     """
     test_data = load_eval_split(cfg.dataset, "test")
+    train_data = load_train_split(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     phi = ensure_phi(cfg, out / "phi.ckpt")
@@ -282,7 +311,7 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[EvalReport]:
                         test_data, phi, clear))
     for variant in VARIANTS:
         vcfg = replace(cfg, variant=variant)
-        net, log = train(vcfg, phi)
+        net, log = train(vcfg, train_data, phi)
         save_psi(net, out / f"{variant}.ckpt")
         log.write(out / f"{variant}_log.tsv")
         finish(evaluate(variant, net, test_data, phi, clear))

@@ -377,6 +377,39 @@ def test_ablation_on_an_empty_test_split_fails_on_one_line_before_phi(
                    f"split is empty, nothing to evaluate"]
     assert not (out / "phi.ckpt").exists()
 
+@pytest.mark.parametrize("command", ["train", "ablation"])
+def test_a_train_split_smaller_than_a_batch_fails_on_one_line_before_phi(
+        tmp_path, capsys, command):
+    data = tmp_path / "data"
+    make_dataset(data, 4, 2, seed=57, ratios=(0.5, 0.0, 0.5), height=32,
+                 width=24)
+    cfg_path = tmp_path / "config.txt"
+    write_tiny_config(cfg_path, data, variant="demesh", batch_size=8)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(cfg_path), "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: ValueError: train split has 4 triplets, "
+                   "batch size is 8"]
+    assert not out.exists()
+
+def test_train_refuses_a_phi_checkpoint_the_config_does_not_describe(
+        dataset, tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg_path = tmp_path / "config.txt"
+    write_tiny_config(cfg_path, dataset, variant="demesh", total_steps=2)
+    assert run_cli("train", "--config", str(cfg_path), "--out", str(out)) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    write_tiny_config(cfg_path, dataset, variant="demesh", total_steps=2,
+                      phi_widths=(4, 8), phi_feature_width=16)
+    capsys.readouterr()
+    assert run_cli("train", "--config", str(cfg_path), "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: ConfigError: {out / 'phi.ckpt'}: the feature net "
+                   f"does not match the config: phi_widths = 4,8 in the "
+                   f"config, 8,16 in the checkpoint; phi_feature_width = 16 "
+                   f"in the config, 32 in the checkpoint"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
 def test_train_reports_a_missing_sample_file_on_one_line(dataset, tmp_path,
                                                          capsys):
     copy = tmp_path / "data"

@@ -11,7 +11,8 @@ from demesh.inpaint import build_psi, load_psi, save_psi
 from demesh.losses import UnifiedLoss
 from demesh.configio import ConfigError
 from demesh.trainer import (TrainConfig, TrainingDiverged, format_config,
-                            load_config, parse_config, run_ablation, train)
+                            load_config, load_train_split, parse_config,
+                            run_ablation, train)
 
 PHI_SPEC = FeatureSpec(in_h=16, in_w=16, widths=(8, 16), feature_width=32)
 
@@ -155,8 +156,8 @@ def test_learning_rate_schedule_is_piecewise_constant(dataset):
 
 def test_identical_seeds_give_bitwise_identical_checkpoints(dataset, phi, tmp_path):
     cfg = tiny_config(dataset, total_steps=20)
-    net1, _ = train(cfg, phi)
-    net2, _ = train(cfg, phi)
+    net1, _ = train(cfg, load_train_split(cfg), phi)
+    net2, _ = train(cfg, load_train_split(cfg), phi)
     save_psi(net1, tmp_path / "a.ckpt")
     save_psi(net2, tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
@@ -164,7 +165,7 @@ def test_identical_seeds_give_bitwise_identical_checkpoints(dataset, phi, tmp_pa
 def test_logged_lr_follows_the_schedule_exactly(dataset, phi):
     cfg = tiny_config(dataset, total_steps=60, lr_decay_interval=25,
                       lr_decay_factor=0.5)
-    _, log = train(cfg, phi)
+    _, log = train(cfg, load_train_split(cfg), phi)
     assert len(log.steps) == 60
     for step, _, _, _, lr in log.steps:
         assert lr == cfg.lr * 0.5 ** (step // 25)
@@ -172,7 +173,7 @@ def test_logged_lr_follows_the_schedule_exactly(dataset, phi):
 
 def test_single_step_replay_matches_hand_applied_adam_update(dataset, phi):
     cfg = tiny_config(dataset, variant="demesh", total_steps=1)
-    trained, _ = train(cfg, phi)
+    trained, _ = train(cfg, load_train_split(cfg), phi)
 
     # independent replay: same net init, same first batch, hand Adam
     data = load_split(cfg.dataset, "train")
@@ -199,7 +200,7 @@ def test_training_reduces_the_loss(dataset, phi):
     for variant in ("fcne", "demesh"):
         cfg = tiny_config(dataset, variant=variant, total_steps=150,
                           lr=2e-3, lr_decay_interval=1000)
-        _, log = train(cfg, phi)
+        _, log = train(cfg, load_train_split(cfg), phi)
         totals = [t for _, t, _, _, _ in log.steps]
         tenth = max(1, len(totals) // 10)
         assert np.mean(totals[-tenth:]) < np.mean(totals[:tenth]), variant
@@ -207,14 +208,14 @@ def test_training_reduces_the_loss(dataset, phi):
 def test_feature_net_stays_bitwise_frozen_through_training(dataset, phi):
     before = [p.value.copy() for p in phi.params()]
     cfg = tiny_config(dataset, variant="demesh", total_steps=15)
-    train(cfg, phi)
+    train(cfg, load_train_split(cfg), phi)
     for prev, p in zip(before, phi.params()):
         np.testing.assert_array_equal(prev, p.value)
 
 def test_feature_variants_require_a_feature_net(dataset):
     cfg = tiny_config(dataset, variant="demesh", total_steps=5)
     with pytest.raises(ValueError, match="feature net"):
-        train(cfg, None)
+        train(cfg, load_train_split(cfg))
 
 def test_divergence_aborts_with_diagnostics(dataset, phi, monkeypatch):
     cfg = tiny_config(dataset, total_steps=5)
@@ -224,11 +225,11 @@ def test_divergence_aborts_with_diagnostics(dataset, phi, monkeypatch):
 
     monkeypatch.setattr(losses, "unified_loss", poisoned)
     with pytest.raises(TrainingDiverged, match=r"step 0.*lr=0\.001.*s0"):
-        train(cfg, phi)
+        train(cfg, load_train_split(cfg), phi)
 
 def test_validation_metrics_are_recorded(dataset, phi):
     cfg = tiny_config(dataset, total_steps=30, val_interval=10)
-    _, log = train(cfg, phi)
+    _, log = train(cfg, load_train_split(cfg), phi)
     assert len(log.validations) == 3
     for _, v_psnr, v_rmse in log.validations:
         assert math.isfinite(v_psnr)
@@ -238,7 +239,8 @@ def test_training_without_a_val_split_writes_no_val_line(tmp_path):
     root = tmp_path / "data"
     make_dataset(root, 2, 4, seed=37, ratios=(1.0, 0.0, 0.0),
                  height=32, width=24)
-    _, log = train(tiny_config(root, total_steps=3, val_interval=1))
+    cfg = tiny_config(root, total_steps=3, val_interval=1)
+    _, log = train(cfg, load_train_split(cfg))
     assert log.validations == []
     log.write(tmp_path / "log.tsv")
     lines = (tmp_path / "log.tsv").read_text().splitlines()
@@ -272,10 +274,10 @@ def test_ablation_preserves_partial_results_on_failure(dataset, tmp_path,
     cfg = tiny_config(dataset, total_steps=4)
     real_train = trainer.train
 
-    def failing(vcfg, phi=None):
+    def failing(vcfg, data, phi=None):
         if vcfg.variant == "fcnf":
             raise RuntimeError("boom")
-        return real_train(vcfg, phi)
+        return real_train(vcfg, data, phi)
 
     monkeypatch.setattr(trainer, "train", failing)
     with pytest.raises(RuntimeError, match="boom"):
@@ -300,14 +302,14 @@ def test_train_runs_phi_once_over_the_clear_validation_images(
         dataset, phi, tmp_path, monkeypatch):
     cfg = tiny_config(dataset, total_steps=30, val_interval=10)
     calls = count_phi_calls(monkeypatch)
-    _, shared_log = train(cfg, phi)
+    _, shared_log = train(cfg, load_train_split(cfg), phi)
     shared = len(calls)
     # one φ pass over the clear validation images, then one over each of 3
     # validations' recoveries
     assert shared == 1 + 3
     # every validation computes the clear features itself, as before
     monkeypatch.setattr(trainer, "clear_features", lambda data, phi: None)
-    _, per_validation_log = train(cfg, phi)
+    _, per_validation_log = train(cfg, load_train_split(cfg), phi)
     assert len(calls) - shared == shared + 2
     shared_log.write(tmp_path / "shared.tsv")
     per_validation_log.write(tmp_path / "per_validation.tsv")
