@@ -10,7 +10,19 @@ from demesh.layers import (PSI_BLOCK, Conv2d, Dense, FrozenParameterError,
                            NoRecordError, Param, ReLU, ShapeError, Sigmoid,
                            adam_step, chunk_slices, gather_pool_indices,
                            grad_check, he_normal, maxpool2_indices, mfm,
-                           mfm_backward, unpool_indices)
+                           mfm_backward, softmax_cross_entropy,
+                           unpool_indices)
+
+
+def scalar_through(layer, x, weights):
+    """Build fn(x) = <weights, layer(x)> with its analytic input gradient."""
+    def fn(inp):
+        out = layer.forward(inp)
+        for p in layer.params():
+            p.zero_grad()
+        grad_in = layer.backward(weights)
+        return float(np.sum(out * weights)), grad_in
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +62,37 @@ def test_conv_channel_mismatch_names_dimensions():
     conv = Conv2d(3, 4, 3, name="enc1")
     with pytest.raises(ShapeError, match="enc1.*2 channels.*expects 3"):
         conv.forward(np.zeros((1, 2, 8, 8)))
+
+def test_conv_input_gradient_matches_finite_differences():
+    rng = np.random.default_rng(7)
+    conv = Conv2d(4, 3, 3, pad=1, init=he_normal(rng))
+    x = rng.normal(size=(1, 4, 5, 5))
+    weights = rng.normal(size=(1, 3, 5, 5))
+    report = grad_check(scalar_through(conv, x, weights), x)
+    assert report.passed, report
+
+def test_conv_parameter_gradients_match_finite_differences():
+    rng = np.random.default_rng(8)
+    conv = Conv2d(2, 3, 3, pad=1, init=he_normal(rng))
+    x = rng.normal(size=(2, 2, 6, 6))
+    weights = rng.normal(size=(2, 3, 6, 6))
+
+    def fn_of_weight(w):
+        conv.weight.value = w
+        conv.weight.zero_grad()
+        out = conv.forward(x)
+        conv.backward(weights)
+        return float(np.sum(out * weights)), conv.weight.grad.copy()
+
+    def fn_of_bias(b):
+        conv.bias.value = b
+        conv.bias.zero_grad()
+        out = conv.forward(x)
+        conv.backward(weights)
+        return float(np.sum(out * weights)), conv.bias.grad.copy()
+
+    assert grad_check(fn_of_weight, conv.weight.value.copy()).passed
+    assert grad_check(fn_of_bias, conv.bias.value.copy()).passed
 
 
 # The batch-wide im2col lowering the per-image conv replaced. Its patch
@@ -182,6 +225,22 @@ def test_pool_unpool_round_trip_is_sparse_identity():
         expected[n, c, 2 * i + r, 2 * j + col] = pooled[n, c, i, j]
     np.testing.assert_array_equal(restored, expected)
 
+def test_pool_gradient_matches_finite_differences():
+    rng = np.random.default_rng(4)
+    pool = MaxPool2x2()
+    x = rng.normal(size=(1, 2, 6, 6))
+    weights = rng.normal(size=(1, 2, 3, 3))
+    assert grad_check(scalar_through(pool, x, weights), x).passed
+
+def test_unpool_gradient_matches_finite_differences():
+    rng = np.random.default_rng(5)
+    pool = MaxPool2x2()
+    pool.forward(rng.normal(size=(1, 2, 8, 8)))
+    unpool = MaxUnpool2x2(pool)
+    x = rng.normal(size=(1, 2, 4, 4))
+    weights = rng.normal(size=(1, 2, 8, 8))
+    assert grad_check(scalar_through(unpool, x, weights), x).passed
+
 def test_gather_is_adjoint_of_unpool_scatter():
     rng = np.random.default_rng(6)
     _, idx = maxpool2_indices(rng.normal(size=(1, 2, 8, 8)))
@@ -268,6 +327,16 @@ def test_mfm_tie_routes_gradient_to_first_half():
     np.testing.assert_array_equal(grad[:, :2], np.ones((1, 2, 2, 2)))
     np.testing.assert_array_equal(grad[:, 2:], np.zeros((1, 2, 2, 2)))
 
+def test_mfm_gradient_matches_finite_differences_away_from_ties():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(1, 4, 3, 3))
+    # keep every pairwise comparison far from the tie so fd stays one-sided
+    gaps = np.abs(x[:, :2] - x[:, 2:])
+    x[:, :2] += np.where(gaps < 1e-3, 0.1, 0.0)
+    layer = MaxFeatureMap()
+    weights = rng.normal(size=(1, 2, 3, 3))
+    assert grad_check(scalar_through(layer, x, weights), x).passed
+
 def test_mfm_works_on_flat_feature_vectors():
     x = np.array([[1.0, 5.0, 2.0, 0.5]])
     np.testing.assert_array_equal(mfm(x), [[2.0, 5.0]])
@@ -346,6 +415,22 @@ def test_dense_length_mismatch():
     fc = Dense(6, 2, name="head")
     with pytest.raises(ShapeError, match="head.*length 4"):
         fc.forward(np.zeros((1, 4)))
+
+def test_dense_gradients_match_finite_differences():
+    rng = np.random.default_rng(10)
+    fc = Dense(6, 3, init=he_normal(rng))
+    x = rng.normal(size=(2, 6))
+    weights = rng.normal(size=(2, 3))
+    assert grad_check(scalar_through(fc, x, weights), x).passed
+
+    def fn_of_weight(w):
+        fc.weight.value = w
+        fc.weight.zero_grad()
+        out = fc.forward(x)
+        fc.backward(weights)
+        return float(np.sum(out * weights)), fc.weight.grad.copy()
+
+    assert grad_check(fn_of_weight, fc.weight.value.copy()).passed
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +642,16 @@ def test_forward_is_deterministic_for_identical_inputs():
     conv2 = Conv2d(1, 4, 3, pad=1, init=he_normal(np.random.default_rng(42)))
     x = rng.normal(size=(1, 1, 6, 6))
     np.testing.assert_array_equal(conv1.forward(x), conv2.forward(x))
+
+def test_softmax_cross_entropy_gradient_matches_finite_differences():
+    rng = np.random.default_rng(16)
+    labels = np.array([0, 2, 1])
+
+    def fn(logits):
+        loss, grad = softmax_cross_entropy(logits, labels)
+        return loss, grad
+
+    assert grad_check(fn, rng.normal(size=(3, 4))).passed
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,21 @@ def test_feature_loss_matches_hand_trace_on_tiny_net():
     lv = feature_loss(pred, target, None, phi, cfg)
     assert lv.value == pytest.approx(expected, rel=1e-12)
 
+def test_feature_loss_gradient_matches_finite_differences():
+    phi = tiny_phi(seed=11)
+    rng = np.random.default_rng(6)
+    target = rng.uniform(size=(1, 1, 12, 10))
+    eyes = eyes_for(1, rng, 12, 10)
+    cfg = LossConfig()
+    base = rng.uniform(size=(1, 1, 12, 10))
+    fixed = feature_loss(base, target, eyes, phi, cfg).thresholds
+
+    def fn(pred):
+        lv = feature_loss(pred, target, eyes, phi, cfg, fixed_c=fixed)
+        return lv.value, lv.grad
+
+    assert grad_check(fn, base).passed
+
 def test_feature_loss_returns_its_thresholds_and_leaves_no_record_in_phi():
     phi = tiny_phi(seed=13)
     rng = np.random.default_rng(8)
@@ -221,6 +236,19 @@ def test_feature_loss_returns_its_thresholds_and_leaves_no_record_in_phi():
     assert feature_loss(pred, target, eyes, phi, squared).thresholds == {}
     with pytest.raises(NoRecordError):
         phi.backward_taps({FINAL_FEATURE: np.ones((2, 8))})
+
+def test_feature_loss_squared_penalty_gradient():
+    phi = tiny_phi(seed=12)
+    rng = np.random.default_rng(7)
+    target = rng.uniform(size=(1, 1, 12, 10))
+    eyes = eyes_for(1, rng, 12, 10)
+    cfg = LossConfig(feature_penalty="squared")
+
+    def fn(pred):
+        lv = feature_loss(pred, target, eyes, phi, cfg)
+        return lv.value, lv.grad
+
+    assert grad_check(fn, rng.uniform(size=(1, 1, 12, 10))).passed
 
 def test_whole_image_resize_path_needs_no_landmarks():
     phi = tiny_phi(seed=13)

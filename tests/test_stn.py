@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from demesh.layers import grad_check
 from demesh.stn import (DegenerateLandmarksError, SampleGrid,
                         SimilarityParams, TARGET_EYES, _corner_weights,
                         alignment_grid, bilinear_backward, bilinear_sample,
@@ -148,6 +149,18 @@ def test_sample_backward_adjoint_identity():
         rhs = np.sum(u * bilinear_backward(v, grid, (6, 7)))
         assert abs(lhs - rhs) < 1e-10
 
+def test_bilinear_backward_matches_finite_differences():
+    rng = np.random.default_rng(27)
+    grid = SampleGrid(rng.uniform(-1.1, 1.1, size=(2, 3, 3)),
+                      rng.uniform(-1.1, 1.1, size=(2, 3, 3)))
+    weights = rng.normal(size=(2, 1, 3, 3))
+
+    def fn(img):
+        out = bilinear_sample(img, grid)
+        return float(np.sum(out * weights)), bilinear_backward(weights, grid, (5, 5))
+
+    assert grad_check(fn, rng.normal(size=(2, 1, 5, 5))).passed
+
 def test_sampler_rejects_mismatched_gradient_shape():
     grid = resize_grid(2, 4, 4)
     with pytest.raises(Exception, match="does not match"):
@@ -184,6 +197,18 @@ def test_align_translation_equivariance_under_joint_integer_shifts():
     grid = alignment_grid(np.stack([eyes, eyes + (-3.0, 2.0)]), 40, 40, 12, 12)
     crop, crop2 = bilinear_sample(np.stack([img, shifted]), grid)
     np.testing.assert_allclose(crop2, crop, atol=1e-12)
+
+def test_align_gradient_matches_finite_differences():
+    rng = np.random.default_rng(30)
+    eyes = np.array([[[4.2, 5.1], [9.7, 5.4]], [[3.1, 6.0], [8.8, 4.9]]])
+    grid = alignment_grid(eyes, 14, 12, 6, 6)
+    weights = rng.normal(size=(2, 1, 6, 6))
+
+    def fn(img):
+        crop = bilinear_sample(img, grid)
+        return float(np.sum(crop * weights)), bilinear_backward(weights, grid, (14, 12))
+
+    assert grad_check(fn, rng.uniform(size=(2, 1, 14, 12))).passed
 
 def test_alignment_sample_differentiable_wrt_image_through_public_api():
     eyes = np.array([[[3.0, 3.5], [8.5, 3.2]]])
