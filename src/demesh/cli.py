@@ -41,11 +41,12 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _resolve_phi(cfg, phi_path: str | None, out: Path, needed: bool):
+def _resolve_phi(cfg, phi_path: str | None, out: Path, needed: bool,
+                 render_hw: tuple[int, int]):
     if phi_path is not None:
-        return trainer.ensure_phi(cfg, phi_path)
+        return trainer.ensure_phi(cfg, phi_path, render_hw)
     if needed:
-        return trainer.ensure_phi(cfg, out / "phi.ckpt")
+        return trainer.ensure_phi(cfg, out / "phi.ckpt", render_hw)
     return None
 
 
@@ -55,7 +56,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     needed = cfg.loss_config().lambda_feature > 0
-    phi = _resolve_phi(cfg, args.phi, out, needed)
+    phi = _resolve_phi(cfg, args.phi, out, needed, data.x.shape[2:])
     net, log = trainer.train(cfg, data, phi)
     ckpt = out / f"{cfg.variant}.ckpt"
     save_psi(net, ckpt)

@@ -48,8 +48,6 @@ class TrainConfig:
     init_seed: int = 1
     data_seed: int = 2
     val_interval: int = 500
-    height: int = 64
-    width: int = 48
     arch_widths: tuple[int, ...] = (16, 32)
     kernel: int = 3
     crop: int = 32
@@ -86,9 +84,11 @@ class TrainConfig:
         # the weights every variant of an ablation shares, used or not
         LossConfig(self.lambda_mask, self.lambda_feature,
                    self.c_fraction).validate()
+        self.phi_spec().validate()
 
-    def arch_spec(self) -> InpaintSpec:
-        return InpaintSpec(self.height, self.width, self.arch_widths, self.kernel)
+    def arch_spec(self, extent: tuple[int, int]) -> InpaintSpec:
+        """ψ's spec for images of ``extent`` (H, W), the train split's."""
+        return InpaintSpec(*extent, self.arch_widths, self.kernel)
 
     def phi_spec(self) -> FeatureSpec:
         return FeatureSpec(self.crop, self.crop, self.phi_widths,
@@ -159,11 +159,13 @@ def _validation_metrics(net: InpaintNet, data: SplitData,
 
 def load_train_split(cfg: TrainConfig) -> SplitData:
     """The split ``cfg`` trains on; one that cannot fill a batch raises
-    ValueError, so its caller fails before any work."""
+    ValueError, and ψ's spec at the split's extent raises its own error
+    (ValueError or ShapeError), so its caller fails before any work."""
     data = load_split(cfg.dataset, "train")
     if len(data) < cfg.batch_size:
         raise ValueError(f"train split has {len(data)} triplets, "
                          f"batch size is {cfg.batch_size}")
+    cfg.arch_spec(data.x.shape[2:]).validate()
     return data
 
 
@@ -186,7 +188,7 @@ def train(cfg: TrainConfig, data: SplitData,
         if phi is not None and len(val_data) else None
 
     phi_digest = _params_digest(phi) if phi is not None else None
-    net = build_psi(cfg.arch_spec(), cfg.init_seed)
+    net = build_psi(cfg.arch_spec(data.x.shape[2:]), cfg.init_seed)
     log = TrainLog()
     rng = np.random.default_rng(cfg.data_seed)
     order = rng.permutation(len(data))
@@ -256,9 +258,12 @@ def _phi_keys(spec: FeatureSpec) -> dict[str, str]:
             "phi kernel": str(spec.kernel)}
 
 
-def ensure_phi(cfg: TrainConfig, path: str | Path | None) -> FeatureNet:
+def ensure_phi(cfg: TrainConfig, path: str | Path | None,
+               render_hw: tuple[int, int]) -> FeatureNet:
     """Load the frozen feature net from ``path`` if present, else build it
-    deterministically from the config (and persist it when a path is given).
+    deterministically from the config, pretraining on renders of
+    ``render_hw`` (the train split's extent), and persist it when a path is
+    given.
 
     A loaded net whose architecture differs from the config's raises
     ConfigError naming each differing key with both values.
@@ -277,7 +282,7 @@ def ensure_phi(cfg: TrainConfig, path: str | Path | None) -> FeatureNet:
                     n_identities=cfg.phi_identities,
                     per_identity=cfg.phi_per_identity,
                     steps=cfg.phi_steps,
-                    render_hw=(cfg.height, cfg.width))
+                    render_hw=render_hw)
     if path is not None:
         save_phi(phi, path)
     return phi
@@ -295,7 +300,7 @@ def run_ablation(cfg: TrainConfig, out_dir: str | Path) -> list[EvalReport]:
     train_data = load_train_split(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    phi = ensure_phi(cfg, out / "phi.ckpt")
+    phi = ensure_phi(cfg, out / "phi.ckpt", train_data.x.shape[2:])
     clear = clear_features(test_data, phi)
 
     reports: list[EvalReport] = []

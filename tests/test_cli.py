@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import demesh
-from demesh import cli
+from demesh import checkpoint, cli
 from demesh.cli import main
 from demesh.facegen import make_dataset, read_pgm, write_pgm
 from demesh.featnet import FeatureSpec, build_phi, load_phi, save_phi
@@ -25,9 +25,9 @@ def write_tiny_config(path: Path, dataset: Path, **overrides) -> TrainConfig:
     base = dict(
         variant="fcnw", dataset=str(dataset), batch_size=4, lr=1e-3,
         lr_decay_factor=0.1, lr_decay_interval=40, total_steps=12,
-        init_seed=3, data_seed=4, val_interval=50, height=32, width=24,
-        arch_widths=(8, 12), kernel=3, crop=16, phi_mode="fixed_random",
-        phi_seed=9, phi_widths=(8, 16), phi_feature_width=32,
+        init_seed=3, data_seed=4, val_interval=50, arch_widths=(8, 12),
+        kernel=3, crop=16, phi_mode="fixed_random", phi_seed=9,
+        phi_widths=(8, 16), phi_feature_width=32,
     )
     base.update(overrides)
     cfg = TrainConfig(**base)
@@ -390,6 +390,54 @@ def test_a_train_split_smaller_than_a_batch_fails_on_one_line_before_phi(
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: ValueError: train split has 4 triplets, "
                    "batch size is 8"]
+    assert not out.exists()
+
+def test_train_takes_psi_and_phi_extents_from_the_train_split(dataset,
+                                                               tmp_path):
+    # the config names no extent; the split is 32x24, not the 64x48 default
+    cfg_path = tmp_path / "config.txt"
+    cfg = write_tiny_config(cfg_path, dataset, variant="demesh",
+                            total_steps=2, phi_mode="pretrain",
+                            phi_identities=2, phi_per_identity=2, phi_steps=1)
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg_path), "--out", str(out)) == 0
+    arch, _ = checkpoint.load_checkpoint(out / "demesh.ckpt")
+    assert "\nheight = 32\nwidth = 24\n" in arch
+    # φ pretraining rendered its faces at the split's extent too
+    phi = build_phi("pretrain", cfg.phi_seed, cfg.phi_spec(), n_identities=2,
+                    per_identity=2, steps=1, render_hw=(32, 24))
+    for p, q in zip(load_phi(out / "phi.ckpt").params(), phi.params()):
+        np.testing.assert_array_equal(p.value, q.value, err_msg=p.name)
+
+@pytest.mark.parametrize("command", ["train", "ablation"])
+@pytest.mark.parametrize("override, kind", [
+    ({"kernel": 2}, "ValueError"),
+    ({"arch_widths": (0,)}, "ValueError"),
+    # 24 is not divisible by 2^4
+    ({"arch_widths": (8, 12, 16, 20)}, "ShapeError"),
+    ({"phi_widths": (3,)}, "ConfigError"),
+    ({"crop": 10}, "ConfigError"),
+], ids=["kernel-2", "arch-widths-0", "four-pools", "phi-odd-width",
+        "crop-10"])
+def test_a_spec_fault_fails_on_one_line_before_any_work(
+        dataset, tmp_path, capsys, command, override, kind):
+    cfg_path = tmp_path / "config.txt"
+    write_tiny_config(cfg_path, dataset, variant="demesh", **override)
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(cfg_path), "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {kind}: ")
+    assert not out.exists()
+
+def test_a_config_naming_an_image_extent_fails_on_one_line(dataset, tmp_path,
+                                                           capsys):
+    cfg_path = tmp_path / "config.txt"
+    cfg_path.write_text(f"dataset = {dataset}\nheight = 32\n")
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg_path), "--out", str(out)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: ConfigError: {cfg_path}: unknown config key 'height' in "
+        f"'height = 32'"]
     assert not out.exists()
 
 def test_train_refuses_a_phi_checkpoint_the_config_does_not_describe(

@@ -10,8 +10,7 @@ from demesh.layers import (PSI_BLOCK, Conv2d, Dense, FrozenParameterError,
                            NoRecordError, Param, ReLU, ShapeError, Sigmoid,
                            adam_step, chunk_slices, gather_pool_indices,
                            grad_check, he_normal, maxpool2_indices, mfm,
-                           mfm_backward, softmax_cross_entropy,
-                           unpool_indices)
+                           mfm_backward, unpool_indices)
 
 
 def scalar_through(layer, x, weights):
@@ -224,22 +223,6 @@ def test_pool_unpool_round_trip_is_sparse_identity():
         r, col = divmod(int(idx[n, c, i, j]), 2)
         expected[n, c, 2 * i + r, 2 * j + col] = pooled[n, c, i, j]
     np.testing.assert_array_equal(restored, expected)
-
-def test_pool_gradient_matches_finite_differences():
-    rng = np.random.default_rng(4)
-    pool = MaxPool2x2()
-    x = rng.normal(size=(1, 2, 6, 6))
-    weights = rng.normal(size=(1, 2, 3, 3))
-    assert grad_check(scalar_through(pool, x, weights), x).passed
-
-def test_unpool_gradient_matches_finite_differences():
-    rng = np.random.default_rng(5)
-    pool = MaxPool2x2()
-    pool.forward(rng.normal(size=(1, 2, 8, 8)))
-    unpool = MaxUnpool2x2(pool)
-    x = rng.normal(size=(1, 2, 4, 4))
-    weights = rng.normal(size=(1, 2, 8, 8))
-    assert grad_check(scalar_through(unpool, x, weights), x).passed
 
 def test_gather_is_adjoint_of_unpool_scatter():
     rng = np.random.default_rng(6)
@@ -615,6 +598,25 @@ def test_grad_check_flags_corrupted_backward():
     report = grad_check(wrong, np.random.default_rng(13).normal(size=(2, 2)))
     assert not report.passed
 
+def test_grad_check_compares_across_a_kink_with_the_nearer_one_sided_step():
+    # sum(relu(x - k)): coordinate 0's kink lies half a step right of x, the
+    # other coordinates sit on the kink's linear side
+    step = 1e-5
+    x = np.random.default_rng(17).normal(size=5)
+    k = x - 1.0
+    k[0] = x[0] + step / 2
+
+    def fn(v, grad_at_kink=0.0):  # the gradient at x, the one compared
+        g = (v > k).astype(float)
+        g[0] = grad_at_kink
+        return float(np.sum(np.maximum(v - k, 0.0))), g
+
+    # the central difference reads 0.25 there, the one-sided ones 0 and 0.5
+    assert grad_check(fn, x, step=step).passed
+    assert not grad_check(lambda v: fn(v, 1.0), x, step=step).passed
+    report = grad_check(lambda v: (fn(v)[0], 2.0 * fn(v)[1]), x, step=step)
+    assert not report.passed and report.worst_index != (0,)
+
 
 # ---------------------------------------------------------------------------
 # shared engine properties
@@ -642,16 +644,6 @@ def test_forward_is_deterministic_for_identical_inputs():
     conv2 = Conv2d(1, 4, 3, pad=1, init=he_normal(np.random.default_rng(42)))
     x = rng.normal(size=(1, 1, 6, 6))
     np.testing.assert_array_equal(conv1.forward(x), conv2.forward(x))
-
-def test_softmax_cross_entropy_gradient_matches_finite_differences():
-    rng = np.random.default_rng(16)
-    labels = np.array([0, 2, 1])
-
-    def fn(logits):
-        loss, grad = softmax_cross_entropy(logits, labels)
-        return loss, grad
-
-    assert grad_check(fn, rng.normal(size=(3, 4))).passed
 
 
 # ---------------------------------------------------------------------------

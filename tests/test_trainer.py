@@ -22,9 +22,8 @@ def tiny_config(dataset, **overrides) -> TrainConfig:
         variant="fcnw", dataset=str(dataset), batch_size=4, lr=1e-3,
         lr_decay_factor=0.1, lr_decay_interval=40, total_steps=60,
         weight_decay=1e-5, init_seed=3, data_seed=4, val_interval=30,
-        height=32, width=24, arch_widths=(8, 12), kernel=3, crop=16,
-        phi_mode="fixed_random", phi_seed=9, phi_widths=(8, 16),
-        phi_feature_width=32,
+        arch_widths=(8, 12), kernel=3, crop=16, phi_mode="fixed_random",
+        phi_seed=9, phi_widths=(8, 16), phi_feature_width=32,
     )
     base.update(overrides)
     return TrainConfig(**base)
@@ -60,7 +59,7 @@ def test_default_config_text_is_pinned():
         "variant = demesh\ndataset = \nbatch_size = 8\nlr = 0.0001\n"
         "lr_decay_factor = 0.1\nlr_decay_interval = 2000\n"
         "total_steps = 3000\nweight_decay = 1e-05\ninit_seed = 1\n"
-        "data_seed = 2\nval_interval = 500\nheight = 64\nwidth = 48\n"
+        "data_seed = 2\nval_interval = 500\n"
         "arch_widths = 16,32\nkernel = 3\ncrop = 32\nphi_mode = pretrain\n"
         "phi_seed = 71\nphi_widths = 16,32\nphi_feature_width = 64\n"
         "phi_identities = 32\nphi_per_identity = 200\nphi_steps = 600\n"
@@ -180,7 +179,7 @@ def test_single_step_replay_matches_hand_applied_adam_update(dataset, phi):
     xs, ys, ms, eyes = to_float(data.x), to_float(data.y), data.m, data.eyes
     idx = np.random.default_rng(cfg.data_seed).permutation(len(xs))[:cfg.batch_size]
 
-    net = build_psi(cfg.arch_spec(), cfg.init_seed)
+    net = build_psi(cfg.arch_spec(xs.shape[2:]), cfg.init_seed)
     pred = net.forward(xs[idx])
     ul = losses.unified_loss(pred, ys[idx], ms[idx], eyes[idx],
                              phi, cfg.loss_config())
@@ -335,8 +334,8 @@ def test_ablation_runs_phi_once_over_the_clear_test_images(dataset, tmp_path,
 def test_ensure_phi_reuses_the_checkpoint(dataset, tmp_path):
     cfg = tiny_config(dataset)
     path = tmp_path / "phi.ckpt"
-    a = trainer.ensure_phi(cfg, path)
+    a = trainer.ensure_phi(cfg, path, (32, 24))
     assert path.exists()
-    b = trainer.ensure_phi(cfg, path)
+    b = trainer.ensure_phi(cfg, path, (32, 24))
     for pa, pb in zip(a.params(), b.params()):
         np.testing.assert_array_equal(pa.value, pb.value)
