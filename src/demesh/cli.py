@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import atomic, gradsuite, thread_cap, trainer, verifier
-from .facegen import make_dataset, read_pgm, validate_dataset, write_pgm
+from .facegen import make_dataset, pgm_bytes, read_pgm, validate_dataset
 from .featnet import load_phi
 from .inpaint import load_psi, save_psi
 
@@ -117,7 +117,7 @@ def cmd_inpaint(args) -> int:
             f"image extent {img.shape[1]}x{img.shape[2]} does not match "
             f"checkpoint {net.spec.height}x{net.spec.width}")
     pred = net.forward(img[None], keep=False)
-    write_pgm(args.out, pred[0])
+    atomic.write_file(args.out, pgm_bytes(pred[0]))
     print(f"out = {args.out}")
     if args.truth:
         truth = read_pgm(args.truth)

@@ -389,12 +389,17 @@ def apply_mesh(clear: Array, mask: Array, stroke_seed: int) -> Array:
 # portable graymap i/o
 # ---------------------------------------------------------------------------
 
-def write_pgm(path: str | Path, img: Array) -> None:
-    """Write a [0,1] image (1,H,W) or (H,W) as a binary maxval-255 graymap."""
+def pgm_bytes(img: Array) -> bytes:
+    """A [0,1] image (1,H,W) or (H,W) as a binary maxval-255 graymap."""
     arr = img[0] if img.ndim == 3 else img
     data = np.round(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
     h, w = data.shape
-    Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode() + data.tobytes())
+    return f"P5\n{w} {h}\n255\n".encode() + data.tobytes()
+
+
+def write_pgm(path: str | Path, img: Array) -> None:
+    """Write ``img`` as a graymap (``pgm_bytes``) to ``path`` in place."""
+    Path(path).write_bytes(pgm_bytes(img))
 
 
 # magic, then width, height and maxval, each after whitespace or comment
@@ -575,6 +580,8 @@ def read_manifest(root: str | Path) -> list[tuple[str, str, str, str]]:
         lines = path.read_text().splitlines()
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise DatasetError(f"{path}: cannot read manifest: {exc.strerror}") from None
     rows = []
     for number, line in enumerate(lines[1:], start=2):
         row = tuple(line.split("\t"))

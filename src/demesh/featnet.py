@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint, configio, facegen, stn
-from .layers import (INFERENCE_CHUNK, PSI_BLOCK, Conv2d, Dense, MaxFeatureMap,
-                     MaxPool2x2, Param, ShapeError, adam_step, chunk_slices,
-                     he_normal, softmax_cross_entropy)
+from .layers import (PSI_BLOCK, Conv2d, Dense, MaxFeatureMap, MaxPool2x2,
+                     Param, ShapeError, adam_step, he_normal,
+                     softmax_cross_entropy)
 
 Array = np.ndarray
 
@@ -151,29 +151,27 @@ class FeatureNet:
 
         ``crops`` is an (N, 1, H, W) array or any object with ``len()``
         whose ``crops[rows]`` gives a slice of rows' crops; each row is read
-        once, in order. This record-free pass is the one place inference is
-        blocked: N rows go in near-equal chunks of at most
-        ``INFERENCE_CHUNK`` rows, each read in near-equal blocks of at most
-        ``PSI_BLOCK`` rows. The layers before ``fc`` run per block, ``fc``
-        and its MFM per chunk. The convs lower one image at a time and MFM
-        and pool act per image, so the blocks give the one-batch bits;
-        ``fc`` is the one product across rows, and a chunk's rows are not
-        split."""
+        once, in order, in blocks of ``PSI_BLOCK`` rows (the last one
+        shorter), and no slice reaches past N. This record-free pass runs
+        every layer per block. ``fc`` is the one product across rows, so it
+        and its MFM always see exactly ``PSI_BLOCK`` rows: a short block is
+        zero-padded, and the padded rows' outputs are dropped. A row's
+        features are then those of the row alone, whatever the other rows
+        hold, and a full block's are its ``forward_taps`` features."""
         fc = self.taps[FINAL_FEATURE] - 1  # fc, then its MFM, the tap
-        out = np.empty((len(crops), self.spec.feature_width))
-        for chunk in chunk_slices(len(crops), INFERENCE_CHUNK):
-            h = None
-            for block in chunk_slices(chunk.stop - chunk.start, PSI_BLOCK):
-                x = crops[chunk.start + block.start:chunk.start + block.stop]
-                self._check_input(x)
-                for layer in self.layers[:fc]:
-                    x = layer.forward(x, keep=False)
-                if h is None:
-                    h = np.empty((chunk.stop - chunk.start, *x.shape[1:]))
-                h[block] = x
+        n = len(crops)
+        out = np.empty((n, self.spec.feature_width))
+        for start in range(0, n, PSI_BLOCK):
+            rows = slice(start, min(start + PSI_BLOCK, n))
+            x = crops[rows]
+            self._check_input(x)
+            for layer in self.layers[:fc]:
+                x = layer.forward(x, keep=False)
+            h = np.zeros((PSI_BLOCK, *x.shape[1:]))
+            h[:len(x)] = x
             for layer in self.layers[fc:]:
                 h = layer.forward(h, keep=False)
-            out[chunk] = h
+            out[rows] = h[:len(x)]
         return out
 
 

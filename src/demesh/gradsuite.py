@@ -23,10 +23,9 @@ import numpy as np
 
 from . import losses, stn
 from .featnet import FeatureSpec, build_phi
-from .layers import Conv2d, Dense, MaxFeatureMap, MaxPool2x2, MaxUnpool2x2, \
-    ReLU, Sigmoid, grad_check, he_normal, softmax_cross_entropy
+from .layers import GRAD_TOLERANCE, Conv2d, Dense, MaxFeatureMap, MaxPool2x2, \
+    MaxUnpool2x2, ReLU, Sigmoid, grad_check, he_normal, softmax_cross_entropy
 
-TOLERANCE = 1e-4
 MODULES = ("layers", "stn", "losses")
 
 
@@ -218,7 +217,7 @@ def run_suite(module: str = "all", seed: int = 0, points: int = 20,
               sabotage: bool = False) -> list[CheckResult]:
     """Run every check of the chosen module group at ``points`` (at least
     one) seeded instances each; a check passes when its worst relative
-    error over all points stays under TOLERANCE.
+    error over all points stays under ``GRAD_TOLERANCE``.
 
     ``sabotage`` flips the sign of conv_input's analytic gradient (negative
     control: the suite must then fail).
@@ -239,5 +238,5 @@ def run_suite(module: str = "all", seed: int = 0, points: int = 20,
             if sabotage and name == "conv_input":
                 fn = _negated(fn)
             worst = max(worst, grad_check(fn, x).max_rel_err)
-        results.append(CheckResult(name, worst, worst < TOLERANCE))
+        results.append(CheckResult(name, worst, worst < GRAD_TOLERANCE))
     return results

@@ -153,9 +153,9 @@ def he_normal(rng: np.random.Generator):
     return init
 
 
-def adam_step(param: Param, grad: Array, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """Apply one bias-corrected Adam update to ``param`` in place."""
+def adam_step(param: Param, grad: Array, lr: float) -> None:
+    """Apply one bias-corrected Adam update to ``param`` in place, with
+    Kingma and Ba's beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
     if param.frozen:
         raise FrozenParameterError(f"parameter '{param.name}' is frozen")
     if lr <= 0:
@@ -167,6 +167,7 @@ def adam_step(param: Param, grad: Array, lr: float, beta1: float = 0.9,
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradientError(
             f"non-finite gradient for parameter '{param.name}'")
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     param.step += 1
     t = param.step
     # in place, in the order of m = b1 * m + (1 - b1) * g (v alike) and
@@ -578,64 +579,45 @@ def softmax_cross_entropy(logits: Array, labels: Array) -> tuple[float, Array]:
 
 
 # ---------------------------------------------------------------------------
-# chunked inference
+# blocked inference
 # ---------------------------------------------------------------------------
 
-# The most rows in one of φ's ``fc`` products at inference, the one stage
-# that mixes rows; ``FeatureNet.features`` alone reads it. One chunk, or
-# chunks of 32 rows or more, give φ's features bitwise as one batch does on
-# the OpenBLAS SkylakeX kernel.
-INFERENCE_CHUNK = 64
-
-# The inference block of every per-image stage: ψ, the PSNR, the alignment
-# crop and φ's layers before ``fc``. At 8 rows ψ's largest activation,
-# (8, 16, 64, 48), is 3.1 MB, against 25 MB at 64 rows. That is more than
-# the 2 MiB per-core L2 of the Xeon measured here, so the block is sized by
-# measurement, not to a cache level. Over 400 64x48 images (one thread,
-# 2-vCPU Xeon, medians of 10 interleaved runs) bounds of 4, 8, 16, 32 and 64
-# rows took 1.66, 1.65, 1.85, 1.91 and 2.00 s. None of these stages has a
-# matrix product across rows, so any block gives the one-batch output
-# bitwise; only φ's ``fc`` mixes rows, and it sees INFERENCE_CHUNK chunks.
+# The inference block of every stage: ψ, the PSNR, the alignment crop and
+# all of φ. At 8 rows ψ's largest activation, (8, 16, 64, 48), is 3.1 MB,
+# against 25 MB at 64 rows. That is more than the 2 MiB per-core L2 of the
+# Xeon measured here, so the block is sized by measurement, not to a cache
+# level. Over 400 64x48 images (one thread, 2-vCPU Xeon, medians of 10
+# interleaved runs) bounds of 4, 8, 16, 32 and 64 rows took 1.66, 1.65,
+# 1.85, 1.91 and 2.00 s. Only φ's ``fc`` has a matrix product across rows,
+# and a product's rounding depends on its row count, so ``fc`` always runs
+# on exactly this many rows (``FeatureNet.features``).
 PSI_BLOCK = 8
-
-
-def chunk_slices(n: int, rows: int) -> list[slice]:
-    """The ceil(n / rows) slices that cover range(n) in order, their
-    lengths differing by at most one.
-
-    Near-equal slices, not ``rows`` rows plus a short remainder: a matrix
-    product of a few rows rounds differently (OpenBLAS switches kernels),
-    which moved φ's Dense output by up to 9e-15.
-    """
-    k = max(1, -(-n // rows))
-    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 # ---------------------------------------------------------------------------
 
+# the relative error a checked gradient stays under, and the finite step
+GRAD_TOLERANCE = 1e-4
+GRAD_STEP = 1e-5
+
+
 @dataclass
 class GradCheckReport:
     max_rel_err: float
     passed: bool
-    tolerance: float
     worst_index: tuple[int, ...]
 
-    def __str__(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{status} max_rel_err={self.max_rel_err:.3e} "
-                f"(tol {self.tolerance:.1e}, worst at {self.worst_index})")
 
-
-def grad_check(fn, x: Array, tolerance: float = 1e-4,
-               step: float = 1e-5) -> GradCheckReport:
+def grad_check(fn, x: Array) -> GradCheckReport:
     """Compare fn's analytic gradient against central finite differences.
 
     ``fn`` maps an array to ``(scalar_value, gradient_array)``. The numeric
-    gradient is computed coordinate by coordinate with the two-sided formula,
-    and the report carries the worst elementwise relative error. The
-    denominator is floored so near-zero entries compare on an absolute scale.
+    gradient is computed coordinate by coordinate with the two-sided formula
+    over ``GRAD_STEP``, and the report carries the worst elementwise
+    relative error, which passes under ``GRAD_TOLERANCE``. The denominator
+    is floored so near-zero entries compare on an absolute scale.
 
     A step that crosses a kink (a max or pooling tie) makes the central
     difference no oracle there: where it misses by the tolerance and the two
@@ -647,23 +629,23 @@ def grad_check(fn, x: Array, tolerance: float = 1e-4,
     f_minus = np.zeros_like(x, dtype=np.float64)
     for idx in np.ndindex(x.shape):
         xp = x.copy()
-        xp[idx] += step
+        xp[idx] += GRAD_STEP
         f_plus[idx], _ = fn(xp)
         xm = x.copy()
-        xm[idx] -= step
+        xm[idx] -= GRAD_STEP
         f_minus[idx], _ = fn(xm)
 
     def rel_err(a, b):
         return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)),
                                           1e-3)
 
-    numeric = (f_plus - f_minus) / (2.0 * step)
-    right, left = (f_plus - f0) / step, (f0 - f_minus) / step
-    kink = (rel_err(analytic, numeric) >= tolerance) & \
-        (rel_err(right, left) >= tolerance)
+    numeric = (f_plus - f_minus) / (2.0 * GRAD_STEP)
+    right, left = (f_plus - f0) / GRAD_STEP, (f0 - f_minus) / GRAD_STEP
+    kink = (rel_err(analytic, numeric) >= GRAD_TOLERANCE) & \
+        (rel_err(right, left) >= GRAD_TOLERANCE)
     nearer = np.where(np.abs(analytic - right) <= np.abs(analytic - left),
                       right, left)
     rel = rel_err(analytic, np.where(kink, nearer, numeric))
     worst = np.unravel_index(int(np.argmax(rel)), rel.shape)
     max_rel = float(rel[worst])
-    return GradCheckReport(max_rel, max_rel < tolerance, tolerance, worst)
+    return GradCheckReport(max_rel, max_rel < GRAD_TOLERANCE, worst)

@@ -112,13 +112,17 @@ def parse_config(text: str) -> TrainConfig:
 
 
 def load_config(path: str | Path) -> TrainConfig:
-    """Read and validate a config file; every fault of its text or values
-    raises ``configio.ConfigError`` naming the path."""
+    """Read and validate a config file; a file that cannot be read, and
+    every fault of its text or values, raises ``configio.ConfigError``
+    naming the path."""
     try:
         cfg = parse_config(Path(path).read_bytes().decode("utf-8"))
         cfg.validate()
     except ValueError as exc:  # UnicodeDecodeError, ConfigError or validate's
         raise configio.ConfigError(f"{path}: {exc}") from None
+    except OSError as exc:
+        raise configio.ConfigError(f"{path}: cannot read config: "
+                                   f"{exc.strerror}") from None
     return cfg
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import atomic, stn
 from .facegen import SplitData, to_float
 from .featnet import FeatureNet
-from .layers import PSI_BLOCK, ShapeError, chunk_slices
+from .layers import PSI_BLOCK, ShapeError
 
 Array = np.ndarray
 
@@ -152,8 +152,8 @@ class _AlignedCrops:
 def _aligned_features(phi: FeatureNet, load, eyes) -> Array:
     """φ's features of each image's eye-aligned crop. ``load(rows)`` gives
     a slice of rows' float images (n, 1, H, W); it is called once per row,
-    in the blocks ``FeatureNet.features`` reads, and each block is cropped
-    as it is loaded."""
+    one ``PSI_BLOCK`` block at a time as ``FeatureNet.features`` reads
+    them, and each block is cropped as it is loaded."""
     return phi.features(_AlignedCrops(load, eyes, phi.in_h, phi.in_w))
 
 
@@ -170,12 +170,12 @@ def recovery_metrics(load, data: SplitData, phi: FeatureNet | None,
     graymaps, plus the recovered images' aligned features.
 
     ``load(rows)`` gives the recovered float64 images (n, 1, H, W) of a
-    slice of the split's rows. It is called once per row, one ``PSI_BLOCK``
-    block at a time, and each block is scored for PSNR in the pass that
-    crops it for φ; a block of another shape raises ShapeError, of another
-    dtype TypeError. ``clear`` is the split's ``clear_features``, computed
-    here when not given. Without a feature net the RMSE is nan and there
-    are no features."""
+    slice of the split's rows. It is called once per row, in order, one
+    ``PSI_BLOCK`` block at a time (the last one shorter), and each block is
+    scored for PSNR in the pass that crops it for φ; a block of another
+    shape raises ShapeError, of another dtype TypeError. ``clear`` is the
+    split's ``clear_features``, computed here when not given. Without a
+    feature net the RMSE is nan and there are no features."""
     dbs = np.empty(len(data))
 
     def scored(rows: slice) -> Array:
@@ -191,8 +191,8 @@ def recovery_metrics(load, data: SplitData, phi: FeatureNet | None,
         return images
 
     if phi is None:
-        for rows in chunk_slices(len(data), PSI_BLOCK):
-            scored(rows)
+        for start in range(0, len(data), PSI_BLOCK):
+            scored(slice(start, min(start + PSI_BLOCK, len(data))))
         return float(np.mean(dbs)), float("nan"), None
     feats = _aligned_features(phi, scored, data.eyes)
     if clear is None:

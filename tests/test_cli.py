@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import shutil
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import demesh
-from demesh import checkpoint, cli
+from demesh import atomic, checkpoint, cli
 from demesh.cli import main
 from demesh.facegen import make_dataset, read_pgm, write_pgm
 from demesh.featnet import FeatureSpec, build_phi, load_phi, save_phi
@@ -225,6 +226,26 @@ def test_inpaint_accepts_its_own_output_again(trained_checkpoint, dataset,
                    "--in", str(first), "--out", str(second)) == 0
     assert second.exists()
 
+def test_inpaint_writes_write_pgms_bytes_whole_or_not_at_all(
+        trained_checkpoint, dataset, tmp_path, monkeypatch, capsys):
+    infile = next((Path(dataset) / "test").glob("id*")) / "s000.x.pgm"
+    out, ref = tmp_path / "out.pgm", tmp_path / "ref.pgm"
+    inpaint = ("inpaint", "--checkpoint", str(trained_checkpoint), "--in",
+               str(infile), "--out", str(out))
+    assert run_cli(*inpaint) == 0
+    net = load_psi(trained_checkpoint)
+    write_pgm(ref, net.forward(read_pgm(infile)[None], keep=False)[0])
+    assert out.read_bytes() == ref.read_bytes()
+
+    def replace(src, dst):
+        raise OSError(errno.EIO, "Input/output error")
+    monkeypatch.setattr(atomic.os, "replace", replace)
+    out.write_bytes(b"the previous contents")
+    assert run_cli(*inpaint) == 1
+    assert capsys.readouterr().err.startswith("error: OSError: ")
+    assert out.read_bytes() == b"the previous contents"
+    assert sorted(tmp_path.iterdir()) == [out, ref]  # no temp file
+
 def test_inpaint_rejects_wrong_extent(trained_checkpoint, tmp_path, capsys):
     bad = tmp_path / "bad.pgm"
     write_pgm(bad, np.zeros((1, 16, 16)))
@@ -318,6 +339,34 @@ def test_train_reports_an_unreadable_config_on_one_line(tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: ConfigError: {cfg_path}: ")
     assert match in err[0]
+    assert not out.exists()
+
+@pytest.mark.parametrize("command", ["train", "ablation"])
+@pytest.mark.parametrize("make, reason", [
+    pytest.param(lambda path: path.mkdir(), "Is a directory", id="directory"),
+    pytest.param(lambda path: None, "No such file or directory",
+                 id="missing")])
+def test_a_config_that_cannot_be_read_fails_on_one_line(tmp_path, capsys,
+                                                        command, make, reason):
+    cfg_path = tmp_path / "config.txt"
+    make(cfg_path)
+    out = tmp_path / "run"
+    assert run_cli(command, "--config", str(cfg_path), "--out", str(out)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: ConfigError: {cfg_path}: cannot read config: {reason}"]
+    assert not out.exists()
+
+def test_eval_on_a_manifest_that_cannot_be_read_fails_on_one_line(
+        trained_checkpoint, tmp_path, capsys):
+    data = tmp_path / "data"
+    (data / "manifest.tsv").mkdir(parents=True)
+    out = tmp_path / "eval"
+    assert run_cli("eval", "--checkpoint", str(trained_checkpoint), "--data",
+                   str(data), "--phi", str(tmp_path / "phi.ckpt"),
+                   "--out", str(out)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: DatasetError: {data / 'manifest.tsv'}: cannot read manifest: "
+        f"Is a directory"]
     assert not out.exists()
 
 @pytest.fixture(scope="module")

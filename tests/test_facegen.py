@@ -457,6 +457,14 @@ def test_malformed_dataset_files_raise_dataset_error(tmp_path, name, content,
         reader(path)
 
 
+def test_a_manifest_that_is_a_directory_raises_dataset_error(tmp_path):
+    path = tmp_path / "manifest.tsv"
+    path.mkdir()
+    with pytest.raises(DatasetError, match=re.escape(
+            f"{path}: cannot read manifest: Is a directory")):
+        read_manifest(tmp_path)
+
+
 def test_a_meta_file_with_comments_loads(tmp_path):
     path = tmp_path / "s.meta"
     path.write_bytes(b"# eye centers in pixels\neyes = 10 10 20 10  # x y x y\n"

@@ -8,8 +8,7 @@ from demesh import facegen, stn
 from demesh.featnet import (EARLY_CONV, FINAL_FEATURE, FeatureNet,
                             FeatureSpec, build_phi, classify, load_phi,
                             pretrain_step, save_phi)
-from demesh.layers import (INFERENCE_CHUNK, PSI_BLOCK, Dense,
-                           FrozenParameterError,
+from demesh.layers import (PSI_BLOCK, Dense, FrozenParameterError,
                            NoRecordError, ShapeError, adam_step, grad_check,
                            he_normal)
 
@@ -49,10 +48,9 @@ def test_pretrain_accuracy_clears_chance(pretrained):
     assert pretrained.pretrain_accuracy > 2.0 / 8.0
 
 def test_final_tap_consistent_with_extract_feature(pretrained):
-    x = np.random.default_rng(2).uniform(size=(1, 16, 16))
-    acts = pretrained.forward_taps(x[None], taps=(FINAL_FEATURE,))
-    np.testing.assert_array_equal(acts[FINAL_FEATURE],
-                                  pretrained.features(x[None]))
+    x = np.random.default_rng(2).uniform(size=(PSI_BLOCK, 1, 16, 16))
+    acts = pretrained.forward_taps(x, taps=(FINAL_FEATURE,))
+    assert acts[FINAL_FEATURE].tobytes() == pretrained.features(x).tobytes()
 
 def test_early_tap_on_zero_image_is_bias_driven(pretrained):
     zero = np.zeros((1, 1, 16, 16))
@@ -234,11 +232,14 @@ def test_record_free_taps_are_bitwise_the_recording_taps(taps, n, seed,
         assert free[tap].tobytes() == recorded[tap].tobytes()
     assert all(getattr(layer, name) is None for layer in phi.layers
                for name in _RECORDS if hasattr(layer, name))
-    assert phi.features(x).tobytes() == \
-        phi.forward_taps(x, (FINAL_FEATURE,))[FINAL_FEATURE].tobytes()
+    feats = phi.features(x)
+    for start in range(0, n - PSI_BLOCK + 1, PSI_BLOCK):  # each full block
+        block = x[start:start + PSI_BLOCK]
+        assert feats[start:start + PSI_BLOCK].tobytes() == \
+            phi.forward_taps(block, (FINAL_FEATURE,))[FINAL_FEATURE].tobytes()
 
 
-def test_record_free_features_run_only_fc_over_all_rows():
+def test_record_free_features_run_every_layer_on_8_row_blocks():
     phi = build_phi("fixed_random", 4, SMALL_SPEC)
     rows = {}
     for layer in phi.layers:
@@ -247,16 +248,17 @@ def test_record_free_features_run_only_fc_over_all_rows():
                             []).append(len(x))
             return forward(x, keep=keep)
         layer.forward = spy
-    phi.features(np.zeros((20, 1, 16, 16)))
-    # 20 crops in near-equal blocks of at most PSI_BLOCK, one fc product
-    assert rows["conv1"] == rows["conv2"] == [6, 7, 7]
-    assert max(rows["conv1"]) <= PSI_BLOCK and rows["fc"] == [20]
-    rows.clear()
-    phi.features(np.zeros((130, 1, 16, 16)))
-    # near-equal fc chunks of at most INFERENCE_CHUNK, each in blocks
-    assert rows["fc"] == [43, 43, 44] and max(rows["fc"]) <= INFERENCE_CHUNK
-    assert rows["conv1"] == rows["conv2"] == [7, 7, 7, 7, 7, 8] * 2 + \
-        [7, 7, 8] * 2
+    for n in (1, 20, 130):
+        rows.clear()
+        phi.features(np.zeros((n, 1, 16, 16)))
+        # blocks of PSI_BLOCK rows, the last one shorter before fc and
+        # zero-padded from fc on
+        blocks = [min(PSI_BLOCK, n - start) for start in range(0, n, PSI_BLOCK)]
+        assert rows["conv1"] == rows["conv2"] == blocks
+        assert rows["fc"] == [PSI_BLOCK] * len(blocks)
+        # per block: the MFMs after conv1 and conv2, then fc's
+        assert rows["MaxFeatureMap"] == [r for block in blocks
+                                         for r in (block, block, PSI_BLOCK)]
 
 
 def test_backward_taps_after_a_record_free_forward_raises():
@@ -315,5 +317,6 @@ def test_accuracy_pass_peak_memory_in_batch_sized_chunks(default_classifier):
     preds = classify(phi, head, crops)
     assert preds.shape == (256,)
     # 12.0 MiB here when each 64-row chunk ran φ's whole stack at once,
-    # 6.0 MiB in 32-row chunks, about 2.1 MiB in one blocked features pass
+    # 6.0 MiB in 32-row chunks, 2.1 MiB with 64-row fc chunks, 1.6 MiB in
+    # 8-row blocks
     assert _traced_peak(lambda: classify(phi, head, crops)) < 8 * 2 ** 20

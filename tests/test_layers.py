@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from demesh.layers import (PSI_BLOCK, Conv2d, Dense, FrozenParameterError,
-                           INFERENCE_CHUNK, MaxFeatureMap,
-                           MaxPool2x2, MaxUnpool2x2, NonFiniteGradientError,
-                           NoRecordError, Param, ReLU, ShapeError, Sigmoid,
-                           adam_step, chunk_slices, gather_pool_indices,
+from demesh.layers import (GRAD_STEP, Conv2d, Dense, FrozenParameterError,
+                           MaxFeatureMap, MaxPool2x2, MaxUnpool2x2,
+                           NonFiniteGradientError, NoRecordError, Param, ReLU,
+                           ShapeError, Sigmoid, adam_step, gather_pool_indices,
                            grad_check, he_normal, maxpool2_indices, mfm,
                            mfm_backward, unpool_indices)
 
@@ -601,10 +600,9 @@ def test_grad_check_flags_corrupted_backward():
 def test_grad_check_compares_across_a_kink_with_the_nearer_one_sided_step():
     # sum(relu(x - k)): coordinate 0's kink lies half a step right of x, the
     # other coordinates sit on the kink's linear side
-    step = 1e-5
     x = np.random.default_rng(17).normal(size=5)
     k = x - 1.0
-    k[0] = x[0] + step / 2
+    k[0] = x[0] + GRAD_STEP / 2
 
     def fn(v, grad_at_kink=0.0):  # the gradient at x, the one compared
         g = (v > k).astype(float)
@@ -612,9 +610,9 @@ def test_grad_check_compares_across_a_kink_with_the_nearer_one_sided_step():
         return float(np.sum(np.maximum(v - k, 0.0))), g
 
     # the central difference reads 0.25 there, the one-sided ones 0 and 0.5
-    assert grad_check(fn, x, step=step).passed
-    assert not grad_check(lambda v: fn(v, 1.0), x, step=step).passed
-    report = grad_check(lambda v: (fn(v)[0], 2.0 * fn(v)[1]), x, step=step)
+    assert grad_check(fn, x).passed
+    assert not grad_check(lambda v: fn(v, 1.0), x).passed
+    report = grad_check(lambda v: (fn(v)[0], 2.0 * fn(v)[1]), x)
     assert not report.passed and report.worst_index != (0,)
 
 
@@ -727,30 +725,3 @@ def test_recording_unpool_leaves_indices_for_both_backward_passes():
     assert pool.indices is None
     with pytest.raises(NoRecordError):
         unpool.backward(np.ones((1, 2, 4, 4)))
-
-
-# ---------------------------------------------------------------------------
-# chunked inference
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(0, 1000))
-@example(0)
-@example(8)
-@example(9)
-@example(64)
-@example(65)
-@example(128)
-@example(129)
-def test_chunk_slices_cover_the_rows_in_order_with_near_equal_chunks(n):
-    for rows in (INFERENCE_CHUNK, PSI_BLOCK):  # φ's fc chunk and its block
-        chunks = chunk_slices(n, rows)
-        covered = [i for chunk in chunks for i in range(n)[chunk]]
-        assert covered == list(range(n))
-        assert all(chunk.step is None for chunk in chunks)
-        lengths = [chunk.stop - chunk.start for chunk in chunks]
-        assert len(chunks) == max(1, -(-n // rows))
-        assert max(lengths) - min(lengths) <= 1
-        assert max(lengths) <= rows
-        if n > rows:
-            assert min(lengths) >= rows // 2

@@ -96,6 +96,18 @@ def test_load_config_raises_config_error_for_text_and_values(tmp_path):
     with pytest.raises(ConfigError, match=f"{path}: loss weights .*lambda_mask"):
         load_config(path)
 
+@pytest.mark.parametrize("make, reason", [
+    pytest.param(lambda path: path.mkdir(), "Is a directory", id="directory"),
+    pytest.param(lambda path: None, "No such file or directory",
+                 id="missing")])
+def test_load_config_raises_config_error_for_a_file_it_cannot_read(
+        tmp_path, make, reason):
+    path = tmp_path / "config.txt"
+    make(path)
+    with pytest.raises(ConfigError, match=f"^{path}: cannot read config: "
+                                          f"{reason}$"):
+        load_config(path)
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
 def test_config_byte_flips_and_truncations_load_or_raise_config_error(

@@ -9,7 +9,7 @@ from demesh import stn
 from demesh.facegen import SplitData, load_split, make_dataset, to_float
 from demesh.featnet import FINAL_FEATURE, FeatureSpec, build_phi
 from demesh.inpaint import InpaintSpec, build_psi
-from demesh.layers import INFERENCE_CHUNK, PSI_BLOCK, ShapeError, chunk_slices
+from demesh.layers import PSI_BLOCK, ShapeError
 from demesh.trainer import evaluate
 from demesh.verifier import (EvalReport, FPR_TARGETS, RocTableError, ScoreSet,
                              _aligned_features, feature_rmse, psnr,
@@ -388,16 +388,14 @@ def test_protocol_scoreset_counts_follow_identity_count(protocol_setup):
 
 
 # ---------------------------------------------------------------------------
-# chunked inference
+# blocked inference
 # ---------------------------------------------------------------------------
 
-CHUNK_PHI = build_phi("fixed_random", seed=4, spec=FeatureSpec())
-CHUNK_PSI = build_psi(InpaintSpec(height=16, width=12, widths=(4, 8)), seed=8)
-# row counts just past one and two chunks of 64: fixed 64-row chunks leave a
-# remainder of 1-7 rows there, whose φ features round differently
-EDGE_ROWS = (*range(65, 72), *range(129, 136))
-# row counts around one, two and eight of ψ's 8-row blocks
-BLOCK_EDGE_ROWS = (*range(7, 10), *range(15, 18), *range(63, 66))
+BLOCK_PHI = build_phi("fixed_random", seed=4, spec=FeatureSpec())
+BLOCK_PSI = build_psi(InpaintSpec(height=16, width=12, widths=(4, 8)), seed=8)
+# row counts around one, two, eight and sixteen 8-row blocks
+BLOCK_EDGE_ROWS = (*range(7, 10), *range(15, 18), *range(63, 72),
+                   *range(129, 136))
 
 
 def with_rows(counts):
@@ -416,30 +414,55 @@ def faces(n, seed, h=64, w=48):
     return rng.uniform(size=(n, 1, h, w)), np.stack([left, right], axis=1)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+class HeldCrops:
+    """The first ``n`` of ``crops`` as ``FeatureNet.features`` reads them,
+    each slice recorded; the array holds a block of rows more than
+    ``len()``, as a loader may."""
+
+    def __init__(self, crops, n):
+        self.crops, self.n, self.read = crops, n, []
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, rows):
+        self.read.append(rows)
+        return self.crops[rows]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
 @given(n=st.integers(1, 200), seed=st.integers(0, 2 ** 16))
-@with_rows(EDGE_ROWS)
-def test_chunked_phi_features_are_bitwise_the_one_batch_features(n, seed):
-    images, eyes = faces(n, seed)
-    grid = stn.alignment_grid(eyes, 64, 48, CHUNK_PHI.in_h, CHUNK_PHI.in_w)
-    # φ's whole stack over all crops at once, with no block of any stage
-    one_batch = CHUNK_PHI.forward_taps(stn.bilinear_sample(images, grid),
-                                       taps=(FINAL_FEATURE,),
-                                       keep=False)[FINAL_FEATURE]
-    assert _aligned_features(CHUNK_PHI, lambda rows: images[rows],
-                             eyes).tobytes() == one_batch.tobytes()
+@with_rows((*range(1, PSI_BLOCK + 1), 66, 400, 401))
+def test_phi_features_of_each_row_are_those_of_the_row_alone(n, seed):
+    crops = np.random.default_rng(seed).uniform(
+        size=(n + PSI_BLOCK, 1, BLOCK_PHI.in_h, BLOCK_PHI.in_w))
+    held = HeldCrops(crops, n)
+    feats = BLOCK_PHI.features(held)
+    # each row read once, in order, by slices inside [0, n)
+    assert [i for rows in held.read for i in range(rows.start, rows.stop)] \
+        == list(range(n))
+    assert all(0 <= rows.start < rows.stop <= n for rows in held.read)
+    for i in range(n):
+        assert feats[i].tobytes() == \
+            BLOCK_PHI.features(crops[i:i + 1])[0].tobytes()
+    for start in range(0, n - PSI_BLOCK + 1, PSI_BLOCK):  # each full block
+        block = crops[start:start + PSI_BLOCK]
+        assert feats[start:start + PSI_BLOCK].tobytes() == \
+            BLOCK_PHI.forward_taps(block, (FINAL_FEATURE,),
+                                   keep=False)[FINAL_FEATURE].tobytes()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(n=st.integers(1, 200), seed=st.integers(0, 2 ** 16))
-@with_rows(EDGE_ROWS + BLOCK_EDGE_ROWS)
+@with_rows(BLOCK_EDGE_ROWS)
 def test_chunked_psi_is_bitwise_the_one_batch_forward(n, seed):
     xs = np.random.default_rng(seed).integers(0, 256, size=(n, 1, 16, 12),
                                               dtype=np.uint8)
-    blocks = [CHUNK_PSI.forward(to_float(xs[rows]), keep=False)
-              for rows in chunk_slices(n, PSI_BLOCK)]
+    blocks = [BLOCK_PSI.forward(to_float(xs[start:start + PSI_BLOCK]),
+                                keep=False)
+              for start in range(0, n, PSI_BLOCK)]
     assert np.concatenate(blocks).tobytes() == \
-        CHUNK_PSI.forward(to_float(xs), keep=False).tobytes()
+        BLOCK_PSI.forward(to_float(xs), keep=False).tobytes()
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -453,9 +476,9 @@ def test_features_of_a_cropping_view_are_bitwise_those_of_the_crops(n, seed):
         loaded.append(rows)
         return images[rows]
 
-    grid = stn.alignment_grid(eyes, 64, 48, CHUNK_PHI.in_h, CHUNK_PHI.in_w)
-    stacked = CHUNK_PHI.features(stn.bilinear_sample(images, grid))
-    assert _aligned_features(CHUNK_PHI, load, eyes).tobytes() == \
+    grid = stn.alignment_grid(eyes, 64, 48, BLOCK_PHI.in_h, BLOCK_PHI.in_w)
+    stacked = BLOCK_PHI.features(stn.bilinear_sample(images, grid))
+    assert _aligned_features(BLOCK_PHI, load, eyes).tobytes() == \
         stacked.tobytes()
     # one call per row, in order, in blocks of at most PSI_BLOCK rows
     assert [i for rows in loaded for i in range(n)[rows]] == list(range(n))
@@ -464,15 +487,15 @@ def test_features_of_a_cropping_view_are_bitwise_those_of_the_crops(n, seed):
 
 def test_aligned_features_hold_one_chunk_at_a_time():
     images, eyes = faces(400, seed=6)
-    _aligned_features(CHUNK_PHI, lambda rows: images[rows], eyes[:2])
+    _aligned_features(BLOCK_PHI, lambda rows: images[rows], eyes[:2])
     tracemalloc.start()
     try:
-        feats = _aligned_features(CHUNK_PHI, lambda rows: images[rows], eyes)
+        feats = _aligned_features(BLOCK_PHI, lambda rows: images[rows], eyes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert feats.shape == (400, FeatureSpec().feature_width)
-    # one block of images and crops, and one chunk of crops for φ's fc
+    # one block of images, crops and φ's activations
     assert peak < 4 * 2 ** 20
 
 
@@ -482,31 +505,22 @@ def test_aligned_features_hold_one_chunk_at_a_time():
 
 def stacked_run_protocol(model, recover_all, data, phi):
     """``run_protocol`` as it was before it streamed: ``recover_all`` maps
-    all N corrupted graymaps to one (N, 1, H, W) stack, PSNR runs in ψ's
-    blocks over that stack, and φ's whole stack runs on each 64-row chunk
-    of crops."""
+    all N corrupted graymaps to one (N, 1, H, W) stack, PSNR runs over that
+    stack, and φ's features over one stack of all N crops."""
     recovered = recover_all(data.x)
-    dbs = np.concatenate([psnr(recovered[rows], to_float(data.y[rows]))
-                          for rows in chunk_slices(len(recovered), PSI_BLOCK)])
+    dbs = psnr(recovered, to_float(data.y))
 
-    def features(load, eyes):
-        def crop_features(rows):
-            images = load(rows)
-            grid = stn.alignment_grid(eyes[rows], *images.shape[2:],
-                                      phi.in_h, phi.in_w)
-            return phi.forward_taps(stn.bilinear_sample(images, grid),
-                                    taps=(FINAL_FEATURE,),
-                                    keep=False)[FINAL_FEATURE]
-        return np.concatenate([crop_features(rows) for rows in
-                               chunk_slices(len(eyes), INFERENCE_CHUNK)])
+    def features(images, eyes):
+        grid = stn.alignment_grid(np.asarray(eyes), *images.shape[2:],
+                                  phi.in_h, phi.in_w)
+        return phi.features(stn.bilinear_sample(images, grid))
 
-    feats = features(lambda rows: recovered[rows], data.eyes)
-    clear = features(lambda rows: to_float(data.y[rows]), data.eyes)
+    feats = features(recovered, data.eyes)
+    clear = features(to_float(data.y), data.eyes)
     gallery_rows = np.sort(np.unique(data.identity, return_index=True)[1])
     idents = [data.identity[i] for i in gallery_rows]
     probe_imgs, probe_eyes = zip(*(data.dailies[ident] for ident in idents))
-    probes = features(lambda rows: to_float(np.stack(probe_imgs[rows])),
-                      probe_eyes)
+    probes = features(to_float(np.stack(probe_imgs)), probe_eyes)
     table = roc(verification_scores(feats[gallery_rows], probes))
     return EvalReport(model, float(np.mean(dbs)), feature_rmse(feats, clear),
                       {t: tpr_at_fpr(table, t) for t in FPR_TARGETS}, table)
@@ -550,9 +564,9 @@ def test_streamed_protocol_is_bitwise_the_stacked_protocol(
         tmp_path_factory, n, seed):
     data = gallery_split(n, seed)
     streamed = outcome(tmp_path_factory.mktemp("streamed"), lambda: evaluate(
-        "m", CHUNK_PSI, data, STREAM_PHI))
+        "m", BLOCK_PSI, data, STREAM_PHI))
     stacked = outcome(tmp_path_factory.mktemp("stacked"), lambda:
-                      stacked_run_protocol("m", lambda xs: CHUNK_PSI.forward(
+                      stacked_run_protocol("m", lambda xs: BLOCK_PSI.forward(
                           to_float(xs), keep=False), data, STREAM_PHI))
     assert streamed == stacked
     if n == 1:  # one identity has no impostor pairs
@@ -562,10 +576,10 @@ def test_streamed_protocol_is_bitwise_the_stacked_protocol(
 def test_protocol_holds_no_stack_of_recoveries():
     data = gallery_split(400, seed=9, h=64, w=48)
     psi = build_psi(InpaintSpec(), seed=8)
-    evaluate("warm", psi, gallery_split(3, seed=10, h=64, w=48), CHUNK_PHI)
+    evaluate("warm", psi, gallery_split(3, seed=10, h=64, w=48), BLOCK_PHI)
     tracemalloc.start()
     try:
-        report = evaluate("m", psi, data, CHUNK_PHI)
+        report = evaluate("m", psi, data, BLOCK_PHI)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -597,7 +611,7 @@ def test_report_tsv_and_roc_round_trip(tmp_path):
 @pytest.fixture(scope="module")
 def roc_blob(tmp_path_factory):
     """The bytes of a ROC table the protocol wrote for 12 gallery rows."""
-    report = evaluate("m", CHUNK_PSI, gallery_split(12, seed=3), STREAM_PHI)
+    report = evaluate("m", BLOCK_PSI, gallery_split(12, seed=3), STREAM_PHI)
     return write_roc_tsv(report, tmp_path_factory.mktemp("roc")).read_bytes()
 
 
