@@ -5,27 +5,11 @@ verification protocol needed to evaluate it end to end."""
 
 import os as _os
 
-
-def thread_cap() -> int:
-    """The DEMESH_THREADS worker cap (default 1); anything but a positive
-    integer raises ValueError."""
-    raw = _os.environ.get("DEMESH_THREADS", "1")
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValueError(
-            f"DEMESH_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
-
-
-# The only workers are the BLAS thread pools, and they must be capped before
-# numpy first loads. The default of 1 keeps runs deterministic and is
-# fastest for the small matmuls used here. An invalid cap is never copied;
-# cli.main reports it.
-try:
-    _cap = str(thread_cap())
-except ValueError:
-    pass
-else:
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _cap)
+# The only workers are the BLAS thread pools. One thread keeps runs
+# deterministic and is fastest for the small matmuls used here; a value the
+# user set is kept. This holds only when numpy has not loaded yet: a program
+# that imports numpy before demesh keeps numpy's pool.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
 
 __version__ = "0.1.0"

@@ -5,8 +5,7 @@ ROC plot-data emission.
 Every command is a pure function of its flags, input files and seeds;
 reruns produce byte-identical outputs. Failures print a single
 machine-parsable line ``error: <kind>: <message>`` on stderr and exit
-nonzero. DEMESH_THREADS caps the BLAS thread pools, the only workers; a
-value that is not a positive integer fails every command.
+nonzero.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import atomic, gradsuite, thread_cap, trainer, verifier
+from . import atomic, gradsuite, trainer, verifier
 from .facegen import make_dataset, pgm_bytes, read_pgm, validate_dataset
 from .featnet import load_phi
 from .inpaint import load_psi, save_psi
@@ -43,11 +42,10 @@ def cmd_gen_data(args) -> int:
 
 def _resolve_phi(cfg, phi_path: str | None, out: Path, needed: bool,
                  render_hw: tuple[int, int]):
-    if phi_path is not None:
-        return trainer.ensure_phi(cfg, phi_path, render_hw)
-    if needed:
-        return trainer.ensure_phi(cfg, out / "phi.ckpt", render_hw)
-    return None
+    if phi_path is None and not needed:
+        return None
+    return trainer.ensure_phi(
+        cfg, out / "phi.ckpt" if phi_path is None else phi_path, render_hw)
 
 
 def cmd_train(args) -> int:
@@ -264,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        thread_cap()
         return args.func(args)
     except Exception as exc:  # one machine-parsable line, nonzero exit
         message = " ".join(str(exc).split())

@@ -29,6 +29,7 @@ MASK_DENSITY_MIN = 0.03
 MASK_DENSITY_MAX = 0.25
 EYE_MARGIN = 2.0
 SPLITS = ("train", "val", "test")
+MANIFEST_HEADER = "split\tidentity\tsample\tkind"
 
 
 class RenderError(RuntimeError):
@@ -536,7 +537,7 @@ def make_dataset(out_dir: str | Path, n_identities: int,
     counts = split_counts(n_identities, ratios)
     _remove_splits(out)
     master = np.random.default_rng(seed)
-    rows = ["split\tidentity\tsample\tkind"]
+    rows = [MANIFEST_HEADER]
     idx = 0
     for split, count in zip(SPLITS, counts):
         for _ in range(count):
@@ -582,6 +583,10 @@ def read_manifest(root: str | Path) -> list[tuple[str, str, str, str]]:
         raise DatasetError(f"{path}: not UTF-8 text: {exc}") from None
     except OSError as exc:
         raise DatasetError(f"{path}: cannot read manifest: {exc.strerror}") from None
+    header = lines[0] if lines else ""
+    if header != MANIFEST_HEADER:
+        raise DatasetError(f"{path}:1: expected the header "
+                           f"{MANIFEST_HEADER!r}, got {header!r}")
     rows = []
     for number, line in enumerate(lines[1:], start=2):
         row = tuple(line.split("\t"))

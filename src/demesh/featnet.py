@@ -31,32 +31,29 @@ FINAL_FEATURE = "final_feature"
 # φ pretraining's classifier batch and Adam step size
 PRETRAIN_BATCH = 32
 PRETRAIN_LR = 1e-3
+# every conv's square kernel; its padding keeps the extent
+KERNEL = 3
 
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Input crop extents, conv widths per block (pre-activation, even),
-    kernel size, and the final feature width."""
+    """The square input crop's extent, conv widths per block
+    (pre-activation, even), and the final feature width."""
 
-    in_h: int = 32
-    in_w: int = 32
+    crop: int = 32
     widths: tuple[int, ...] = (16, 32)
-    kernel: int = 3
     feature_width: int = 64
 
     def validate(self) -> None:
-        if min(self.in_h, self.in_w, self.kernel, self.feature_width,
-               *self.widths) < 1 or self.kernel % 2 == 0:
-            raise ValueError(f"extents, widths and the kernel must be positive "
-                             f"and the kernel odd, got {self}")
+        if min(self.crop, self.feature_width, *self.widths) < 1:
+            raise ValueError(f"the crop and every width must be positive, "
+                             f"got {self}")
         if any(w % 2 for w in self.widths):
             raise ValueError(f"conv widths must be even (max-feature-map halves "
                              f"them), got {self.widths}")
-        factor = 2 ** len(self.widths)
-        if self.in_h % factor or self.in_w % factor:
-            raise ShapeError(
-                f"crop extents {self.in_h}x{self.in_w} not divisible by 2^"
-                f"{len(self.widths)}")
+        if self.crop % 2 ** len(self.widths):
+            raise ShapeError(f"crop extent {self.crop} not divisible by 2^"
+                             f"{len(self.widths)}")
 
 
 class FeatureNet:
@@ -74,7 +71,7 @@ class FeatureNet:
         self.layers = layers
         self.taps = taps
         self.spec = spec
-        self.in_h, self.in_w = spec.in_h, spec.in_w
+        self.crop = spec.crop
         self.pretrain_accuracy: float | None = None
 
     @classmethod
@@ -85,19 +82,18 @@ class FeatureNet:
         layers: list = []
         taps: dict[str, int] = {}
         prev = 1
-        h, w = spec.in_h, spec.in_w
+        side = spec.crop
         for i, width in enumerate(spec.widths, start=1):
-            layers.append(Conv2d(prev, width, spec.kernel,
-                                 pad=spec.kernel // 2, name=f"conv{i}",
-                                 init=init))
+            layers.append(Conv2d(prev, width, KERNEL, pad=KERNEL // 2,
+                                 name=f"conv{i}", init=init))
             layers.append(MaxFeatureMap())
             # the early tap reads the deepest conv activation before pooling
             taps[EARLY_CONV] = len(layers) - 1
             layers.append(MaxPool2x2())
             prev = width // 2
-            h, w = h // 2, w // 2
-        layers.append(Dense(prev * h * w, 2 * spec.feature_width, name="fc",
-                            init=init))
+            side //= 2
+        layers.append(Dense(prev * side * side, 2 * spec.feature_width,
+                            name="fc", init=init))
         layers.append(MaxFeatureMap())
         taps[FINAL_FEATURE] = len(layers) - 1
         return cls(layers, taps, spec)
@@ -111,9 +107,9 @@ class FeatureNet:
             p.freeze()
 
     def _check_input(self, x: Array) -> None:
-        if x.ndim != 4 or x.shape[1:] != (1, self.in_h, self.in_w):
+        if x.ndim != 4 or x.shape[1:] != (1, self.crop, self.crop):
             raise ShapeError(
-                f"expected crops (N, 1, {self.in_h}, {self.in_w}), got {x.shape}")
+                f"expected crops (N, 1, {self.crop}, {self.crop}), got {x.shape}")
 
     def forward_taps(self, x: Array, taps: tuple[str, ...] | None = None, *,
                      keep: bool = True) -> dict[str, Array]:
@@ -185,17 +181,17 @@ def _aligned_identity_crops(spec: FeatureSpec, rng: np.random.Generator,
     """Render jittered faces per synthetic identity and align each
     identity's renders to the crop extent using their exact landmarks."""
     h, w = render_hw
-    crops = np.empty((n_identities, per_identity, 1, spec.in_h, spec.in_w))
+    crops = np.empty((n_identities, per_identity, 1, spec.crop, spec.crop))
     for i in range(n_identities):
         ident = facegen.sample_identity(
             f"phi{i:03d}", int(rng.integers(0, 2 ** 63)), h, w)
         images, eyes = zip(*(facegen.render_face(ident,
                                                  int(rng.integers(0, 2 ** 63)))
                              for _ in range(per_identity)))
-        grid = stn.alignment_grid(np.stack(eyes), h, w, spec.in_h, spec.in_w)
+        grid = stn.alignment_grid(np.stack(eyes), h, w, spec.crop, spec.crop)
         crops[i] = stn.bilinear_sample(np.stack(images), grid)
     labels = np.repeat(np.arange(n_identities, dtype=np.int64), per_identity)
-    return crops.reshape(-1, 1, spec.in_h, spec.in_w), labels
+    return crops.reshape(-1, 1, spec.crop, spec.crop), labels
 
 
 def build_phi(mode: str = "pretrain", seed: int = 0,

@@ -138,8 +138,7 @@ def _phi_loss_args(rng, mask: bool = False,
     when ``cfg`` aligns, a pixel mask when ``mask``, and each reverse-Huber
     tap's threshold held at the one the prediction gives."""
     phi = build_phi("fixed_random", seed=int(rng.integers(2 ** 31)),
-                    spec=FeatureSpec(in_h=8, in_w=8, widths=(4,),
-                                     feature_width=8))
+                    spec=FeatureSpec(crop=8, widths=(4,), feature_width=8))
     args = dict(target=rng.uniform(size=(1, 1, 12, 10)),
                 pred=rng.uniform(size=(1, 1, 12, 10)),
                 eyes=_eyes(rng, 1, (2.5, 4), (6, 8), (3, 5)) if cfg.align

@@ -241,24 +241,21 @@ def maxpool2_indices(x: Array) -> tuple[Array, Array]:
     return out.reshape(pooled), idx.reshape(pooled)
 
 
-def unpool_indices(x: Array, indices: Array, out_hw: tuple[int, int]) -> Array:
+def unpool_indices(x: Array, indices: Array) -> Array:
     """Scatter pooled values back to their recorded argmax positions.
 
-    The result is zero everywhere except at the recorded index of each 2x2
-    window, where it equals the corresponding pooled value (a -0.0 comes
-    back as +0.0).
+    The result has twice ``x``'s extent (``maxpool2_indices`` pools only
+    even extents) and is zero everywhere except at the recorded index of
+    each 2x2 window, where it equals the corresponding pooled value (a -0.0
+    comes back as +0.0).
     """
-    n, c, oh, ow = x.shape
-    h, w = out_hw
+    n, c, h, w = x.shape
     if indices.shape != x.shape:
         raise ShapeError(
             f"index map shape {indices.shape} does not match input {x.shape}")
-    if (h, w) != (2 * oh, 2 * ow):
-        raise ShapeError(
-            f"output extent {h}x{w} does not match pooled input {oh}x{ow}")
     if indices.min() < 0 or indices.max() > 3:
         raise ValueError("pooling index out of bounds (expected 0..3)")
-    out = np.empty((n, c, h, w))
+    out = np.empty((n, c, 2 * h, 2 * w))
     for q, view in enumerate(_window_views(out)):
         np.multiply(x, indices == q, out=view)
     out += 0.0  # -0.0 becomes +0.0, as in a sum into zeros
@@ -423,7 +420,6 @@ class MaxPool2x2:
 
     def __init__(self):
         self.indices: Array | None = None
-        self.in_hw: tuple[int, int] | None = None
         self.paired = False
 
     def params(self) -> list[Param]:
@@ -432,13 +428,12 @@ class MaxPool2x2:
     def forward(self, x: Array, *, keep: bool = True) -> Array:
         out, indices = maxpool2_indices(x)
         self.indices = indices if keep or self.paired else None
-        self.in_hw = x.shape[2:]
         return out
 
     def backward(self, grad: Array) -> Array:
         indices = _recorded(self.indices, self)
         self.indices = None
-        return unpool_indices(grad, indices, self.in_hw)
+        return unpool_indices(grad, indices)
 
 
 class MaxUnpool2x2:
@@ -456,7 +451,7 @@ class MaxUnpool2x2:
     def forward(self, x: Array, *, keep: bool = True) -> Array:
         if self.pool.indices is None:
             raise RuntimeError("paired pool layer has not run forward yet")
-        out = unpool_indices(x, self.pool.indices, self.pool.in_hw)
+        out = unpool_indices(x, self.pool.indices)
         if not keep:
             self.pool.indices = None
         return out

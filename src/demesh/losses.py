@@ -162,8 +162,8 @@ def _feature_grid(pred: Array, eyes, phi: FeatureNet, align: bool):
     if align:
         if np.shape(eyes) != (n, 2, 2):
             raise ValueError(f"need ({n}, 2, 2) eyes, got {np.shape(eyes)}")
-        return stn.alignment_grid(eyes, h, w, phi.in_h, phi.in_w)
-    return stn.resize_grid(n, phi.in_h, phi.in_w)
+        return stn.alignment_grid(eyes, h, w, phi.crop, phi.crop)
+    return stn.resize_grid(n, phi.crop, phi.crop)
 
 
 def _tap_residuals(pred: Array, target: Array, eyes, phi: FeatureNet,

@@ -91,8 +91,7 @@ class TrainConfig:
         return InpaintSpec(*extent, self.arch_widths, self.kernel)
 
     def phi_spec(self) -> FeatureSpec:
-        return FeatureSpec(self.crop, self.crop, self.phi_widths,
-                           feature_width=self.phi_feature_width)
+        return FeatureSpec(self.crop, self.phi_widths, self.phi_feature_width)
 
     def loss_config(self) -> LossConfig:
         return losses.variant_config(self.variant, self.lambda_mask,
@@ -255,24 +254,22 @@ def evaluate(name: str, net: InpaintNet, data: SplitData,
 
 def _phi_keys(spec: FeatureSpec) -> dict[str, str]:
     """The config keys that set ``spec``, each with its value as a config
-    writes it; φ's kernel, which no key sets, is listed too."""
-    crop = spec.in_h if spec.in_h == spec.in_w else f"{spec.in_h}x{spec.in_w}"
-    return {"crop": str(crop), "phi_widths": ",".join(map(str, spec.widths)),
-            "phi_feature_width": str(spec.feature_width),
-            "phi kernel": str(spec.kernel)}
+    writes it."""
+    return {"crop": str(spec.crop),
+            "phi_widths": ",".join(map(str, spec.widths)),
+            "phi_feature_width": str(spec.feature_width)}
 
 
-def ensure_phi(cfg: TrainConfig, path: str | Path | None,
+def ensure_phi(cfg: TrainConfig, path: str | Path,
                render_hw: tuple[int, int]) -> FeatureNet:
     """Load the frozen feature net from ``path`` if present, else build it
     deterministically from the config, pretraining on renders of
-    ``render_hw`` (the train split's extent), and persist it when a path is
-    given.
+    ``render_hw`` (the train split's extent), and save it there.
 
     A loaded net whose architecture differs from the config's raises
     ConfigError naming each differing key with both values.
     """
-    if path is not None and Path(path).exists():
+    if Path(path).exists():
         phi = load_phi(path)
         want, got = _phi_keys(cfg.phi_spec()), _phi_keys(phi.spec)
         diffs = [f"{key} = {want[key]} in the config, {got[key]} in the "
@@ -287,8 +284,7 @@ def ensure_phi(cfg: TrainConfig, path: str | Path | None,
                     per_identity=cfg.phi_per_identity,
                     steps=cfg.phi_steps,
                     render_hw=render_hw)
-    if path is not None:
-        save_phi(phi, path)
+    save_phi(phi, path)
     return phi
 
 

@@ -136,16 +136,15 @@ class _AlignedCrops:
     as φ reads it."""
     load: Callable[[slice], Array]
     eyes: Array
-    h: int
-    w: int
+    crop: int
 
     def __len__(self) -> int:
         return len(self.eyes)
 
     def __getitem__(self, rows: slice) -> Array:
         images = self.load(rows)
-        grid = stn.alignment_grid(self.eyes[rows], *images.shape[2:], self.h,
-                                  self.w)
+        grid = stn.alignment_grid(self.eyes[rows], *images.shape[2:],
+                                  self.crop, self.crop)
         return stn.bilinear_sample(images, grid)
 
 
@@ -154,7 +153,7 @@ def _aligned_features(phi: FeatureNet, load, eyes) -> Array:
     a slice of rows' float images (n, 1, H, W); it is called once per row,
     one ``PSI_BLOCK`` block at a time as ``FeatureNet.features`` reads
     them, and each block is cropped as it is loaded."""
-    return phi.features(_AlignedCrops(load, eyes, phi.in_h, phi.in_w))
+    return phi.features(_AlignedCrops(load, eyes, phi.crop))
 
 
 def clear_features(data: SplitData, phi: FeatureNet) -> Array:

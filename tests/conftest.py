@@ -2,6 +2,5 @@ import os
 
 # cap BLAS pools before numpy first loads anywhere in the test process;
 # single-threaded runs are deterministic and fastest at these matrix sizes
-os.environ.setdefault("DEMESH_THREADS", "1")
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(var, os.environ["DEMESH_THREADS"])
+    os.environ.setdefault(var, "1")

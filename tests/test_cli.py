@@ -2,6 +2,7 @@ import errno
 import hashlib
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -273,7 +274,7 @@ def test_eval_reports_a_non_finite_parameter_on_one_line(
     psi, phi = tmp_path / "psi.ckpt", tmp_path / "phi.ckpt"
     shutil.copyfile(trained_checkpoint, psi)
     save_phi(build_phi("fixed_random", seed=9, spec=FeatureSpec(
-        in_h=16, in_w=16, widths=(8, 16), feature_width=32)), phi)
+        crop=16, widths=(8, 16), feature_width=32)), phi)
     path, load, save = (psi, load_psi, save_psi) if net == "psi" \
         else (phi, load_phi, save_phi)
     loaded = load(path)
@@ -284,6 +285,34 @@ def test_eval_reports_a_non_finite_parameter_on_one_line(
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: CheckpointError: {path}: parameter '{name}' "
                    f"holds non-finite values"]
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_a_phi_with_the_older_arch_header_fails_on_one_line(
+        trained_checkpoint, dataset, tmp_path, capsys, command):
+    # the header φ was saved with while its spec held two crop extents and
+    # a kernel; the parameter records are as today's
+    phi = tmp_path / "phi.ckpt"
+    save_phi(build_phi("fixed_random", seed=9, spec=FeatureSpec(
+        crop=16, widths=(8, 16), feature_width=32)), phi)
+    blob = phi.read_bytes()
+    (n,) = struct.unpack_from("<I", blob, 8)
+    old = (b"kind = feature\nin_h = 16\nin_w = 16\nwidths = 8,16\n"
+           b"kernel = 3\nfeature_width = 32\n")
+    phi.write_bytes(blob[:8] + struct.pack("<I", len(old)) + old
+                    + blob[12 + n:])
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(trained_checkpoint),
+                "--data", str(dataset)]
+    else:
+        cfg_path = tmp_path / "config.txt"
+        write_tiny_config(cfg_path, dataset, variant="demesh", total_steps=2)
+        argv = ["train", "--config", str(cfg_path)]
+    assert run_cli(*argv, "--phi", str(phi), "--out", str(out)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: CheckpointError: {phi}: bad arch text: unknown config key "
+        f"'in_h' in 'in_h = 16'"]
+    assert not out.exists() or not any(out.iterdir())
 
 def test_inpaint_reports_a_truncated_graymap_on_one_line(
         trained_checkpoint, dataset, tmp_path, capsys):
@@ -602,27 +631,15 @@ def test_roc_plot_refuses_a_bad_table_before_writing(roc_dir, tmp_path,
 # environment contract
 # ---------------------------------------------------------------------------
 
-def test_worker_cap_env_var_is_validated(monkeypatch, capsys):
-    monkeypatch.setenv("DEMESH_THREADS", "zero")
-    assert run_cli("gradcheck", "--module", "stn", "--points", "1") == 1
-    assert "DEMESH_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("DEMESH_THREADS", "2")
-    assert run_cli("gradcheck", "--module", "stn", "--points", "1") == 0
-
-
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-@pytest.mark.parametrize("cap, copied", [("zero", None), ("0", None),
-                                         ("3", "3"), (None, "1")])
-def test_import_copies_only_a_valid_thread_cap(cap, copied):
-    env = {k: v for k, v in os.environ.items()
-           if k not in BLAS_VARS + ("DEMESH_THREADS",)}
-    if cap is not None:
-        env["DEMESH_THREADS"] = cap
+def test_import_sets_unset_blas_thread_counts_to_one_and_keeps_set_ones():
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["OMP_NUM_THREADS"] = "3"
     env["PYTHONPATH"] = str(Path(demesh.__file__).parents[1])
     probe = "import os, demesh; print([os.environ.get(v) for v in %r])" \
         % (BLAS_VARS,)
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == str([copied] * len(BLAS_VARS))
+    assert out.strip() == str(["1", "3", "1"])

@@ -446,6 +446,8 @@ _PGM_2X2 = b"P5\n2 2\n255\n\x00\x01\x02\x03"
     pytest.param("manifest.tsv",
                  (_MANIFEST_HEAD + "train\tid\x00\ts000\ttriplet\n").encode(),
                  "expected split", id="manifest-nul-in-identity"),
+    pytest.param("manifest.tsv", b"train\tid0000\ts000\ttriplet\n",
+                 "manifest.tsv:1: expected the header", id="manifest-no-header"),
 ])
 def test_malformed_dataset_files_raise_dataset_error(tmp_path, name, content,
                                                      match):

@@ -12,7 +12,7 @@ from demesh.layers import (PSI_BLOCK, Dense, FrozenParameterError,
                            NoRecordError, ShapeError, adam_step, grad_check,
                            he_normal)
 
-SMALL_SPEC = FeatureSpec(in_h=16, in_w=16, widths=(8, 16), feature_width=32)
+SMALL_SPEC = FeatureSpec(crop=16, widths=(8, 16), feature_width=32)
 
 
 def _trainable_phi(seed: int, spec: FeatureSpec = SMALL_SPEC) -> FeatureNet:
@@ -81,7 +81,7 @@ def test_distinct_images_do_not_reach_self_similarity(pretrained):
 def _aligned_render(identity, seed, spec):
     img, eyes = facegen.render_face(identity, seed)
     _, h, w = img.shape
-    grid = stn.alignment_grid(eyes[None], h, w, spec.in_h, spec.in_w)
+    grid = stn.alignment_grid(eyes[None], h, w, spec.crop, spec.crop)
     return stn.bilinear_sample(img[None], grid)[0]
 
 def test_intra_identity_similarity_exceeds_inter_identity(pretrained):
@@ -104,8 +104,7 @@ def test_intra_identity_similarity_exceeds_inter_identity(pretrained):
 
 def test_tap_gradient_matches_finite_differences():
     phi = build_phi("fixed_random", seed=9,
-                    spec=FeatureSpec(in_h=8, in_w=8, widths=(4,),
-                                     feature_width=8))
+                    spec=FeatureSpec(crop=8, widths=(4,), feature_width=8))
     rng = np.random.default_rng(9)
     weights = rng.normal(size=(1, 2, 8, 8))
 
@@ -118,8 +117,7 @@ def test_tap_gradient_matches_finite_differences():
 
 def test_two_tap_backward_matches_finite_differences():
     phi = build_phi("fixed_random", seed=10,
-                    spec=FeatureSpec(in_h=8, in_w=8, widths=(4,),
-                                     feature_width=8))
+                    spec=FeatureSpec(crop=8, widths=(4,), feature_width=8))
     rng = np.random.default_rng(10)
     w_early = rng.normal(size=(1, 2, 8, 8))
     w_final = rng.normal(size=(1, 8))

@@ -195,13 +195,12 @@ def test_default_arch_texts_are_pinned(tmp_path):
     save_phi(build_phi("fixed_random", seed=0), tmp_path / "phi.ckpt")
     save_psi(build_psi(InpaintSpec(), seed=0), tmp_path / "psi.ckpt")
     assert load_checkpoint(tmp_path / "phi.ckpt")[0] == (
-        "kind = feature\nin_h = 32\nin_w = 32\nwidths = 16,32\nkernel = 3\n"
-        "feature_width = 64\n")
+        "kind = feature\ncrop = 32\nwidths = 16,32\nfeature_width = 64\n")
     assert load_checkpoint(tmp_path / "psi.ckpt")[0] == (
         "kind = inpaint\nheight = 64\nwidth = 48\nwidths = 16,32\nkernel = 3\n")
 
 
-PHI_SMALL = FeatureSpec(in_h=8, in_w=8, widths=(4,), feature_width=8)
+PHI_SMALL = FeatureSpec(crop=8, widths=(4,), feature_width=8)
 
 
 @pytest.fixture(scope="module")
@@ -223,9 +222,9 @@ def _with_arch(blob: bytes, arch: bytes) -> bytes:
 
 
 @pytest.mark.parametrize("net, old, new, match", [
-    ("phi", b"kernel = 3", b"kernxl = 3", "unknown config key 'kernxl'"),
-    ("phi", b"in_h = 8", b"in_h = 3x", "in_h = 3x"),
-    ("phi", b"kernel = 3\n", b"", "key is missing"),
+    ("phi", b"crop = 8", b"crxp = 8", "unknown config key 'crxp'"),
+    ("phi", b"crop = 8", b"crop = 3x", "crop = 3x"),
+    ("phi", b"feature_width = 8\n", b"", "key is missing"),
     ("phi", b"kind = feature", b"kind = inpaint", "names a 'inpaint' net"),
     ("psi", b"kind = inpaint\n", b"", "names a None net"),
     ("psi", b"kernel = 3", b"kernel = 4", "kernel must be odd"),

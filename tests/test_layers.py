@@ -197,24 +197,24 @@ def test_pool_rejects_odd_extents():
 def test_unpool_single_window_scatter():
     pooled = np.array(4.0).reshape(1, 1, 1, 1)
     idx = np.array(3, dtype=np.int64).reshape(1, 1, 1, 1)
-    out = unpool_indices(pooled, idx, (2, 2))
+    out = unpool_indices(pooled, idx)
     np.testing.assert_array_equal(out[0, 0], [[0.0, 0.0], [0.0, 4.0]])
 
 def test_unpool_zero_input_gives_zero_output():
     idx = np.zeros((1, 1, 2, 2), dtype=np.int64)
-    out = unpool_indices(np.zeros((1, 1, 2, 2)), idx, (4, 4))
+    out = unpool_indices(np.zeros((1, 1, 2, 2)), idx)
     assert not out.any()
 
 def test_unpool_rejects_out_of_range_indices():
     idx = np.full((1, 1, 1, 1), 4, dtype=np.int64)
     with pytest.raises(ValueError, match="out of bounds"):
-        unpool_indices(np.ones((1, 1, 1, 1)), idx, (2, 2))
+        unpool_indices(np.ones((1, 1, 1, 1)), idx)
 
 def test_pool_unpool_round_trip_is_sparse_identity():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 3, 8, 8))
     pooled, idx = maxpool2_indices(x)
-    restored = unpool_indices(pooled, idx, (8, 8))
+    restored = unpool_indices(pooled, idx)
     # plain-loop oracle: the recorded position of every window holds the
     # pooled value, everything else is zero
     expected = np.zeros_like(x)
@@ -228,7 +228,7 @@ def test_gather_is_adjoint_of_unpool_scatter():
     _, idx = maxpool2_indices(rng.normal(size=(1, 2, 8, 8)))
     u = rng.normal(size=(1, 2, 4, 4))
     v = rng.normal(size=(1, 2, 8, 8))
-    lhs = np.sum(unpool_indices(u, idx, (8, 8)) * v)
+    lhs = np.sum(unpool_indices(u, idx) * v)
     rhs = np.sum(u * gather_pool_indices(v, idx))
     assert abs(lhs - rhs) < 1e-12
 
@@ -280,7 +280,7 @@ def test_pool_kernels_match_stack_argmax_reference_bitwise(case):
     assert out.tobytes() == ref_out.tobytes()
     assert idx.dtype == np.int8 and np.array_equal(idx, ref_idx)
     with np.errstate(invalid="ignore"):  # inf * 0 in the reference
-        up, ref_up = unpool_indices(out, idx, x.shape[2:]), _ref_unpool(out, idx)
+        up, ref_up = unpool_indices(out, idx), _ref_unpool(out, idx)
     assert up.tobytes() == ref_up.tobytes()
     back, ref_back = gather_pool_indices(grad, idx), _ref_gather(grad, idx)
     assert back.dtype == ref_back.dtype and back.tobytes() == ref_back.tobytes()
@@ -698,8 +698,8 @@ def test_unpool_clears_its_pool_indices_after_a_record_free_read():
     pooled = pool.forward(x, keep=False)
     assert pool.indices is not None  # forward data for the paired unpool
     out = unpool.forward(pooled, keep=False)
-    assert out.tobytes() == unpool_indices(pooled, maxpool2_indices(x)[1],
-                                           (4, 4)).tobytes()
+    assert out.tobytes() == unpool_indices(
+        pooled, maxpool2_indices(x)[1]).tobytes()
     assert pool.indices is None
     with pytest.raises(NoRecordError):
         unpool.backward(np.ones_like(out))

@@ -13,7 +13,7 @@ from demesh.losses import (LossConfig, VARIANTS, dynamic_c, feature_loss,
                            variant_config)
 from demesh.stn import alignment_grid, bilinear_sample
 
-TINY_PHI_SPEC = FeatureSpec(in_h=8, in_w=8, widths=(4,), feature_width=8)
+TINY_PHI_SPEC = FeatureSpec(crop=8, widths=(4,), feature_width=8)
 
 
 def tiny_phi(seed=1):
@@ -187,7 +187,7 @@ def test_feature_loss_matches_hand_trace_on_tiny_net():
     conv.weight.value[0, 0, 0, 0] = 1.0
     conv.weight.value[1, 0, 0, 0] = -1.0
     phi = FeatureNet([conv, MaxFeatureMap()], {EARLY_CONV: 1},
-                     FeatureSpec(in_h=2, in_w=2))
+                     FeatureSpec(crop=2))
     pred = np.array([[[[0.2, -0.4], [0.9, 0.0]]]])
     target = np.array([[[[0.1, 0.5], [0.1, 0.3]]]])
     cfg = LossConfig(taps=(EARLY_CONV,), align=False)
@@ -221,7 +221,7 @@ def test_feature_loss_returns_its_thresholds_and_leaves_no_record_in_phi():
     eyes = eyes_for(2, rng, 12, 10)
     cfg = LossConfig()
     lv = feature_loss(pred, target, eyes, phi, cfg)
-    grid = alignment_grid(eyes, 12, 10, phi.in_h, phi.in_w)
+    grid = alignment_grid(eyes, 12, 10, phi.crop, phi.crop)
     acts_p, acts_t = (phi.forward_taps(bilinear_sample(img, grid), keep=False)
                       for img in (pred, target))
     assert lv.thresholds == {tap: dynamic_c(acts_p[tap] - acts_t[tap])

@@ -14,7 +14,7 @@ from demesh.trainer import (TrainConfig, TrainingDiverged, format_config,
                             load_config, load_train_split, parse_config,
                             run_ablation, train)
 
-PHI_SPEC = FeatureSpec(in_h=16, in_w=16, widths=(8, 16), feature_width=32)
+PHI_SPEC = FeatureSpec(crop=16, widths=(8, 16), feature_width=32)
 
 
 def tiny_config(dataset, **overrides) -> TrainConfig:

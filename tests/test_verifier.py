@@ -330,8 +330,7 @@ def protocol_setup(tmp_path_factory):
     make_dataset(root, 6, 2, seed=99, ratios=(0.0, 0.0, 1.0))
     data = load_split(root, "test")
     phi = build_phi("pretrain", seed=2,
-                    spec=FeatureSpec(in_h=16, in_w=16, widths=(8, 16),
-                                     feature_width=32),
+                    spec=FeatureSpec(crop=16, widths=(8, 16), feature_width=32),
                     n_identities=6, per_identity=16, steps=200)
     return data, phi
 
@@ -435,7 +434,7 @@ class HeldCrops:
 @with_rows((*range(1, PSI_BLOCK + 1), 66, 400, 401))
 def test_phi_features_of_each_row_are_those_of_the_row_alone(n, seed):
     crops = np.random.default_rng(seed).uniform(
-        size=(n + PSI_BLOCK, 1, BLOCK_PHI.in_h, BLOCK_PHI.in_w))
+        size=(n + PSI_BLOCK, 1, BLOCK_PHI.crop, BLOCK_PHI.crop))
     held = HeldCrops(crops, n)
     feats = BLOCK_PHI.features(held)
     # each row read once, in order, by slices inside [0, n)
@@ -476,7 +475,7 @@ def test_features_of_a_cropping_view_are_bitwise_those_of_the_crops(n, seed):
         loaded.append(rows)
         return images[rows]
 
-    grid = stn.alignment_grid(eyes, 64, 48, BLOCK_PHI.in_h, BLOCK_PHI.in_w)
+    grid = stn.alignment_grid(eyes, 64, 48, BLOCK_PHI.crop, BLOCK_PHI.crop)
     stacked = BLOCK_PHI.features(stn.bilinear_sample(images, grid))
     assert _aligned_features(BLOCK_PHI, load, eyes).tobytes() == \
         stacked.tobytes()
@@ -512,7 +511,7 @@ def stacked_run_protocol(model, recover_all, data, phi):
 
     def features(images, eyes):
         grid = stn.alignment_grid(np.asarray(eyes), *images.shape[2:],
-                                  phi.in_h, phi.in_w)
+                                  phi.crop, phi.crop)
         return phi.features(stn.bilinear_sample(images, grid))
 
     feats = features(recovered, data.eyes)
@@ -544,8 +543,7 @@ def gallery_split(n, seed, h=16, w=12):
 
 
 STREAM_PHI = build_phi("fixed_random", seed=5,
-                       spec=FeatureSpec(in_h=16, in_w=16, widths=(8, 16),
-                                        feature_width=32))
+                       spec=FeatureSpec(crop=16, widths=(8, 16), feature_width=32))
 
 
 def outcome(tmp_path, protocol):
