@@ -634,12 +634,20 @@ def test_roc_plot_refuses_a_bad_table_before_writing(roc_dir, tmp_path,
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def test_import_sets_unset_blas_thread_counts_to_one_and_keeps_set_ones():
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
-    env["OMP_NUM_THREADS"] = "3"
+@pytest.mark.parametrize("preset, expected", [
+    ({}, ["1", "1", "1"]),
+    ({"OMP_NUM_THREADS": "3"}, ["1", "3", "1"]),
+    (dict.fromkeys(BLAS_VARS, "2"), ["2", "2", "2"]),
+    ({"DEMESH_THREADS": "zero"}, ["1", "1", "1"]),
+], ids=["nothing-set", "omp-set", "all-set", "stale-demesh-threads"])
+def test_import_sets_unset_blas_thread_counts_to_one_and_keeps_set_ones(
+        preset, expected):
+    env = {k: v for k, v in os.environ.items()
+           if k not in BLAS_VARS + ("DEMESH_THREADS",)}
+    env.update(preset)
     env["PYTHONPATH"] = str(Path(demesh.__file__).parents[1])
     probe = "import os, demesh; print([os.environ.get(v) for v in %r])" \
         % (BLAS_VARS,)
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == str(["1", "3", "1"])
+    assert out.strip() == str(expected)
