@@ -40,21 +40,21 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _resolve_phi(cfg, phi_path: str | None, out: Path, needed: bool,
-                 render_hw: tuple[int, int]):
-    if phi_path is None and not needed:
-        return None
-    return trainer.ensure_phi(
-        cfg, out / "phi.ckpt" if phi_path is None else phi_path, render_hw)
-
-
 def cmd_train(args) -> int:
     cfg = trainer.load_config(args.config)
     data = trainer.load_train_split(cfg)
     out = Path(args.out)
+    render_hw = data.x.shape[2:]
+    phi_path = out / "phi.ckpt" if args.phi is None else args.phi
+    phi = None
+    if args.phi is not None and Path(phi_path).exists():
+        # loaded and checked before --out is made, so a φ that fails to
+        # load leaves nothing behind
+        phi = trainer.ensure_phi(cfg, phi_path, render_hw)
     out.mkdir(parents=True, exist_ok=True)
-    needed = cfg.loss_config().lambda_feature > 0
-    phi = _resolve_phi(cfg, args.phi, out, needed, data.x.shape[2:])
+    if phi is None and (args.phi is not None
+                        or cfg.loss_config().lambda_feature > 0):
+        phi = trainer.ensure_phi(cfg, phi_path, render_hw)
     net, log = trainer.train(cfg, data, phi)
     ckpt = out / f"{cfg.variant}.ckpt"
     save_psi(net, ckpt)

@@ -84,9 +84,9 @@ class FeatureNet:
         prev = 1
         side = spec.crop
         for i, width in enumerate(spec.widths, start=1):
+            # each conv applies its max-feature-map itself, image by image
             layers.append(Conv2d(prev, width, KERNEL, pad=KERNEL // 2,
-                                 name=f"conv{i}", init=init))
-            layers.append(MaxFeatureMap())
+                                 name=f"conv{i}", init=init, mfm=True))
             # the early tap reads the deepest conv activation before pooling
             taps[EARLY_CONV] = len(layers) - 1
             layers.append(MaxPool2x2())

@@ -201,6 +201,14 @@ _CHECKS = {
         losses.feature_loss,
         lambda rng: _phi_loss_args(rng,
                                    cfg=losses.variant_config("demesh_e")))),
+    # φ's conv stage: a conv that applies its max-feature-map image by
+    # image, on two non-square images
+    "conv_mfm_input": ("layers", _layer(_he(Conv2d, 3, 4, 3, pad=1, mfm=True),
+                                        (2, 3, 5, 4))),
+    "conv_mfm_weight": ("layers", _layer(
+        _he(Conv2d, 2, 4, 3, pad=1, mfm=True), (2, 2, 5, 4), "weight")),
+    "conv_mfm_bias": ("layers", _layer(
+        _he(Conv2d, 2, 4, 3, pad=1, mfm=True), (2, 2, 5, 4), "bias")),
 }
 
 

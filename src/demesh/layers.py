@@ -7,7 +7,9 @@ A conv keeps a reference to its input and lowers one image at a time: it
 fills that image's patch matrix into one reused buffer and multiplies it,
 and its backward pass refills the patches. Pooling keeps its argmax
 indices as int8 (0..3), a max-feature-map the boolean mask of where its
-first half won, ReLU its mask and Sigmoid its output. All math is 64-bit
+first half won, ReLU its mask and Sigmoid its output. A conv built with
+``mfm=True`` applies the max-feature-map itself, one image at a time, and
+keeps its input plus that mask. All math is 64-bit
 so central-difference gradient checks at tight tolerances are meaningful.
 
 A record lives until its ``backward`` reads it: each ``backward`` drops its
@@ -273,21 +275,24 @@ def gather_pool_indices(grad: Array, indices: Array) -> Array:
     return out
 
 
-def mfm(x: Array) -> Array:
-    """Max-feature-map: split channels in half, take the elementwise max."""
+def mfm(x: Array, out: Array | None = None) -> Array:
+    """Max-feature-map: split channels in half, take the elementwise max
+    (into ``out`` when given)."""
     c = x.shape[1]
     if c % 2:
         raise ShapeError(f"max-feature-map requires an even channel count, got {c}")
     half = c // 2
-    return np.maximum(x[:, :half], x[:, half:])
+    return np.maximum(x[:, :half], x[:, half:], out=out)
 
 
-def mfm_backward(grad: Array, first_wins: Array) -> Array:
+def mfm_backward(grad: Array, first_wins: Array,
+                 out: Array | None = None) -> Array:
     """Route the gradient to the winning half, given the forward pass's
     boolean ``a >= b`` mask of the two halves (ties go to the first half).
-    Both halves are written into one array."""
+    Both halves are written into one array, ``out`` when given."""
     half = grad.shape[1]
-    out = np.empty((grad.shape[0], 2 * half, *grad.shape[2:]), grad.dtype)
+    if out is None:
+        out = np.empty((grad.shape[0], 2 * half, *grad.shape[2:]), grad.dtype)
     np.multiply(grad, first_wins, out=out[:, :half])
     np.multiply(grad, ~first_wins, out=out[:, half:])
     return out
@@ -305,36 +310,37 @@ def _overlap(shift: int, size: int, out_size: int) -> tuple[slice, slice]:
     return slice(lo, hi), slice(lo + shift, hi + shift)
 
 
-def _patch_matrices(x: Array, k: int, pad: int):
-    """Yield each image's channel-major patch matrix, (C*k*k, OH*OW).
+def _patch_matrices(images, shape: tuple[int, int, int], k: int, pad: int):
+    """Yield each image's channel-major patch matrix, (C*k*k, OH*OW), for
+    the (C, H, W) ``shape`` images that ``images`` yields.
 
     One zeroed buffer serves the whole batch: per image only the cells a
     shifted window reads inside the image are written, so the zero padding
     is never rewritten. Each matrix is overwritten by the next one.
     """
-    _, c, h, w = x.shape
+    c, h, w = shape
     oh, ow = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     rows = [_overlap(d - pad, h, oh) for d in range(k)]
     cols = [_overlap(d - pad, w, ow) for d in range(k)]
     patches = np.zeros((c, k, k, oh, ow))
     mat = patches.reshape(c * k * k, oh * ow)
-    for img in x:
+    for img in images:
         for ki, (out_r, in_r) in enumerate(rows):
             for kj, (out_c, in_c) in enumerate(cols):
                 patches[:, ki, kj, out_r, out_c] = img[:, in_r, in_c]
         yield mat
 
 
-def _corr2d(x: Array, weight: Array, pad: int) -> Array:
-    """Plain cross-correlation of NCHW input with OIHW weights, one GEMM
-    per image."""
-    n, _, h, w = x.shape
+def _corr2d(images, shape: tuple[int, ...], weight: Array, pad: int) -> Array:
+    """Plain cross-correlation of the NCHW ``shape`` batch that ``images``
+    yields image by image with OIHW weights, one GEMM per image."""
+    n, _, h, w = shape
     oc, _, k, _ = weight.shape
     oh = h + 2 * pad - k + 1
     ow = w + 2 * pad - k + 1
     w_mat = weight.reshape(oc, -1)
     out = np.empty((n, oc, oh * ow))
-    for i, mat in enumerate(_patch_matrices(x, k, pad)):
+    for i, mat in enumerate(_patch_matrices(images, shape[1:], k, pad)):
         np.matmul(w_mat, mat, out=out[i])
     return out.reshape(n, oc, oh, ow)
 
@@ -345,20 +351,34 @@ class Conv2d:
 
     The padding is at most ``ksize - 1``: the input gradient is a
     correlation with the flipped kernel at padding ``ksize - 1 - pad``.
+
+    With ``mfm=True`` a max-feature-map follows the conv inside it, image
+    by image: each image's GEMM writes into one reused (out_ch, OH*OW)
+    buffer, gets its bias, and ``mfm`` writes its halved map into the
+    output, so no batch-sized full-width map is made. The record is then
+    the input plus the mask of where the first half won, and ``backward``
+    expands the gradient through that mask one image at a time. Every
+    output and gradient is bitwise that of a plain conv followed by a
+    ``MaxFeatureMap``.
     """
 
     def __init__(self, in_ch: int, out_ch: int, ksize: int, pad: int = 0, *,
-                 name: str = "conv", init=zero_init):
+                 name: str = "conv", init=zero_init, mfm: bool = False):
         if not 0 <= pad <= ksize - 1:
             raise ValueError(f"pad must be in [0, {ksize - 1}], got {pad}")
+        if mfm and out_ch % 2:
+            raise ShapeError(f"max-feature-map requires an even channel "
+                             f"count, got {out_ch}")
         self.in_ch = in_ch
         self.out_ch = out_ch
         self.ksize = ksize
         self.pad = pad
         self.name = name
+        self.mfm = mfm
         self.weight = init(f"{name}.weight", (out_ch, in_ch, ksize, ksize))
         self.bias = init(f"{name}.bias", (out_ch,))
         self._x: Array | None = None
+        self._first_wins: Array | None = None
 
     def params(self) -> list[Param]:
         return [self.weight, self.bias]
@@ -379,9 +399,26 @@ class Conv2d:
             raise ShapeError(
                 f"conv '{self.name}': {h}x{w} input too small for kernel {k} "
                 f"with pad {p}")
-        out = _corr2d(x, self.weight.value, p)
-        out += self.bias.value[:, None, None]
         self._x = x if keep else None
+        if not self.mfm:
+            out = _corr2d(x, x.shape, self.weight.value, p)
+            out += self.bias.value[:, None, None]
+            return out
+        half = self.out_ch // 2
+        w_mat = self.weight.value.reshape(self.out_ch, -1)
+        bias = self.bias.value[:, None]
+        full = np.empty((self.out_ch, oh * ow))
+        img = full.reshape(1, self.out_ch, oh, ow)
+        out = np.empty((n, half, oh, ow))
+        first_wins = np.empty(out.shape, bool) if keep else None
+        for i, mat in enumerate(_patch_matrices(x, x.shape[1:], k, p)):
+            np.matmul(w_mat, mat, out=full)
+            full += bias
+            mfm(img, out=out[i:i + 1])
+            if keep:
+                np.greater_equal(img[:, :half], img[:, half:],
+                                 out=first_wins[i:i + 1])
+        self._first_wins = first_wins
         return out
 
     def backward(self, grad: Array, *, input_grad: bool = True
@@ -389,26 +426,46 @@ class Conv2d:
         """Accumulate the gradients of the parameters that are not frozen
         and return the input gradient, or None with ``input_grad=False``."""
         x = _recorded(self._x, self)
-        self._x = None
+        first_wins = self._first_wins
+        self._x = self._first_wins = None
+        n, _, oh, ow = grad.shape
+        if first_wins is None:
+            def grads():
+                return grad
+        else:
+            def grads():
+                # each image's gradient with respect to its full-width map,
+                # expanded into one reused buffer
+                full = np.empty((1, self.out_ch, oh, ow))
+                for g, wins in zip(grad, first_wins):
+                    yield mfm_backward(g[None], wins[None], out=full)[0]
+        # with mfm the bias sum runs image by image, in image order, in the
+        # weight-gradient pass when there is one: bitwise the batch sum
+        image_bias = first_wins is not None and not self.bias.frozen
+        db = np.zeros(self.out_ch)
         if not self.weight.frozen:
-            n, _, oh, ow = grad.shape
-            g_mat = grad.reshape(n, self.out_ch, oh * ow)
             # one product per image, reduced over the batch in one sum (a
             # running += would round differently)
             dw = np.empty((n, self.out_ch, self.weight.value[0].size))
-            for i, mat in enumerate(_patch_matrices(x, self.ksize, self.pad)):
-                np.matmul(g_mat[i], mat.T, out=dw[i])
+            for i, (g, mat) in enumerate(zip(grads(), _patch_matrices(
+                    x, x.shape[1:], self.ksize, self.pad))):
+                np.matmul(g.reshape(self.out_ch, oh * ow), mat.T, out=dw[i])
+                if image_bias:
+                    db += g.sum(axis=(1, 2))
             self.weight.grad += dw.sum(axis=0).reshape(self.weight.shape)
+        elif image_bias:
+            for g in grads():
+                db += g.sum(axis=(1, 2))
         del x  # the input is not live beside the input gradient
         if not self.bias.frozen:
-            self.bias.grad += grad.sum(axis=(0, 2, 3))
+            self.bias.grad += db if image_bias else grad.sum(axis=(0, 2, 3))
         if not input_grad:
             return None
         # input gradient as a correlation with the spatially flipped,
         # channel-swapped kernel
         w_flip = self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return _corr2d(grad, np.ascontiguousarray(w_flip),
-                       self.ksize - 1 - self.pad)
+        return _corr2d(grads(), (n, self.out_ch, oh, ow),
+                       np.ascontiguousarray(w_flip), self.ksize - 1 - self.pad)
 
 
 class MaxPool2x2:

@@ -15,7 +15,8 @@ def test_all_runs_every_check_in_table_order():
         "dense_input", "dense_weight", "bilinear_backward",
         "alignment_sample", "pixel_loss", "reverse_huber", "feature_loss",
         "unified_loss", "conv_bias", "dense_bias", "relu", "sigmoid",
-        "softmax_cross_entropy", "feature_loss_fcnf", "feature_loss_demesh_e"]
+        "softmax_cross_entropy", "feature_loss_fcnf", "feature_loss_demesh_e",
+        "conv_mfm_input", "conv_mfm_weight", "conv_mfm_bias"]
     assert all(r.passed for r in results)
 
 @pytest.mark.parametrize("module, seed",

@@ -393,27 +393,72 @@ def test_dense_ones_weight_sums_input():
     out = fc.forward(np.ones((2, 5)))
     np.testing.assert_array_equal(out, np.full((2, 4), 5.0))
 
+# ---------------------------------------------------------------------------
+# conv with its max-feature-map inside
+# ---------------------------------------------------------------------------
+
+def test_conv_mfm_rejects_an_odd_channel_count():
+    with pytest.raises(ShapeError, match="even channel"):
+        Conv2d(1, 3, 3, pad=1, mfm=True)
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(n=st.integers(1, 40), in_ch=st.integers(1, 3), half=st.integers(1, 3),
+       h=st.integers(3, 9), w=st.integers(3, 9),
+       k_pad=st.sampled_from([(1, 0), (3, 0), (3, 1), (3, 2)]),
+       levels=st.sampled_from([0, 1, 2]),
+       frozen=st.sampled_from([(), ("weight",), ("bias",), ("weight", "bias")]),
+       input_grad=st.booleans(), keep=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=40, in_ch=1, half=8, h=32, w=32, k_pad=(3, 1), levels=0,
+         frozen=(), input_grad=False, keep=True, seed=0)  # φ's conv1
+@example(n=32, in_ch=8, half=16, h=16, w=12, k_pad=(3, 1), levels=2,
+         frozen=(), input_grad=True, keep=True, seed=1)
+def test_conv_mfm_is_bitwise_a_conv_then_a_max_feature_map(
+        n, in_ch, half, h, w, k_pad, levels, frozen, input_grad, keep, seed):
+    k, pad = k_pad
+    rng = np.random.default_rng(seed)
+    fused, plain = (Conv2d(in_ch, 2 * half, k, pad=pad, mfm=mfm,
+                           init=he_normal(np.random.default_rng(seed)))
+                    for mfm in (True, False))
+    act = MaxFeatureMap()
+    x = rng.uniform(-1, 1, size=(n, in_ch, h, w))
+    if levels:  # few gray levels and integer weights, so the halves tie
+        x = np.round(x * levels) / levels
+        for conv in (fused, plain):
+            conv.weight.value = np.round(conv.weight.value)
+    for conv in (fused, plain):
+        for name in frozen:
+            getattr(conv, name).freeze()
+    fused.forward(x)  # a record the next forward replaces
+    out = fused.forward(x, keep=keep)
+    assert out.tobytes() == act.forward(plain.forward(x, keep=keep),
+                                        keep=keep).tobytes()
+    if not keep:
+        assert fused._x is None and fused._first_wins is None
+        with pytest.raises(NoRecordError):
+            fused.backward(np.ones_like(out))
+        return
+    grad = rng.normal(size=out.shape)
+    if levels:
+        grad = np.round(grad)
+    dx = fused.backward(grad, input_grad=input_grad)
+    expected = plain.backward(act.backward(grad), input_grad=input_grad)
+    assert (dx is None) == (expected is None) == (not input_grad)
+    if input_grad:
+        assert dx.tobytes() == expected.tobytes()
+    for a, b in zip(fused.params(), plain.params()):
+        assert a.frozen == b.frozen == (a.name.split(".")[1] in frozen)
+        # the bias gradient, summed image by image, is bitwise the batch
+        # sum grad.sum(axis=(0, 2, 3)) of the plain conv
+        assert a.frozen or a.grad.tobytes() == b.grad.tobytes()
+    assert fused._x is None and fused._first_wins is None
+    with pytest.raises(NoRecordError):
+        fused.backward(grad)
+
 def test_dense_length_mismatch():
     fc = Dense(6, 2, name="head")
     with pytest.raises(ShapeError, match="head.*length 4"):
         fc.forward(np.zeros((1, 4)))
-
-def test_dense_gradients_match_finite_differences():
-    rng = np.random.default_rng(10)
-    fc = Dense(6, 3, init=he_normal(rng))
-    x = rng.normal(size=(2, 6))
-    weights = rng.normal(size=(2, 3))
-    assert grad_check(scalar_through(fc, x, weights), x).passed
-
-    def fn_of_weight(w):
-        fc.weight.value = w
-        fc.weight.zero_grad()
-        out = fc.forward(x)
-        fc.backward(weights)
-        return float(np.sum(out * weights)), fc.weight.grad.copy()
-
-    assert grad_check(fn_of_weight, fc.weight.value.copy()).passed
-
 
 # ---------------------------------------------------------------------------
 # gradients nobody reads
