@@ -104,6 +104,14 @@ def _unpool(rng):
     return MaxUnpool2x2(pool)
 
 
+def _unpool_conv(rng):
+    """A 2 -> 3 conv that unpools its (2, 2, 3, 2) input itself, its pool
+    run on a drawn (2, 2, 6, 4) batch, then He-normal weights."""
+    pool = MaxPool2x2()
+    pool.forward(rng.normal(size=(2, 2, 6, 4)))
+    return Conv2d(2, 3, 3, pad=1, init=he_normal(rng), unpool=pool)
+
+
 # Each nudge moves its input, in place, off the points where the function
 # has no derivative, and returns it.
 
@@ -209,6 +217,10 @@ _CHECKS = {
         _he(Conv2d, 2, 4, 3, pad=1, mfm=True), (2, 2, 5, 4), "weight")),
     "conv_mfm_bias": ("layers", _layer(
         _he(Conv2d, 2, 4, 3, pad=1, mfm=True), (2, 2, 5, 4), "bias")),
+    # ψ's decoder stage: a conv that unpools its input image by image
+    "conv_unpool_input": ("layers", _layer(_unpool_conv, (2, 2, 3, 2))),
+    "conv_unpool_weight": ("layers", _layer(_unpool_conv, (2, 2, 3, 2),
+                                            "weight")),
 }
 
 

@@ -5,6 +5,13 @@ Down/up-sampling expands the receptive field so the net can see enough
 context to tell mesh strokes from face texture; every unpooling stage reuses
 the argmax indices of its paired encoder pool (innermost pair first). The
 output passes through a logistic so predictions stay in (0, 1).
+
+Each decoder conv unpools its input itself (``Conv2d(..., unpool=pool)``):
+it unpools one image at a time into a reused buffer before lowering it,
+and gathers each image's input gradient back through the indices, so no
+batch-sized unpooled map, 3/4 zeros, is made in either direction. Its
+outputs and gradients are bitwise those of a ``MaxUnpool2x2`` followed by
+a plain conv, and the parameters keep their names and order.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint, configio
-from .layers import (Conv2d, MaxPool2x2, MaxUnpool2x2, Param, ReLU, ShapeError,
-                     Sigmoid, he_normal)
+from .layers import (Conv2d, MaxPool2x2, Param, ReLU, ShapeError, Sigmoid,
+                     he_normal)
 
 Array = np.ndarray
 
@@ -66,9 +73,8 @@ class InpaintNet:
             prev = width
         out_widths = list(spec.widths[-2::-1]) + [1]
         for i, (pool, width) in enumerate(zip(reversed(pools), out_widths), start=1):
-            layers.append(MaxUnpool2x2(pool))
             layers.append(Conv2d(prev, width, spec.kernel, pad=pad,
-                                 name=f"dec{i}", init=init))
+                                 name=f"dec{i}", init=init, unpool=pool))
             if width != 1:
                 layers.append(ReLU())
             prev = width

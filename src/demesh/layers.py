@@ -9,15 +9,18 @@ and its backward pass refills the patches. Pooling keeps its argmax
 indices as int8 (0..3), a max-feature-map the boolean mask of where its
 first half won, ReLU its mask and Sigmoid its output. A conv built with
 ``mfm=True`` applies the max-feature-map itself, one image at a time, and
-keeps its input plus that mask. All math is 64-bit
+keeps its input plus that mask; one built with ``unpool=pool`` unpools its
+input through the pool's indices itself, one image at a time, and keeps
+the pooled input. All math is 64-bit
 so central-difference gradient checks at tight tolerances are meaningful.
 
 A record lives until its ``backward`` reads it: each ``backward`` drops its
 layer's record once it has read it, so one recording forward serves one
 backward and a second ``backward`` raises ``NoRecordError``. A conv drops
-its input after the weight gradient, so the input and its patch buffer are
-never live beside the input gradient. A pool's indices are read by its
-paired unpool's backward first and dropped by the pool's own backward.
+its input and its patch buffer after the weight gradient, so neither is
+live beside the input gradient. A pool's indices are read by its paired
+unpool's backward first (a ``MaxUnpool2x2`` or a conv built with
+``unpool``) and dropped by the pool's own backward.
 
 A trainable ``Param`` holds four arrays of one shape: its value, its
 gradient and Adam's two moments. A frozen one (``freeze``) holds its value
@@ -243,13 +246,14 @@ def maxpool2_indices(x: Array) -> tuple[Array, Array]:
     return out.reshape(pooled), idx.reshape(pooled)
 
 
-def unpool_indices(x: Array, indices: Array) -> Array:
+def unpool_indices(x: Array, indices: Array, out: Array | None = None
+                   ) -> Array:
     """Scatter pooled values back to their recorded argmax positions.
 
-    The result has twice ``x``'s extent (``maxpool2_indices`` pools only
-    even extents) and is zero everywhere except at the recorded index of
-    each 2x2 window, where it equals the corresponding pooled value (a -0.0
-    comes back as +0.0).
+    The result (written into ``out`` when given) has twice ``x``'s extent
+    (``maxpool2_indices`` pools only even extents) and is zero everywhere
+    except at the recorded index of each 2x2 window, where it equals the
+    corresponding pooled value (a -0.0 comes back as +0.0).
     """
     n, c, h, w = x.shape
     if indices.shape != x.shape:
@@ -257,22 +261,24 @@ def unpool_indices(x: Array, indices: Array) -> Array:
             f"index map shape {indices.shape} does not match input {x.shape}")
     if indices.min() < 0 or indices.max() > 3:
         raise ValueError("pooling index out of bounds (expected 0..3)")
-    out = np.empty((n, c, 2 * h, 2 * w))
+    if out is None:
+        out = np.empty((n, c, 2 * h, 2 * w))
     for q, view in enumerate(_window_views(out)):
         np.multiply(x, indices == q, out=view)
     out += 0.0  # -0.0 becomes +0.0, as in a sum into zeros
     return out
 
 
-def gather_pool_indices(grad: Array, indices: Array) -> Array:
+def gather_pool_indices(grad: Array, indices: Array,
+                        out: Array | None = None) -> Array:
     """Collect, per 2x2 window, the gradient entry at the recorded index
-    (a -0.0 comes back as +0.0)."""
+    (a -0.0 comes back as +0.0), into ``out`` when given."""
     v0, v1, v2, v3 = _window_views(grad)
-    out = _select(v0, v1, indices == 1)
-    out = _select(out, v2, indices == 2)
-    out = _select(out, v3, indices == 3)
-    out += 0.0  # -0.0 becomes +0.0, as in a sum into zeros
-    return out
+    picked = _select(v0, v1, indices == 1)
+    picked = _select(picked, v2, indices == 2)
+    picked = _select(picked, v3, indices == 3)
+    # -0.0 becomes +0.0, as in a sum into zeros
+    return np.add(picked, 0.0, out=picked if out is None else out)
 
 
 def mfm(x: Array, out: Array | None = None) -> Array:
@@ -345,6 +351,29 @@ def _corr2d(images, shape: tuple[int, ...], weight: Array, pad: int) -> Array:
     return out.reshape(n, oc, oh, ow)
 
 
+def _image_corr2d(images, shape: tuple[int, ...], weight: Array, pad: int):
+    """``_corr2d``'s GEMMs, each image's result yielded as one reused
+    (1, O, OH, OW) buffer that the next image overwrites."""
+    _, _, h, w = shape
+    oc, _, k, _ = weight.shape
+    oh, ow = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    w_mat = weight.reshape(oc, -1)
+    full = np.empty((oc, oh * ow))
+    img = full.reshape(1, oc, oh, ow)
+    for mat in _patch_matrices(images, shape[1:], k, pad):
+        np.matmul(w_mat, mat, out=full)
+        yield img
+
+
+def _unpooled(x: Array, indices: Array):
+    """Each image of ``x`` unpooled through ``indices`` into one reused
+    (C, 2H, 2W) buffer that the next image overwrites."""
+    n, c, h, w = x.shape
+    up = np.empty((1, c, 2 * h, 2 * w))
+    for i in range(n):
+        yield unpool_indices(x[i:i + 1], indices[i:i + 1], out=up)[0]
+
+
 class Conv2d:
     """2D stride-1 convolution (cross-correlation) over NCHW batches,
     lowered to one im2col GEMM per image.
@@ -360,21 +389,40 @@ class Conv2d:
     expands the gradient through that mask one image at a time. Every
     output and gradient is bitwise that of a plain conv followed by a
     ``MaxFeatureMap``.
+
+    With ``unpool=pool`` the conv reads its (N, C, H, W) input as the
+    (N, C, 2H, 2W) map that unpooling it through ``pool``'s argmax indices
+    gives, image by image: each image is unpooled into one reused buffer
+    before its patches are filled, and each image's input gradient is
+    correlated into one reused full-extent buffer and gathered back through
+    the indices into that image's row of the pooled-extent gradient. So no
+    batch-sized unpooled map or gradient is made. The record is the pooled
+    input; the indices stay ``pool``'s, read by this backward and dropped by
+    the pool's own, and a record-free forward clears them once read. Every
+    output and gradient is bitwise that of a ``MaxUnpool2x2`` followed by a
+    plain conv.
     """
 
     def __init__(self, in_ch: int, out_ch: int, ksize: int, pad: int = 0, *,
-                 name: str = "conv", init=zero_init, mfm: bool = False):
+                 name: str = "conv", init=zero_init, mfm: bool = False,
+                 unpool: MaxPool2x2 | None = None):
         if not 0 <= pad <= ksize - 1:
             raise ValueError(f"pad must be in [0, {ksize - 1}], got {pad}")
         if mfm and out_ch % 2:
             raise ShapeError(f"max-feature-map requires an even channel "
                              f"count, got {out_ch}")
+        if mfm and unpool is not None:
+            raise ValueError(f"conv '{name}': mfm=True and unpool do not "
+                             f"combine")
         self.in_ch = in_ch
         self.out_ch = out_ch
         self.ksize = ksize
         self.pad = pad
         self.name = name
         self.mfm = mfm
+        self.unpool = unpool
+        if unpool is not None:
+            unpool.paired = True
         self.weight = init(f"{name}.weight", (out_ch, in_ch, ksize, ksize))
         self.bias = init(f"{name}.bias", (out_ch,))
         self._x: Array | None = None
@@ -387,33 +435,51 @@ class Conv2d:
         k, p = self.ksize, self.pad
         return h + 2 * p - k + 1, w + 2 * p - k + 1
 
-    def forward(self, x: Array, *, keep: bool = True) -> Array:
+    def _images(self, x: Array, indices: Array | None):
+        """The images this conv correlates, and their NCHW batch shape:
+        ``x``'s own, or each one unpooled through ``indices``."""
+        if indices is None:
+            return x, x.shape
         n, c, h, w = x.shape
+        return _unpooled(x, indices), (n, c, 2 * h, 2 * w)
+
+    def forward(self, x: Array, *, keep: bool = True) -> Array:
+        n, c, _, _ = x.shape
         if c != self.in_ch:
             raise ShapeError(
                 f"conv '{self.name}': input has {c} channels, kernel expects "
                 f"{self.in_ch} (input shape {x.shape})")
+        indices = None
+        if self.unpool is not None:
+            indices = self.unpool.indices
+            if indices is None:
+                raise RuntimeError(f"conv '{self.name}': paired pool layer "
+                                   f"has not run forward yet")
+            if indices.shape != x.shape:
+                raise ShapeError(
+                    f"conv '{self.name}': index map shape {indices.shape} "
+                    f"does not match input {x.shape}")
+        images, shape = self._images(x, indices)
         k, p = self.ksize, self.pad
-        oh, ow = self.out_hw(h, w)
+        oh, ow = self.out_hw(*shape[2:])
         if oh < 1 or ow < 1:
             raise ShapeError(
-                f"conv '{self.name}': {h}x{w} input too small for kernel {k} "
-                f"with pad {p}")
+                f"conv '{self.name}': {shape[2]}x{shape[3]} input too small "
+                f"for kernel {k} with pad {p}")
         self._x = x if keep else None
         if not self.mfm:
-            out = _corr2d(x, x.shape, self.weight.value, p)
+            out = _corr2d(images, shape, self.weight.value, p)
             out += self.bias.value[:, None, None]
+            if not keep and indices is not None:
+                self.unpool.indices = None
             return out
         half = self.out_ch // 2
-        w_mat = self.weight.value.reshape(self.out_ch, -1)
-        bias = self.bias.value[:, None]
-        full = np.empty((self.out_ch, oh * ow))
-        img = full.reshape(1, self.out_ch, oh, ow)
+        bias = self.bias.value[:, None, None]
         out = np.empty((n, half, oh, ow))
         first_wins = np.empty(out.shape, bool) if keep else None
-        for i, mat in enumerate(_patch_matrices(x, x.shape[1:], k, p)):
-            np.matmul(w_mat, mat, out=full)
-            full += bias
+        for i, img in enumerate(_image_corr2d(images, shape,
+                                              self.weight.value, p)):
+            img += bias
             mfm(img, out=out[i:i + 1])
             if keep:
                 np.greater_equal(img[:, :half], img[:, half:],
@@ -426,8 +492,11 @@ class Conv2d:
         """Accumulate the gradients of the parameters that are not frozen
         and return the input gradient, or None with ``input_grad=False``."""
         x = _recorded(self._x, self)
+        indices = None if self.unpool is None else \
+            _recorded(self.unpool.indices, self)
         first_wins = self._first_wins
         self._x = self._first_wins = None
+        in_shape = x.shape
         n, _, oh, ow = grad.shape
         if first_wins is None:
             def grads():
@@ -447,11 +516,15 @@ class Conv2d:
             # one product per image, reduced over the batch in one sum (a
             # running += would round differently)
             dw = np.empty((n, self.out_ch, self.weight.value[0].size))
+            images, shape = self._images(x, indices)
             for i, (g, mat) in enumerate(zip(grads(), _patch_matrices(
-                    x, x.shape[1:], self.ksize, self.pad))):
+                    images, shape[1:], self.ksize, self.pad))):
                 np.matmul(g.reshape(self.out_ch, oh * ow), mat.T, out=dw[i])
                 if image_bias:
                     db += g.sum(axis=(1, 2))
+            # neither the patch buffer nor the unpooled image is live
+            # beside the input gradient (the names are unbound at N = 0)
+            g = mat = images = None
             self.weight.grad += dw.sum(axis=0).reshape(self.weight.shape)
         elif image_bias:
             for g in grads():
@@ -463,16 +536,24 @@ class Conv2d:
             return None
         # input gradient as a correlation with the spatially flipped,
         # channel-swapped kernel
-        w_flip = self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return _corr2d(grads(), (n, self.out_ch, oh, ow),
-                       np.ascontiguousarray(w_flip), self.ksize - 1 - self.pad)
+        w_flip = np.ascontiguousarray(
+            self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        pad = self.ksize - 1 - self.pad
+        if indices is None:
+            return _corr2d(grads(), (n, self.out_ch, oh, ow), w_flip, pad)
+        dx = np.empty(in_shape)
+        for i, full in enumerate(_image_corr2d(
+                grads(), (n, self.out_ch, oh, ow), w_flip, pad)):
+            gather_pool_indices(full, indices[i:i + 1], out=dx[i:i + 1])
+        return dx
 
 
 class MaxPool2x2:
     """2x2/stride-2 max pooling that remembers its argmax positions.
 
-    A pool with a paired unpool (``paired``, set by ``MaxUnpool2x2``) keeps
-    its indices in a record-free pass too, for that unpool to read.
+    A pool with a paired unpool (``paired``, set by a ``MaxUnpool2x2`` or by
+    a ``Conv2d`` built with ``unpool``) keeps its indices in a record-free
+    pass too, for that unpool to read.
     """
 
     def __init__(self):
