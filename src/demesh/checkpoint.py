@@ -55,10 +55,15 @@ def load_checkpoint(path: str | Path) -> tuple[str, list[tuple[str, bool, np.nda
 
     Every length and count is checked against the bytes that remain before
     anything of that size is read or allocated, so a truncated or corrupted
-    file raises ``CheckpointError``, as does a parameter holding a NaN or
-    an infinity. Each record is read straight into its own array, so a
-    load holds one copy of the file's data."""
-    with open(path, "rb") as f:
+    file raises ``CheckpointError``, as do a file that cannot be read and
+    a parameter holding a NaN or an infinity. Each record is read straight
+    into its own array, so a load holds one copy of the file's data."""
+    try:
+        f = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointError(
+            f"{path}: cannot read checkpoint: {exc.strerror}") from None
+    with f:
         size = os.fstat(f.fileno()).st_size
         if f.read(4) != MAGIC:
             raise CheckpointError(f"{path}: bad magic bytes (not a checkpoint)")

@@ -251,7 +251,7 @@ def pretrain_step(net: FeatureNet, head: Dense, crops: Array, labels: Array,
     net.backward_taps({FINAL_FEATURE: head.backward(grad_logits)},
                       input_grad=False)
     for p in trainable:
-        adam_step(p, p.grad, lr)
+        adam_step(p, lr)
 
 
 def classify(net: FeatureNet, head: Dense, crops: Array) -> Array:

@@ -3,16 +3,17 @@
 The networks in this project are fixed layer sequences (plus one sampling
 branch), so there is no general autograd graph: each layer keeps a small
 record of its forward pass and a network walks its layer list in reverse.
-A conv keeps a reference to its input and lowers one image at a time: it
-fills that image's patch matrix into one reused buffer and multiplies it,
-and its backward pass refills the patches. Pooling keeps its argmax
-indices as int8 (0..3), a max-feature-map the boolean mask of where its
-first half won, ReLU its mask and Sigmoid its output. A conv built with
-``mfm=True`` applies the max-feature-map itself, one image at a time, and
-keeps its input plus that mask; one built with ``unpool=pool`` unpools its
-input through the pool's indices itself, one image at a time, and keeps
-the pooled input. All math is 64-bit
-so central-difference gradient checks at tight tolerances are meaningful.
+A conv keeps a reference to its input and lowers one image at a time, in
+one loop that every conv form shares: it fills that image's patch matrix
+into one reused buffer and multiplies it; its backward pass refills the
+patches for the weight gradient and runs the loop again for the input
+gradient. Pooling keeps its argmax indices as int8 (0..3), a
+max-feature-map the boolean mask of where its first half won, ReLU its
+mask and Sigmoid its output. A conv built with ``mfm=True`` applies the max-feature-map
+itself and keeps its input plus that mask; one built with ``unpool=pool``
+unpools its input through the pool's indices itself, one image at a time,
+and keeps the pooled input. All math is 64-bit so central-difference
+gradient checks at tight tolerances are meaningful.
 
 A record lives until its ``backward`` reads it: each ``backward`` drops its
 layer's record once it has read it, so one recording forward serves one
@@ -158,17 +159,15 @@ def he_normal(rng: np.random.Generator):
     return init
 
 
-def adam_step(param: Param, grad: Array, lr: float) -> None:
-    """Apply one bias-corrected Adam update to ``param`` in place, with
-    Kingma and Ba's beta1 = 0.9, beta2 = 0.999 and eps = 1e-8."""
+def adam_step(param: Param, lr: float) -> None:
+    """Apply one bias-corrected Adam update of ``param.grad`` to ``param``
+    in place, with Kingma and Ba's beta1 = 0.9, beta2 = 0.999 and
+    eps = 1e-8."""
     if param.frozen:
         raise FrozenParameterError(f"parameter '{param.name}' is frozen")
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    if grad.shape != param.value.shape:
-        raise ShapeError(
-            f"gradient shape {grad.shape} does not match parameter "
-            f"'{param.name}' shape {param.value.shape}")
+    grad = param.grad
     if not np.all(np.isfinite(grad)):
         raise NonFiniteGradientError(
             f"non-finite gradient for parameter '{param.name}'")
@@ -337,31 +336,20 @@ def _patch_matrices(images, shape: tuple[int, int, int], k: int, pad: int):
         yield mat
 
 
-def _corr2d(images, shape: tuple[int, ...], weight: Array, pad: int) -> Array:
-    """Plain cross-correlation of the NCHW ``shape`` batch that ``images``
-    yields image by image with OIHW weights, one GEMM per image."""
-    n, _, h, w = shape
-    oc, _, k, _ = weight.shape
-    oh = h + 2 * pad - k + 1
-    ow = w + 2 * pad - k + 1
-    w_mat = weight.reshape(oc, -1)
-    out = np.empty((n, oc, oh * ow))
-    for i, mat in enumerate(_patch_matrices(images, shape[1:], k, pad)):
-        np.matmul(w_mat, mat, out=out[i])
-    return out.reshape(n, oc, oh, ow)
-
-
-def _image_corr2d(images, shape: tuple[int, ...], weight: Array, pad: int):
-    """``_corr2d``'s GEMMs, each image's result yielded as one reused
-    (1, O, OH, OW) buffer that the next image overwrites."""
+def _corr2d(images, shape: tuple[int, ...], weight: Array, pad: int,
+            out: Array | None = None):
+    """Cross-correlate the NCHW ``shape`` batch that ``images`` yields image
+    by image with OIHW weights, one GEMM per image, and yield each image's
+    (1, O, OH, OW) result: row i of the C-contiguous ``out`` when given,
+    else one reused buffer that the next image overwrites."""
     _, _, h, w = shape
     oc, _, k, _ = weight.shape
     oh, ow = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     w_mat = weight.reshape(oc, -1)
-    full = np.empty((oc, oh * ow))
-    img = full.reshape(1, oc, oh, ow)
-    for mat in _patch_matrices(images, shape[1:], k, pad):
-        np.matmul(w_mat, mat, out=full)
+    reused = np.empty((1, oc, oh, ow)) if out is None else None
+    for i, mat in enumerate(_patch_matrices(images, shape[1:], k, pad)):
+        img = reused if out is None else out[i:i + 1]
+        np.matmul(w_mat, mat, out=img.reshape(oc, oh * ow))
         yield img
 
 
@@ -378,29 +366,32 @@ class Conv2d:
     """2D stride-1 convolution (cross-correlation) over NCHW batches,
     lowered to one im2col GEMM per image.
 
-    The padding is at most ``ksize - 1``: the input gradient is a
-    correlation with the flipped kernel at padding ``ksize - 1 - pad``.
+    The forward and the input gradient of every form run one loop
+    (``_corr2d``): per image one GEMM, which a plain conv writes straight
+    into that image's row of its output or input gradient, then the
+    elementwise bias. The padding is at most ``ksize - 1``: the input
+    gradient is a correlation with the flipped kernel at padding
+    ``ksize - 1 - pad``. A plain conv's bias gradient is the batch sum
+    ``grad.sum(axis=(0, 2, 3))``; a per-image sum differs from it in the
+    last bit, often at one output channel.
 
-    With ``mfm=True`` a max-feature-map follows the conv inside it, image
-    by image: each image's GEMM writes into one reused (out_ch, OH*OW)
-    buffer, gets its bias, and ``mfm`` writes its halved map into the
-    output, so no batch-sized full-width map is made. The record is then
-    the input plus the mask of where the first half won, and ``backward``
-    expands the gradient through that mask one image at a time. Every
-    output and gradient is bitwise that of a plain conv followed by a
-    ``MaxFeatureMap``.
+    With ``mfm=True`` a max-feature-map follows the conv inside it: each
+    image's GEMM writes into one reused buffer, gets its bias, and ``mfm``
+    writes its halved map into the output. The record is then the input
+    plus the mask of where the first half won, and ``backward`` expands the
+    gradient through that mask one image at a time and sums the bias
+    gradient image by image, in image order. Every output and gradient is
+    bitwise that of a plain conv followed by a ``MaxFeatureMap``.
 
     With ``unpool=pool`` the conv reads its (N, C, H, W) input as the
     (N, C, 2H, 2W) map that unpooling it through ``pool``'s argmax indices
-    gives, image by image: each image is unpooled into one reused buffer
-    before its patches are filled, and each image's input gradient is
-    correlated into one reused full-extent buffer and gathered back through
-    the indices into that image's row of the pooled-extent gradient. So no
-    batch-sized unpooled map or gradient is made. The record is the pooled
-    input; the indices stay ``pool``'s, read by this backward and dropped by
-    the pool's own, and a record-free forward clears them once read. Every
-    output and gradient is bitwise that of a ``MaxUnpool2x2`` followed by a
-    plain conv.
+    gives: each image is unpooled into one reused buffer before its patches
+    are filled, and its input gradient goes into one reused full-extent
+    buffer and is gathered back through the indices into that image's row.
+    The record is the pooled input; the indices stay ``pool``'s, read by
+    this backward and dropped by the pool's own, and a record-free forward
+    clears them once read. Every output and gradient is bitwise that of a
+    ``MaxUnpool2x2`` followed by a plain conv.
     """
 
     def __init__(self, in_ch: int, out_ch: int, ksize: int, pad: int = 0, *,
@@ -431,10 +422,6 @@ class Conv2d:
     def params(self) -> list[Param]:
         return [self.weight, self.bias]
 
-    def out_hw(self, h: int, w: int) -> tuple[int, int]:
-        k, p = self.ksize, self.pad
-        return h + 2 * p - k + 1, w + 2 * p - k + 1
-
     def _images(self, x: Array, indices: Array | None):
         """The images this conv correlates, and their NCHW batch shape:
         ``x``'s own, or each one unpooled through ``indices``."""
@@ -461,30 +448,27 @@ class Conv2d:
                     f"does not match input {x.shape}")
         images, shape = self._images(x, indices)
         k, p = self.ksize, self.pad
-        oh, ow = self.out_hw(*shape[2:])
+        oh, ow = shape[2] + 2 * p - k + 1, shape[3] + 2 * p - k + 1
         if oh < 1 or ow < 1:
             raise ShapeError(
                 f"conv '{self.name}': {shape[2]}x{shape[3]} input too small "
                 f"for kernel {k} with pad {p}")
         self._x = x if keep else None
-        if not self.mfm:
-            out = _corr2d(images, shape, self.weight.value, p)
-            out += self.bias.value[:, None, None]
-            if not keep and indices is not None:
-                self.unpool.indices = None
-            return out
         half = self.out_ch // 2
         bias = self.bias.value[:, None, None]
-        out = np.empty((n, half, oh, ow))
-        first_wins = np.empty(out.shape, bool) if keep else None
-        for i, img in enumerate(_image_corr2d(images, shape,
-                                              self.weight.value, p)):
+        out = np.empty((n, half if self.mfm else self.out_ch, oh, ow))
+        first_wins = np.empty(out.shape, bool) if self.mfm and keep else None
+        for i, img in enumerate(_corr2d(images, shape, self.weight.value, p,
+                                        out=None if self.mfm else out)):
             img += bias
-            mfm(img, out=out[i:i + 1])
-            if keep:
-                np.greater_equal(img[:, :half], img[:, half:],
-                                 out=first_wins[i:i + 1])
+            if self.mfm:
+                mfm(img, out=out[i:i + 1])
+                if keep:
+                    np.greater_equal(img[:, :half], img[:, half:],
+                                     out=first_wins[i:i + 1])
         self._first_wins = first_wins
+        if not keep and indices is not None:
+            self.unpool.indices = None
         return out
 
     def backward(self, grad: Array, *, input_grad: bool = True
@@ -539,12 +523,12 @@ class Conv2d:
         w_flip = np.ascontiguousarray(
             self.weight.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
         pad = self.ksize - 1 - self.pad
-        if indices is None:
-            return _corr2d(grads(), (n, self.out_ch, oh, ow), w_flip, pad)
         dx = np.empty(in_shape)
-        for i, full in enumerate(_image_corr2d(
-                grads(), (n, self.out_ch, oh, ow), w_flip, pad)):
-            gather_pool_indices(full, indices[i:i + 1], out=dx[i:i + 1])
+        for i, full in enumerate(_corr2d(
+                grads(), (n, self.out_ch, oh, ow), w_flip, pad,
+                out=dx if indices is None else None)):
+            if indices is not None:
+                gather_pool_indices(full, indices[i:i + 1], out=dx[i:i + 1])
         return dx
 
 

@@ -216,7 +216,7 @@ def train(cfg: TrainConfig, data: SplitData,
         for p in net.params():
             if cfg.weight_decay and p.name.endswith(".weight"):
                 p.grad += cfg.weight_decay * p.value
-            adam_step(p, p.grad, lr)
+            adam_step(p, lr)
         log.steps.append((step, ul.value, ul.pixel, ul.feature, lr))
 
         last = step == cfg.total_steps - 1

@@ -258,10 +258,15 @@ _BAD_ROW = re.compile(rf"^(?!{_NUMBER}\t{_NUMBER}\t{_NUMBER}$).*$", re.M | re.A)
 
 
 def read_roc_tsv(path: str | Path) -> Array:
-    """The (P, 3) table of a ``write_roc_tsv`` file. A wrong header, no rows,
-    a row that is not three tab-separated decimal numbers, a rate outside
-    [0, 1] or an infinite threshold raise RocTableError at ``path:line``."""
-    lines = Path(path).read_text(errors="replace").splitlines()
+    """The (P, 3) table of a ``write_roc_tsv`` file. A file that cannot be
+    read raises RocTableError at ``path``; a wrong header, no rows, a row
+    that is not three tab-separated decimal numbers, a rate outside [0, 1]
+    or an infinite threshold raise it at ``path:line``."""
+    try:
+        lines = Path(path).read_text(errors="replace").splitlines()
+    except OSError as exc:
+        raise RocTableError(
+            f"{path}: cannot read ROC table: {exc.strerror}") from None
     if lines[:1] != [ROC_HEADER] or len(lines) == 1:
         raise RocTableError(f"{path}:1: want the header {ROC_HEADER!r} and rows")
     body = "\n".join(lines[1:])

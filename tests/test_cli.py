@@ -314,6 +314,26 @@ def test_a_phi_with_the_older_arch_header_fails_on_one_line(
         f"'in_h' in 'in_h = 16'"]
     assert not out.exists()
 
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_a_checkpoint_that_is_a_directory_fails_on_one_line_writing_nothing(
+        trained_checkpoint, dataset, tmp_path, capsys, command):
+    unreadable = tmp_path / "net.ckpt"
+    unreadable.mkdir()
+    out = tmp_path / "out"
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(unreadable), "--data",
+                str(dataset), "--phi", str(tmp_path / "phi.ckpt")]
+    else:
+        # train loads an explicit --phi before it makes --out
+        cfg_path = tmp_path / "config.txt"
+        write_tiny_config(cfg_path, dataset, variant="demesh", total_steps=2)
+        argv = ["train", "--config", str(cfg_path), "--phi", str(unreadable)]
+    assert run_cli(*argv, "--out", str(out)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: CheckpointError: {unreadable}: cannot read checkpoint: "
+        f"Is a directory"]
+    assert not out.exists()
+
 def test_inpaint_reports_a_truncated_graymap_on_one_line(
         trained_checkpoint, dataset, tmp_path, capsys):
     sample_dir = next((Path(dataset) / "test").glob("id*"))
@@ -625,6 +645,18 @@ def test_roc_plot_refuses_a_bad_table_before_writing(roc_dir, tmp_path,
     assert len(err) == 1 and err[0].startswith("error: RocTableError: ")
     assert f"roc_gamma.tsv:{line}: " in err[0]
     assert not out.exists() and not svg.exists()
+
+@pytest.mark.parametrize("models", [None, "alpha,gamma"], ids=["glob", "named"])
+def test_roc_plot_reports_a_table_that_cannot_be_read_on_one_line(
+        roc_dir, tmp_path, capsys, models):
+    (roc_dir / "roc_gamma.tsv").mkdir()
+    out = tmp_path / "m.tsv"
+    argv = ["roc-plot", "--report", str(roc_dir), "--out", str(out)]
+    assert run_cli(*argv, *(["--models", models] if models else [])) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: RocTableError: {roc_dir / 'roc_gamma.tsv'}: cannot read ROC "
+        f"table: Is a directory"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ def test_frozen_net_holds_no_grads_and_gives_the_crop_gradient_bitwise():
 def test_parameters_are_frozen_after_construction(pretrained):
     p = pretrained.params()[0]
     with pytest.raises(FrozenParameterError):
-        adam_step(p, np.zeros_like(p.value), lr=0.1)
+        adam_step(p, lr=0.1)
 
 def test_built_and_loaded_phi_hold_no_gradient_or_adam_state(tmp_path,
                                                              pretrained):
@@ -178,7 +178,7 @@ def test_built_and_loaded_phi_hold_no_gradient_or_adam_state(tmp_path,
                    for p in phi.params())
     for p in loaded.params():
         with pytest.raises(FrozenParameterError):
-            adam_step(p, np.zeros_like(p.value), lr=0.1)
+            adam_step(p, lr=0.1)
 
 def test_save_load_round_trip_preserves_values_and_freeze(tmp_path, pretrained):
     path = tmp_path / "phi.ckpt"

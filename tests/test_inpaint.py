@@ -260,6 +260,20 @@ def test_arch_text_byte_flips_and_truncations_load_or_raise_checkpoint_error(
         pass
 
 
+@pytest.mark.parametrize("load", [load_psi, load_phi], ids=["psi", "phi"])
+@pytest.mark.parametrize("make, reason", [
+    pytest.param(lambda path: path.mkdir(), "Is a directory", id="directory"),
+    pytest.param(lambda path: None, "No such file or directory",
+                 id="missing")])
+def test_a_checkpoint_that_cannot_be_read_raises_checkpoint_error(
+        tmp_path, load, make, reason):
+    path = tmp_path / "net.ckpt"
+    make(path)
+    with pytest.raises(CheckpointError) as err:
+        load(path)
+    assert str(err.value) == f"{path}: cannot read checkpoint: {reason}"
+
+
 @pytest.mark.parametrize("net, name", [("psi", "enc1.weight"),
                                        ("phi", "conv1.bias")])
 @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
